@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,6 +68,11 @@ def cmd_schema(args, cfg: AppConfig) -> int:
 
 
 def cmd_compress(args, cfg: AppConfig) -> int:
+    out_paths = [f"{path}.compressed" if args.out_dir is None else f"{args.out_dir}/{path.split('/')[-1]}"
+                 for path in args.inputs]
+    clash = [path for i, path in enumerate(out_paths) if path in out_paths[:i]]
+    if clash:
+        raise ValueError(f"two inputs would both write {clash[0]}; give them distinct file names")
     matrices = []
     for path in args.inputs:
         with open(path, "rb") as f:
@@ -74,11 +80,10 @@ def cmd_compress(args, cfg: AppConfig) -> int:
     dim = matrices[0].dim
     queries, params = resampler.init_resampler(cfg.resampler_queries, dim, cfg.seed)
     outputs = resampler.compress_slices(matrices, queries, params)
-    for path, out_tokens in zip(args.inputs, outputs):
-        out_path = f"{path}.compressed" if args.out_dir is None else f"{args.out_dir}/{path.split('/')[-1]}"
+    for path, tokens, out_tokens, out_path in zip(args.inputs, matrices, outputs, out_paths):
         with open(out_path, "wb") as f:
             f.write(binio.tokens_to_bytes(out_tokens.values))
-        print(f"{path}: {matrices[args.inputs.index(path)].count} -> {out_tokens.count} tokens -> {out_path}")
+        print(f"{path}: {tokens.count} -> {out_tokens.count} tokens -> {out_path}")
     return 0
 
 
@@ -233,12 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     if args.format is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, output_format=args.format)
     if args.command == "probe" and args.kind in ("heatmap", "phases") and not args.scene:
         parser.error(f"probe {args.kind} requires --scene")

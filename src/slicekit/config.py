@@ -26,30 +26,25 @@ class AppConfig:
             raise ValueError("output_format must be 'json' or 'text'")
 
 
+_KEYS = {"vit": "vit", "K": "resampler_queries", "max_N": "max_slices", "seed": "seed", "format": "output_format",
+         "model_dims": "model_dims_path"}
+_VIT_KEYS = ("w", "h", "patch", "M")
+
+
 def load_config(path: str | None = None) -> AppConfig:
     cfg = AppConfig()
     if path is None:
         return cfg
     with open(path) as f:
         raw = json.load(f)
+    if not isinstance(raw, dict) or not isinstance(raw.get("vit", {}), dict):
+        raise ValueError("config must be a JSON object, with an object under 'vit'")
+    unknown = [k for k in raw if k not in _KEYS] + [f"vit.{k}" for k in raw.get("vit", {}) if k not in _VIT_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    fields = {_KEYS[k]: value for k, value in raw.items()}
     if "vit" in raw:
-        v = raw["vit"]
-        cfg = replace(
-            cfg,
-            vit=VitSpec(
-                pretrain_width_px=v.get("w", 336),
-                pretrain_height_px=v.get("h", 336),
-                patch_px=v.get("patch", 14),
-                token_budget=v.get("M", (v.get("w", 336) // v.get("patch", 14)) * (v.get("h", 336) // v.get("patch", 14))),
-            ),
-        )
-    for key, attr in (
-        ("K", "resampler_queries"),
-        ("max_N", "max_slices"),
-        ("seed", "seed"),
-        ("format", "output_format"),
-        ("model_dims", "model_dims_path"),
-    ):
-        if key in raw:
-            cfg = replace(cfg, **{attr: raw[key]})
-    return cfg
+        v = {"w": 336, "h": 336, "patch": 14, **raw["vit"]}
+        m = v.get("M", (v["w"] // v["patch"]) * (v["h"] // v["patch"]))
+        fields["vit"] = VitSpec(v["w"], v["h"], v["patch"], m)
+    return replace(cfg, **fields)

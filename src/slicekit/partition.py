@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -147,15 +148,31 @@ def ordered_candidates(n: int) -> list[SliceGrid]:
     for n >= 2: a "partition" into one slice defeats the purpose of slicing
     and would let the slice area grow past 1.5x the encoder area.
     """
-    cands = sorted(candidate_grids(n))
-    if n >= 2:
-        cands = [g for g in cands if g.slice_count > 1]
+    cands = [g for g in candidate_grids(n) if n == 1 or g.slice_count > 1]
+    return sorted(cands, key=lambda g: ({n: 0, n - 1: 1, n + 1: 2}[g.slice_count], -g.cols_m))
 
-    def pref(g: SliceGrid) -> tuple[int, int]:
-        priority = {n: 0, n - 1: 1, n + 1: 2}[g.slice_count]
-        return (priority, -g.cols_m)
 
-    return sorted(cands, key=pref)
+@lru_cache(maxsize=None)
+def grid_table(n: int) -> tuple[tuple[SliceGrid, ...], tuple[tuple[int, int, bool], ...]]:
+    """Candidates for ideal count n sorted by cols/rows (all distinct), and the switch points between neighbours.
+
+    Neighbours a, b deviate equally at the squared image-to-encoder aspect c_a*c_b / (r_a*r_b),
+    stored as (c_a*c_b, r_a*r_b, whether b wins that exact tie under ordered_candidates).
+    """
+    rank = {g: i for i, g in enumerate(ordered_candidates(n))}
+    grids = tuple(sorted(rank, key=lambda g: g.cols_m / g.rows_n))
+    return grids, tuple((a.cols_m * b.cols_m, a.rows_n * b.rows_n, rank[b] < rank[a]) for a, b in zip(grids, grids[1:]))
+
+
+def grid_index(n: int, p2, q2):
+    """Index into grid_table(n) of the grid chosen at squared image-to-encoder aspect p2/q2.
+
+    Counts the switch points passed, with arithmetic only: exact on Python ints, elementwise on numpy arrays.
+    """
+    idx = 0
+    for num, den, upper_wins_tie in grid_table(n)[1]:
+        idx = idx + ((p2 * den >= q2 * num) if upper_wins_tie else (p2 * den > q2 * num))
+    return idx
 
 
 def slice_rectangles(image: ImageSize, grid: SliceGrid) -> tuple[PixelRect, ...]:
@@ -181,21 +198,15 @@ def _split_axis(length: int, parts: int) -> list[tuple[int, int]]:
 
 
 def select_partition(image: ImageSize, vit: VitSpec) -> PartitionPlan:
-    """Pick the grid maximizing the partition score over the candidate set."""
+    """Pick the grid maximizing the partition score over the candidate set, exactly for integer sizes."""
     n = ideal_slice_count(image, vit)
-    best_grid = None
-    best_score = -math.inf
-    for grid in ordered_candidates(n):
-        s = partition_score(image, vit, grid)
-        if s > best_score:
-            best_score = s
-            best_grid = grid
-    assert best_grid is not None
+    p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
+    grid = grid_table(n)[0][grid_index(n, p * p, q * q)]
     return PartitionPlan(
         image=image,
         vit=vit,
-        grid=best_grid,
-        score=best_score,
+        grid=grid,
+        score=partition_score(image, vit, grid),
         ideal_n=n,
-        slice_rects=slice_rectangles(image, best_grid),
+        slice_rects=slice_rectangles(image, grid),
     )

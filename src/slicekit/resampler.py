@@ -20,8 +20,8 @@ class TokenMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError("token matrix must be 2D (count, dim)")
+        if self.values.ndim != 2 or self.values.shape[1] < 1:
+            raise ValueError("token matrix must be 2D (count, dim) with dim >= 1")
         if not np.isfinite(self.values).all():
             raise ValueError("token values must be finite")
 
@@ -99,15 +99,20 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _attend(q_vals: np.ndarray, t_vals: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, ...]:
+    """Projected queries q, projected keys k and the row-stochastic (K, T) attention weights."""
+    if t_vals.shape[0] < 1:
+        raise ValueError("empty slice: cross-attention needs at least one token")
+    if not q_vals.shape[1] == t_vals.shape[1] == params.dim:
+        raise ValueError("query/token/parameter dims do not match")
+    q = q_vals @ params.w_q
+    k = t_vals @ params.w_k
+    return q, k, _softmax_rows((q @ k.T) * params.scale)
+
+
 def attention_weights(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> np.ndarray:
     """Row-stochastic (K, T) attention matrix."""
-    if tokens.count < 1:
-        raise ValueError("empty slice: cross-attention needs at least one token")
-    if tokens.dim != queries.dim or queries.dim != params.dim:
-        raise ValueError("query/token/parameter dims do not match")
-    q = queries.values @ params.w_q
-    k = tokens.values @ params.w_k
-    return _softmax_rows((q @ k.T) * params.scale)
+    return _attend(queries.values, tokens.values, params)[2]
 
 
 def cross_attention_forward(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> TokenMatrix:
@@ -117,15 +122,8 @@ def cross_attention_forward(queries: QuerySet, tokens: TokenMatrix, params: Atte
     weighted sum, so permuting the input key/value pairs yields bitwise
     identical output.
     """
-    if tokens.count < 1:
-        raise ValueError("empty slice: cross-attention needs at least one token")
-    if tokens.dim != queries.dim or queries.dim != params.dim:
-        raise ValueError("query/token/parameter dims do not match")
-    order = np.lexsort(tokens.values.T[::-1])
-    t_vals = tokens.values[order]
-    q = queries.values @ params.w_q
-    k = t_vals @ params.w_k
-    attn = _softmax_rows((q @ k.T) * params.scale)
+    t_vals = tokens.values[np.lexsort(tokens.values.T[::-1])]
+    attn = _attend(queries.values, t_vals, params)[2]
     return TokenMatrix(values=attn @ (t_vals @ params.w_v))
 
 
@@ -141,11 +139,8 @@ def _forward_backward(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss sum(out * probe) and its analytic gradients."""
     scale = params.scale
-    q = q_vals @ params.w_q
-    k = t_vals @ params.w_k
+    q, k, attn = _attend(q_vals, t_vals, params)
     v = t_vals @ params.w_v
-    logits = (q @ k.T) * scale
-    attn = _softmax_rows(logits)
     out = attn @ v
     loss = float(np.sum(out * probe))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import ordered_candidates
+from .partition import grid_index, grid_table
 
 TWO_LOG2 = 2.0 * math.log(2.0)
 
@@ -68,28 +68,19 @@ class StatReport:
         }
 
 
-def _candidate_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cands = ordered_candidates(n)
-    ms = np.array([g.cols_m for g in cands], dtype=np.float64)
-    ns = np.array([g.rows_n for g in cands], dtype=np.float64)
-    return ms, ns
-
-
 def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best (cols, rows) per sample; same scoring and tie-breaks as select_partition."""
+    """Best (cols, rows) per sample for a square-pretrained encoder, from the same
+    switch table and tie-breaks as select_partition (partition.grid_table)."""
     ideal = np.maximum(np.ceil(area_ratio).astype(np.int64), 1)
     cols = np.empty(area_ratio.shape, dtype=np.int64)
     rows = np.empty(area_ratio.shape, dtype=np.int64)
-    log_aspect = np.log(aspect)
-    for n in np.unique(ideal):
+    aspect_sq = aspect * aspect
+    for n in np.unique(ideal).tolist():
         idx = np.nonzero(ideal == n)[0]
-        ms, ns = _candidate_arrays(int(n))
-        # score = -|log(aspect * rows/cols)| for a square-pretrained encoder
-        scores = -np.abs(log_aspect[idx][None, :] + np.log(ns / ms)[:, None])
-        # first max in preference order wins ties
-        best = np.argmax(scores == scores.max(axis=0, keepdims=True), axis=0)
-        cols[idx] = ms[best].astype(np.int64)
-        rows[idx] = ns[best].astype(np.int64)
+        grids = grid_table(n)[0]
+        best = grid_index(n, aspect_sq[idx], 1)
+        cols[idx] = np.array([g.cols_m for g in grids])[best]
+        rows[idx] = np.array([g.rows_n for g in grids])[best]
     return cols, rows
 
 
@@ -106,18 +97,16 @@ def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
     """Candidate density check: every candidate grid's log-aspect has another
     candidate within 2*log(2), for every slice count up to n_max.
 
-    Returns (holds, worst minimal gap).  A lone candidate has gap 0.
+    Returns (holds, worst minimal gap).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     worst = 0.0
     for n in range(1, n_max + 1):
-        logs = sorted(math.log(g.rows_n / g.cols_m) for g in ordered_candidates(n))
-        if len(logs) == 1:
-            continue
-        for i, li in enumerate(logs):
-            gap = min(abs(li - lj) for j, lj in enumerate(logs) if j != i)
-            worst = max(worst, gap)
+        logs = [math.log(g.rows_n / g.cols_m) for g in grid_table(n)[0]]
+        # in the sorted table each candidate's nearest neighbour is adjacent
+        gaps = [abs(a - b) for a, b in zip(logs, logs[1:])]
+        worst = max(worst, gaps[0], gaps[-1], *(min(a, b) for a, b in zip(gaps, gaps[1:])))
     return worst <= TWO_LOG2, worst
 
 

@@ -61,6 +61,18 @@ class TestConfig:
         assert code == 1
         assert "output_format" in err
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [({"max_n": 2}, "max_n"), ({"vit": {"width": 448}}, "vit.width"), ({"K": 8, "Seed": 1}, "Seed"), ([], "object")],
+    )
+    def test_unknown_key_or_shape_rejected(self, capsys, tmp_path, raw, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "--config", str(cfg), "plan", "672x1008")
+        assert code == 1
+        assert out == ""
+        assert key in err and len(err.strip().splitlines()) == 1
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent.json", "plan", "672x1008")
         assert code == 1
@@ -112,6 +124,19 @@ class TestCompress:
             else binio.tokens_from_bytes((tmp_path / "tokens.bin").read_bytes())
         assert result.shape == (64, 32)
         assert "100 -> 64 tokens" in out
+
+    def test_same_file_name_rejected_before_writing(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "t.bin").write_bytes(binio.tokens_to_bytes(rng.normal(size=(10, 8))))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "compress", str(tmp_path / "a" / "t.bin"), str(tmp_path / "b" / "t.bin"),
+                             "--out-dir", str(out_dir))
+        assert code == 1
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert list(out_dir.iterdir()) == []
 
 
 class TestProbe:

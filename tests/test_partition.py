@@ -9,6 +9,8 @@ from slicekit.partition import (
     SliceGrid,
     VitSpec,
     candidate_grids,
+    grid_index,
+    grid_table,
     ideal_slice_count,
     ordered_candidates,
     partition_score,
@@ -34,6 +36,35 @@ def brute_force_candidates(n):
                 if m * r == t:
                     out.add((m, r))
     return out
+
+
+def exact_oracle(n, p, q, power=1):
+    """Independent oracle: the first grid in preference order whose slice-to-encoder
+    aspect p*r / (q*c) has the least |log|, compared exactly in integers.
+
+    With power=2, p and q are the squared image-to-encoder aspect terms.
+    """
+    best = None
+    for g in ordered_candidates(n):
+        x, y = p * g.rows_n**power, q * g.cols_m**power
+        if best is None or max(x, y) * min(bx, by) < max(bx, by) * min(x, y):
+            best, bx, by = g, x, y
+    return best
+
+
+def switch_point_images(n_max=20, max_side=4000):
+    """Integer images that lie exactly on a switch point of their own band (square encoder)."""
+    for n in range(1, n_max + 1):
+        for num, den, _ in grid_table(n)[1]:
+            root = math.isqrt(num * den)  # W/H = sqrt(num/den) = root/den
+            if root * root != num * den:
+                continue
+            g = math.gcd(root, den)
+            w0, h0 = root // g, den // g
+            for t in range(1, max_side // max(w0, h0) + 1):
+                image = ImageSize(w0 * t, h0 * t)
+                if ideal_slice_count(image, VIT) == n:
+                    yield image
 
 
 class TestIdealSliceCount:
@@ -130,6 +161,37 @@ class TestSelectPartition:
     @given(sizes)
     def test_deterministic(self, image):
         assert select_partition(image, VIT) == select_partition(image, VIT)
+
+    @pytest.mark.parametrize(
+        "w, h, grid",
+        [(756, 756, (3, 2)), (1596, 798, (6, 2)), (448, 448, (2, 1))],
+    )
+    def test_exact_tie_breaks(self, w, h, grid):
+        # equal deviations: slice count n, then n-1, then n+1, then the wider grid
+        plan = select_partition(ImageSize(w, h), VIT)
+        assert (plan.grid.cols_m, plan.grid.rows_n) == grid
+
+    @given(sizes, st.sampled_from([VIT, VitSpec(448, 336, 14, 768), VitSpec(224, 448, 14, 512)]))
+    def test_matches_exact_oracle(self, image, vit):
+        plan = select_partition(image, vit)
+        p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
+        assert plan.grid == exact_oracle(plan.ideal_n, p, q)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_switch_table_exact_at_every_switch_point(self, n):
+        grids, switches = grid_table(n)
+        assert sorted(grids) == sorted(ordered_candidates(n))
+        for num, den, _ in switches:
+            # squared aspects on, just below and just above the switch point
+            for p2, q2 in ((num, den), (num * 10**9 - 1, den * 10**9), (num * 10**9 + 1, den * 10**9)):
+                assert grids[grid_index(n, p2, q2)] == exact_oracle(n, p2, q2, power=2)
+
+    def test_images_on_switch_points(self):
+        images = list(switch_point_images())
+        assert len(images) > 100
+        for image in images:
+            plan = select_partition(image, VIT)
+            assert plan.grid == exact_oracle(plan.ideal_n, image.width_px * 336, image.height_px * 336)
 
     def test_json_dict_shape(self):
         d = select_partition(ImageSize(672, 1008), VIT).to_json_dict()

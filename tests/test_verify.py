@@ -53,6 +53,14 @@ class TestVectorizedSelection:
         )
         assert (int(cols[0]), int(rows[0])) == (plan.grid.cols_m, plan.grid.rows_n)
 
+    def test_agrees_with_scalar_selection_on_square_ties(self):
+        # a square image lies on the switch point between each grid and its transpose; the wider wins
+        sides = np.arange(14, 1601)
+        cols, rows = select_grids_vectorized(sides * sides / VIT.pretrain_area_px, np.ones(sides.shape))
+        for side, c, r in zip(sides.tolist(), cols.tolist(), rows.tolist()):
+            grid = select_partition(ImageSize(side, side), VIT).grid
+            assert (c, r) == (grid.cols_m, grid.rows_n)
+
 
 class TestEnumerationBound:
     def test_holds_up_to_twenty(self):
