@@ -46,8 +46,8 @@ from .verify import (
     DistributionSpec,
     StatReport,
     enumerate_ratio_bound,
+    exact_expectations,
     monte_carlo_expectations,
-    quadrature_expectations,
     sweep_slice_bounds,
 )
 
@@ -66,6 +66,6 @@ __all__ = [
     "SyntheticScene", "SceneObject", "SliceCover", "overlap_tile_cover",
     "simulate_count", "heatmap_probe", "phase_classify", "padding_waste", "render_scene",
     "DistributionSpec", "StatReport", "enumerate_ratio_bound",
-    "sweep_slice_bounds", "monte_carlo_expectations", "quadrature_expectations",
+    "sweep_slice_bounds", "monte_carlo_expectations", "exact_expectations",
     "__version__",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import binio, cost, probes, resampler, schema, verify
 from .config import AppConfig, load_config
-from .partition import ImageSize, ideal_slice_count, select_partition
+from .partition import ImageSize, PartitionPlan, select_partition
 from .patches import PatchGrid, fit_patch_grid, interpolate_pos_embed, overview_grid
 
 
@@ -40,13 +40,18 @@ def _emit(payload: dict, cfg: AppConfig, out: str | None) -> None:
         print(text)
 
 
+def _capped_plan(image: ImageSize, cfg: AppConfig) -> PartitionPlan:
+    """select_partition, refused when the chosen grid cuts more than max_N slices."""
+    plan = select_partition(image, cfg.vit)
+    if plan.grid.slice_count > cfg.max_slices:
+        raise ValueError(f"{image.width_px}x{image.height_px} would be cut into {plan.grid.slice_count} slices, "
+                         f"which exceeds max_N={cfg.max_slices}")
+    return plan
+
+
 def cmd_plan(args, cfg: AppConfig) -> int:
     image = args.image
-    n = ideal_slice_count(image, cfg.vit)
-    if n > cfg.max_slices:
-        print(f"error: ideal N={n} exceeds max_N={cfg.max_slices}", file=sys.stderr)
-        return 1
-    plan = select_partition(image, cfg.vit)
+    plan = _capped_plan(image, cfg)
     payload = plan.to_json_dict()
     payload["slice_patch_grids"] = [
         {"cols": g.cols, "rows": g.rows}
@@ -60,7 +65,7 @@ def cmd_plan(args, cfg: AppConfig) -> int:
 
 
 def cmd_schema(args, cfg: AppConfig) -> int:
-    plan = select_partition(args.image, cfg.vit)
+    plan = _capped_plan(args.image, cfg)
     seq = schema.serialize_layout(plan, cfg.resampler_queries)
     print(schema.render_layout(seq))
     _emit(schema.summary(seq), cfg, args.out)

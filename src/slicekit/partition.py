@@ -198,10 +198,17 @@ def _split_axis(length: int, parts: int) -> list[tuple[int, int]]:
 
 
 def select_partition(image: ImageSize, vit: VitSpec) -> PartitionPlan:
-    """Pick the grid maximizing the partition score over the candidate set, exactly for integer sizes."""
+    """Pick the grid maximizing the partition score over the candidate set, exactly for integer sizes.
+
+    A grid whose slices would be narrower or shorter than one patch cannot be encoded; the image is
+    then kept whole (1x1).  Within 14..4032 px per side this happens only below one encoder tile
+    (N=1), where the N+1 candidates 2x1 and 1x2 would cut slices of a few pixels.
+    """
     n = ideal_slice_count(image, vit)
     p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
     grid = grid_table(n)[0][grid_index(n, p * p, q * q)]
+    if image.width_px // grid.cols_m < vit.patch_px or image.height_px // grid.rows_n < vit.patch_px:
+        grid = SliceGrid(1, 1)
     return PartitionPlan(
         image=image,
         vit=vit,

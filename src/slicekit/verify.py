@@ -4,8 +4,8 @@ Checks, without symbols: (1) the candidate grids for every slice count up
 to 20 are dense enough in log-aspect space that each slice's aspect ratio
 stays within [1/2, 2]; (2) the normalized slice area stays within
 [1/3, 3/2]; (3) the expectation and variance of the slice aspect ratio and
-area under a documented distribution of image sizes, by seeded Monte Carlo
-with a midpoint-quadrature cross-check.
+area under a documented distribution of image sizes, exactly in closed form
+from the partition's switch table, next to a seeded Monte Carlo estimate.
 
 Distribution assumption: image sizes are uniform over the (width, height)
 plane, restricted to area ratio n in (lo, hi] relative to the encoder's
@@ -180,26 +180,29 @@ def monte_carlo_expectations(
     return report(acc[0], acc[1]), report(acc[2], acc[3])
 
 
-def quadrature_expectations(dist: DistributionSpec, cells_per_axis: int = 2000) -> tuple[StatReport, StatReport]:
-    """Midpoint-rule estimate of the same integrals on a uniform (n, log-aspect) grid."""
-    n_step = (dist.area_ratio_hi - dist.area_ratio_lo) / cells_per_axis
-    n_vals = dist.area_ratio_lo + (np.arange(cells_per_axis) + 0.5) * n_step
-    la_lo, la_hi = math.log(dist.aspect_lo), math.log(dist.aspect_hi)
-    la_step = (la_hi - la_lo) / cells_per_axis
-    a_vals = np.exp(la_lo + (np.arange(cells_per_axis) + 0.5) * la_step)
-    acc = np.zeros(5)
-    for n_chunk in np.array_split(n_vals, max(1, cells_per_axis // 64)):
-        nn, aa = np.meshgrid(n_chunk, a_vals, indexing="ij")
-        ratio, area = slice_statistics(nn.ravel(), aa.ravel())
-        acc += np.array([ratio.sum(), (ratio**2).sum(), area.sum(), (area**2).sum(), ratio.size])
+def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Closed-form ((E, Var) of the folded slice ratio, (E, Var) of the slice area) under dist.
 
-    def report(total: float, total_sq: float) -> StatReport:
-        count = acc[4]
-        mean = total / count
-        var = max(0.0, total_sq / count - mean * mean)
-        return StatReport(expectation=float(mean), variance=float(var), samples=int(count), std_error=0.0, seed=0)
+    In band k (ideal count k, n in (k-1, k]) the grid changes only at grid_table(k)'s switch points,
+    log-aspect x = log(num/den)/2, so each (band, grid) piece integrates exp(s*|x - log(c/r)|) over x,
+    with antiderivative sign(y)*expm1(s*|y|)/s, and n, n^2 over the band.
+    """
+    x_lo, x_hi = math.log(dist.aspect_lo), math.log(dist.aspect_hi)
+    moments = np.zeros(4)  # integrals of ratio, ratio^2, area, area^2 over the (n, x) region
 
-    return report(acc[0], acc[1]), report(acc[2], acc[3])
+    def integral(y0: float, y1: float, s: int) -> float:  # of exp(s*|y|) over [y0, y1]
+        return (math.copysign(math.expm1(s * abs(y1)), y1) - math.copysign(math.expm1(s * abs(y0)), y0)) / s
+
+    for k in range(math.floor(dist.area_ratio_lo) + 1, math.ceil(dist.area_ratio_hi) + 1):
+        n0, n1 = max(k - 1.0, dist.area_ratio_lo), min(float(k), dist.area_ratio_hi)
+        grids, switches = grid_table(k)
+        edges = [x_lo, *(min(max(0.5 * math.log(num / den), x_lo), x_hi) for num, den, _ in switches), x_hi]
+        for g, a, b in zip(grids, edges, edges[1:]):
+            c, cells = math.log(g.cols_m / g.rows_n), g.slice_count
+            moments += [(n1 - n0) * integral(a - c, b - c, 1), (n1 - n0) * integral(a - c, b - c, 2),
+                        (b - a) * (n1**2 - n0**2) / (2 * cells), (b - a) * (n1**3 - n0**3) / (3 * cells**2)]
+    r, r2, s, s2 = (moments / ((dist.area_ratio_hi - dist.area_ratio_lo) * (x_hi - x_lo))).tolist()
+    return (r, r2 - r * r), (s, s2 - s * s)
 
 
 # Reference values from the published analysis, with match tolerances.
@@ -217,11 +220,14 @@ def run_proof_checks(samples: int = 10_000_000, seed: int = 42, grid_density: in
     min_r, max_r, min_s, max_s = sweep_slice_bounds(grid_density=grid_density)
     ratio_stats, area_stats = monte_carlo_expectations(DistributionSpec(), samples=samples, seed=seed)
     alt_ratio, _ = monte_carlo_expectations(ALTERNATE_SPEC, samples=samples, seed=seed)
+    exact_ratio, exact_area = exact_expectations(DistributionSpec())
+    exact_alt_ratio, _ = exact_expectations(ALTERNATE_SPEC)
 
-    def stat_entry(stats: StatReport, ref: tuple[float, float]) -> dict:
-        exp_ok = abs(stats.expectation - ref[0]) <= EXPECTATION_TOL
-        var_ok = abs(stats.variance - ref[1]) <= VARIANCE_TOL
+    def stat_entry(stats: StatReport, exact: tuple[float, float], ref: tuple[float, float]) -> dict:
+        exp_ok = abs(exact[0] - ref[0]) <= EXPECTATION_TOL
+        var_ok = abs(exact[1] - ref[1]) <= VARIANCE_TOL
         return {
+            "exact": {"expectation": exact[0], "variance": exact[1]},
             "observed": stats.to_json_dict(),
             "reference": {"expectation": ref[0], "variance": ref[1]},
             "expectation_matches": exp_ok,
@@ -247,11 +253,11 @@ def run_proof_checks(samples: int = 10_000_000, seed: int = 42, grid_density: in
         },
         "statistics": {
             "default": {
-                "ratio": stat_entry(ratio_stats, REFERENCE_STATS["default"]["ratio"]),
-                "area": stat_entry(area_stats, REFERENCE_STATS["default"]["area"]),
+                "ratio": stat_entry(ratio_stats, exact_ratio, REFERENCE_STATS["default"]["ratio"]),
+                "area": stat_entry(area_stats, exact_area, REFERENCE_STATS["default"]["area"]),
             },
             "alternate": {
-                "ratio": stat_entry(alt_ratio, REFERENCE_STATS["alternate"]["ratio"]),
+                "ratio": stat_entry(alt_ratio, exact_alt_ratio, REFERENCE_STATS["alternate"]["ratio"]),
             },
         },
     }

@@ -29,6 +29,13 @@ class TestPlan:
         assert code == 1
         assert "exceeds max_N" in err
 
+    def test_cap_applies_to_slices_cut_not_ideal_n(self, capsys):
+        # the paper's headline resolution: ideal N=7, but the chosen 2x3 grid cuts 6 slices
+        code, out, _ = run(capsys, "plan", "672x1088")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["ideal_N"], payload["grid"], payload["llm_tokens"]) == (7, {"m": 2, "n": 3}, 448)
+
     def test_bad_size_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["plan", "not-a-size"])
@@ -73,6 +80,20 @@ class TestConfig:
         assert out == ""
         assert key in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [({"K": "8"}, "K"), ({"max_N": None}, "max_N"), ({"K": True}, "K"), ({"seed": "x"}, "seed"),
+         ({"format": 1}, "format"), ({"model_dims": 3}, "model_dims"), ({"vit": {"patch": 0}}, "vit.patch"),
+         ({"vit": {"w": 336.0}}, "vit.w"), ({"vit": {"M": False}}, "vit.M")],
+    )
+    def test_wrong_value_type_rejected(self, capsys, tmp_path, raw, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "--config", str(cfg), "plan", "672x1008")
+        assert code == 1
+        assert out == ""
+        assert f"config key {key} " in err and len(err.strip().splitlines()) == 1
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent.json", "plan", "672x1008")
         assert code == 1
@@ -87,6 +108,12 @@ class TestSchema:
         assert summary["col_seps"] == 3
         assert summary["row_seps"] == 2
         assert summary["total_items"] == 454
+
+    def test_slice_cap_enforced(self, capsys):
+        code, out, err = run(capsys, "schema", "4032x3024")
+        assert code == 1
+        assert out == ""
+        assert "108 slices" in err and "exceeds max_N=6" in err and len(err.strip().splitlines()) == 1
 
 
 class TestCost:

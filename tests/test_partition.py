@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from slicekit.partition import (
     ImageSize,
+    PixelRect,
     SliceGrid,
     VitSpec,
     candidate_grids,
@@ -17,6 +18,8 @@ from slicekit.partition import (
     select_partition,
     slice_rectangles,
 )
+from slicekit.patches import fit_patch_grid, overview_grid
+from slicekit.schema import parse_layout, serialize_layout, token_count
 
 VIT = VitSpec()
 
@@ -38,14 +41,34 @@ def brute_force_candidates(n):
     return out
 
 
-def exact_oracle(n, p, q, power=1):
+# The only sizes in 14..4032 whose best grid (ideal N=1, N+1 candidate 2x1) cuts slices below one
+# patch: width -> tallest such height, from 14 up; their transposes pick 1x2.
+SUB_PATCH_HEIGHTS = {20: 14, 21: 14, 22: 15, 23: 16, 24: 16, 25: 17, 26: 18, 27: 19}
+SUB_PATCH_SIZES = [(w, h) for w, top in SUB_PATCH_HEIGHTS.items() for h in range(14, top + 1)]
+SUB_PATCH_SIZES += [(h, w) for w, h in SUB_PATCH_SIZES]
+
+
+def side_up_to(top):
+    """A side of 14..top px, often below 40 px, where slices below one patch can arise."""
+    return st.one_of(st.integers(14, min(40, top)), st.integers(14, top))
+
+
+def fits(image, vit, g):
+    """Every slice of grid g is at least one patch wide and tall."""
+    return image.width_px // g.cols_m >= vit.patch_px and image.height_px // g.rows_n >= vit.patch_px
+
+
+def exact_oracle(n, p, q, power=1, image=None, vit=VIT):
     """Independent oracle: the first grid in preference order whose slice-to-encoder
     aspect p*r / (q*c) has the least |log|, compared exactly in integers.
 
-    With power=2, p and q are the squared image-to-encoder aspect terms.
+    With power=2, p and q are the squared image-to-encoder aspect terms.  Given the
+    image, grids that would cut a slice below one patch are skipped.
     """
     best = None
     for g in ordered_candidates(n):
+        if image is not None and not fits(image, vit, g):
+            continue
         x, y = p * g.rows_n**power, q * g.cols_m**power
         if best is None or max(x, y) * min(bx, by) < max(bx, by) * min(x, y):
             best, bx, by = g, x, y
@@ -154,9 +177,10 @@ class TestSelectPartition:
     @given(sizes)
     def test_optimal_over_candidate_set(self, image):
         plan = select_partition(image, VIT)
-        best = max(partition_score(image, VIT, g) for g in ordered_candidates(plan.ideal_n))
+        encodable = [g for g in ordered_candidates(plan.ideal_n) if fits(image, VIT, g)]
+        best = max(partition_score(image, VIT, g) for g in encodable)
         assert plan.score == pytest.approx(best, abs=1e-12)
-        assert plan.grid in ordered_candidates(plan.ideal_n)
+        assert plan.grid in encodable
 
     @given(sizes)
     def test_deterministic(self, image):
@@ -175,7 +199,7 @@ class TestSelectPartition:
     def test_matches_exact_oracle(self, image, vit):
         plan = select_partition(image, vit)
         p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
-        assert plan.grid == exact_oracle(plan.ideal_n, p, q)
+        assert plan.grid == exact_oracle(plan.ideal_n, p, q, image=image, vit=vit)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_switch_table_exact_at_every_switch_point(self, n):
@@ -192,6 +216,28 @@ class TestSelectPartition:
         for image in images:
             plan = select_partition(image, VIT)
             assert plan.grid == exact_oracle(plan.ideal_n, image.width_px * 336, image.height_px * 336)
+
+    def test_sub_patch_slices_keep_the_image_whole(self):
+        assert len(set(SUB_PATCH_SIZES)) == 50
+        for w, h in SUB_PATCH_SIZES:
+            plan = select_partition(ImageSize(w, h), VIT)
+            assert (plan.ideal_n, plan.grid) == (1, SliceGrid(1, 1))
+            assert plan.slice_rects == (PixelRect(0, 0, w, h),)
+            assert fit_patch_grid(w, h, VIT).tokens >= 1
+        # one pixel wider/taller than the class: the 2x1/1x2 cut has 14 px slices and stays
+        assert select_partition(ImageSize(28, 14), VIT).grid == SliceGrid(2, 1)
+        assert select_partition(ImageSize(14, 28), VIT).grid == SliceGrid(1, 2)
+
+    @given(side_up_to(6 * 336 * 336 // 14).flatmap(lambda w: st.tuples(st.just(w), side_up_to(6 * 336 * 336 // w))))
+    def test_plan_path_never_raises_up_to_six_tiles(self, size):
+        image, k = ImageSize(*size), 64
+        plan = select_partition(image, VIT)
+        grids = [fit_patch_grid(r.w, r.h, VIT) for r in plan.slice_rects]
+        assert all(1 <= g.tokens <= VIT.token_budget for g in grids + [overview_grid(image, VIT)])
+        layout = parse_layout(serialize_layout(plan, k))
+        assert (layout.cols_m, layout.rows_n) == (plan.grid.cols_m, plan.grid.rows_n)
+        tokens = token_count(plan, k)
+        assert tokens == k * (len(plan.slice_rects) + 1) == layout.overview_len + sum(map(sum, layout.slice_lens))
 
     def test_json_dict_shape(self):
         d = select_partition(ImageSize(672, 1008), VIT).to_json_dict()

@@ -12,10 +12,11 @@ from slicekit.verify import (
     TWO_LOG2,
     DistributionSpec,
     enumerate_ratio_bound,
+    exact_expectations,
     monte_carlo_expectations,
-    quadrature_expectations,
     run_proof_checks,
     select_grids_vectorized,
+    slice_statistics,
     sweep_slice_bounds,
 )
 
@@ -97,13 +98,6 @@ class TestMonteCarlo:
         c = monte_carlo_expectations(DistributionSpec(), samples=50_000, seed=8)
         assert a[0].expectation != c[0].expectation
 
-    def test_quadrature_cross_check(self):
-        mc_r, mc_s = monte_carlo_expectations(DistributionSpec(), samples=400_000, seed=1)
-        q_r, q_s = quadrature_expectations(DistributionSpec(), cells_per_axis=400)
-        assert mc_r.expectation == pytest.approx(q_r.expectation, abs=0.01)
-        assert mc_s.expectation == pytest.approx(q_s.expectation, abs=0.01)
-        assert mc_r.variance == pytest.approx(q_r.variance, abs=0.01)
-
     def test_alternate_spec_region(self):
         r, s = monte_carlo_expectations(ALTERNATE_SPEC, samples=100_000, seed=2)
         assert 1.0 <= r.expectation <= 2.0
@@ -114,6 +108,32 @@ class TestMonteCarlo:
             monte_carlo_expectations(DistributionSpec(), samples=0)
 
 
+class TestExact:
+    @pytest.mark.parametrize("dist", [DistributionSpec(), ALTERNATE_SPEC])
+    def test_monte_carlo_within_four_standard_errors(self, dist):
+        samples = 400_000
+        mc = monte_carlo_expectations(dist, samples=samples, seed=1)
+        # the same draws (one shard), for the standard error of each variance from the fourth moment
+        rng = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
+        n_area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, samples)
+        aspect = np.exp(rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), samples))
+        for stat, values, (mean, var) in zip(mc, slice_statistics(n_area, aspect), exact_expectations(dist)):
+            assert values.mean() == pytest.approx(stat.expectation, rel=1e-12)
+            var_se = math.sqrt((((values - values.mean()) ** 4).mean() - stat.variance**2) / samples)
+            assert abs(stat.expectation - mean) <= 4 * stat.std_error
+            assert abs(stat.variance - var) <= 4 * var_se
+
+    def test_hand_derived_case(self):
+        # n in (1, 2] has ideal N=2; at aspect a in [1, 1.2] the one grid is 2x1 (its switch points
+        # to 1x2 and 3x1 lie at a = 1 and sqrt 6), so ratio = 2/a with log-uniform a, area = n/2
+        (ratio, ratio_var), (area, area_var) = exact_expectations(DistributionSpec(1, 2, 1, 1.2))
+        log_hi = math.log(1.2)
+        assert ratio == pytest.approx(2 * (1 - 1 / 1.2) / log_hi, abs=1e-12)
+        assert ratio_var == pytest.approx(2 * (1 - 1.2**-2) / log_hi - ratio**2, abs=1e-12)
+        assert area == pytest.approx(3 / 4, abs=1e-12)
+        assert area_var == pytest.approx(1 / 48, abs=1e-12)
+
+
 class TestProofReport:
     def test_report_is_json_serializable_and_passes(self):
         report = run_proof_checks(samples=50_000, seed=3, grid_density=1000)
@@ -121,6 +141,8 @@ class TestProofReport:
         assert json.loads(text)["pass"] is True
         assert report["candidate_density"]["pass"] is True
         assert report["bounds_sweep"]["pass"] is True
+        (ratio, ratio_var), _ = exact_expectations(ALTERNATE_SPEC)
+        assert report["statistics"]["alternate"]["ratio"]["exact"] == {"expectation": ratio, "variance": ratio_var}
 
     def test_mismatches_carry_assumption_note(self):
         report = run_proof_checks(samples=50_000, seed=3, grid_density=1000)
