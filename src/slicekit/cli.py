@@ -16,8 +16,8 @@ import numpy as np
 
 from . import binio, cost, probes, resampler, schema, verify
 from .config import AppConfig, load_config
-from .partition import ImageSize, PartitionPlan, select_partition
-from .patches import PatchGrid, fit_patch_grid, interpolate_pos_embed, overview_grid
+from .partition import ImageSize, PartitionPlan, PatchGrid, select_partition
+from .patches import interpolate_pos_embed
 
 
 def _parse_size(text: str) -> ImageSize:
@@ -50,15 +50,8 @@ def _capped_plan(image: ImageSize, cfg: AppConfig) -> PartitionPlan:
 
 
 def cmd_plan(args, cfg: AppConfig) -> int:
-    image = args.image
-    plan = _capped_plan(image, cfg)
+    plan = _capped_plan(args.image, cfg)
     payload = plan.to_json_dict()
-    payload["slice_patch_grids"] = [
-        {"cols": g.cols, "rows": g.rows}
-        for g in (fit_patch_grid(r.w, r.h, cfg.vit) for r in plan.slice_rects)
-    ]
-    ov = overview_grid(image, cfg.vit)
-    payload["overview_grid"] = {"cols": ov.cols, "rows": ov.rows}
     payload["llm_tokens"] = schema.token_count(plan, cfg.resampler_queries)
     _emit(payload, cfg, args.out)
     return 0
@@ -117,34 +110,34 @@ def cmd_cost(args, cfg: AppConfig) -> int:
 def _load_scene(path: str) -> probes.SyntheticScene:
     with open(path) as f:
         raw = json.load(f)
-    return probes.SyntheticScene(
-        canvas=ImageSize(raw["canvas"]["w"], raw["canvas"]["h"]),
-        objects=tuple(
-            probes.SceneObject(o["shape"], o["color"], (o["center"][0], o["center"][1]), o["size"])
-            for o in raw["objects"]
-        ),
-        background=raw.get("background", "grey"),
-    )
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: scene must be a JSON object")
+    try:
+        return probes.SyntheticScene(
+            canvas=ImageSize(raw["canvas"]["w"], raw["canvas"]["h"]),
+            objects=tuple(
+                probes.SceneObject(o["shape"], o["color"], (o["center"][0], o["center"][1]), o["size"])
+                for o in raw["objects"]
+            ),
+            background=raw.get("background", "grey"),
+        )
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
+    except (TypeError, IndexError) as e:
+        raise ValueError(f"{path}: malformed scene ({e})") from None
 
 
 def cmd_probe(args, cfg: AppConfig) -> int:
     if args.kind == "padding":
         payload = {"effective_fraction": probes.padding_waste(args.aspect_w, args.aspect_h)}
-        if args.ppm:
-            scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h)
-            with open(args.ppm, "wb") as f:
-                f.write(probes.render_scene(scene))
-            payload["ppm"] = args.ppm
-        _emit(payload, cfg, args.out)
-        return 0
-
-    scene = _load_scene(args.scene)
-    if args.kind == "heatmap":
-        template = scene.objects
-        matrix = probes.heatmap_probe(scene.canvas, template, args.grid_step)
+        scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h)
+    elif args.kind == "heatmap":
+        scene = _load_scene(args.scene)
+        matrix = probes.heatmap_probe(scene.canvas, scene.objects, args.grid_step)
         payload = {"canvas": {"w": scene.canvas.width_px, "h": scene.canvas.height_px},
                    "grid_step": args.grid_step, "counts": matrix}
     else:  # phases
+        scene = _load_scene(args.scene)
         phase, answers = probes.phase_classify(scene, args.scale)
         payload = {"phase": phase, "predicted_answers": sorted(answers), "scale": args.scale}
     if args.ppm:

@@ -17,29 +17,26 @@ class AppConfig:
     output_format: str = "json"  # json | text
     model_dims_path: str | None = None
 
-    def __post_init__(self):
-        if self.max_slices < 1:
-            raise ValueError("max_slices must be >= 1")
-        if self.resampler_queries < 1:
-            raise ValueError("resampler_queries must be >= 1")
-        if self.output_format not in ("json", "text"):
-            raise ValueError("output_format must be 'json' or 'text'")
+
+def _positive(value: int) -> bool:
+    return value >= 1
 
 
-# config key -> (AppConfig field, accepted JSON type, its name); bool is never taken for an integer
+# config key -> (AppConfig field, accepted JSON type, what the value must be, its range check or None);
+# bool is never taken for an integer
 _KEYS = {
-    "vit": ("vit", dict, "an object"),
-    "K": ("resampler_queries", int, "an integer"),
-    "max_N": ("max_slices", int, "an integer"),
-    "seed": ("seed", int, "an integer"),
-    "format": ("output_format", str, "a string"),
-    "model_dims": ("model_dims_path", (str, type(None)), "a string or null"),
+    "vit": ("vit", dict, "an object", None),
+    "K": ("resampler_queries", int, "an integer >= 1", _positive),
+    "max_N": ("max_slices", int, "an integer >= 1", _positive),
+    "seed": ("seed", int, "an integer", None),
+    "format": ("output_format", str, '"json" or "text"', lambda v: v in ("json", "text")),
+    "model_dims": ("model_dims_path", (str, type(None)), "a string or null", None),
 }
 _VIT_KEYS = ("w", "h", "patch", "M")
 
 
-def _check_type(key: str, value, kind, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, kind):
+def _check(key: str, value, kind, name: str, in_range) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind) or (in_range is not None and not in_range(value)):
         raise ValueError(f"config key {key} must be {name}, got {json.dumps(value)}")
 
 
@@ -55,14 +52,15 @@ def load_config(path: str | None = None) -> AppConfig:
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     for key, value in raw.items():
-        _check_type(key, value, *_KEYS[key][1:])
+        _check(key, value, *_KEYS[key][1:])
     for key, value in raw.get("vit", {}).items():
-        _check_type(f"vit.{key}", value, int, "an integer")
+        _check(f"vit.{key}", value, int, "an integer >= 1", _positive)
     fields = {_KEYS[k][0]: value for k, value in raw.items()}
     if "vit" in raw:
         v = {"w": 336, "h": 336, "patch": 14, **raw["vit"]}
-        if v["patch"] < 1:
-            raise ValueError("config key vit.patch must be positive")
         m = v.get("M", (v["w"] // v["patch"]) * (v["h"] // v["patch"]))
-        fields["vit"] = VitSpec(v["w"], v["h"], v["patch"], m)
+        try:
+            fields["vit"] = VitSpec(v["w"], v["h"], v["patch"], m)
+        except ValueError as e:
+            raise ValueError(f"config key vit is inconsistent: {e}") from None
     return replace(cfg, **fields)

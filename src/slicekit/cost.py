@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .partition import ImageSize, VitSpec, select_partition
-from .patches import fit_patch_grid, overview_grid
 
 STRATEGIES = ("uhd", "llava15", "uhd-mlp", "fixed2x2-mlp")
 
@@ -64,20 +63,25 @@ class CostReport:
 
 
 def load_model_dims(path: str | None = None) -> ModelDims:
-    """Read architecture constants from JSON (packaged defaults if no path)."""
-    if path is None:
-        raw = json.loads(resources.files("slicekit.data").joinpath("model_dims.json").read_text())
-    else:
-        with open(path) as f:
-            raw = json.load(f)
-    enc, proj, llm = raw["encoder"], raw["projector"], raw["llm"]
-    return ModelDims(
-        encoder=StackDims(enc["layers"], enc["hidden_dim"], enc["ffn_dim"]),
-        encoder_patch_px=enc["patch_px"],
-        resampler_queries=proj["resampler_queries"],
-        mlp_hidden_dim=proj["mlp_hidden_dim"],
-        llm=StackDims(llm["layers"], llm["hidden_dim"], llm["ffn_dim"]),
-    )
+    """Read architecture constants from JSON (packaged defaults if no path); a ValueError names a bad file."""
+    path = path or str(resources.files("slicekit.data").joinpath("model_dims.json"))
+    with open(path) as f:
+        raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: model dims must be a JSON object")
+    try:
+        enc, proj, llm = raw["encoder"], raw["projector"], raw["llm"]
+        return ModelDims(
+            encoder=StackDims(enc["layers"], enc["hidden_dim"], enc["ffn_dim"]),
+            encoder_patch_px=enc["patch_px"],
+            resampler_queries=proj["resampler_queries"],
+            mlp_hidden_dim=proj["mlp_hidden_dim"],
+            llm=StackDims(llm["layers"], llm["hidden_dim"], llm["ffn_dim"]),
+        )
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
+    except TypeError as e:
+        raise ValueError(f"{path}: malformed model dims ({e})") from None
 
 
 def vit_token_count(width_px: int, height_px: int, patch_px: int) -> int:
@@ -106,16 +110,13 @@ def mlp_projector_flops(dims: ModelDims, input_tokens: int) -> float:
     return input_tokens * (2.0 * d_in * h + 2.0 * h * d_out)
 
 
-def _encoder_passes(dims: ModelDims, image: ImageSize, vit: VitSpec, strategy: str) -> list[int]:
+def _encoder_passes(image: ImageSize, vit: VitSpec, strategy: str) -> list[int]:
     """Token count of each encoder forward pass (slices + overview)."""
     if strategy == "llava15":
         return [vit.token_budget]  # single square-resized pass
     if strategy == "fixed2x2-mlp":
         return [vit.token_budget] * 5  # four fixed slices + overview
-    plan = select_partition(image, vit)
-    passes = [fit_patch_grid(r.w, r.h, vit).tokens for r in plan.slice_rects]
-    passes.append(overview_grid(image, vit).tokens)
-    return passes
+    return [g.tokens for g in select_partition(image, vit).patch_grids]
 
 
 def estimate_flops(
@@ -129,7 +130,9 @@ def estimate_flops(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     vit = vit or VitSpec()
-    passes = _encoder_passes(dims, image, vit, strategy)
+    if text_tokens < 0:
+        raise ValueError(f"text_tokens must be >= 0, got {text_tokens}")
+    passes = _encoder_passes(image, vit, strategy)
     encoder = sum(transformer_stack_flops(dims.encoder, t) for t in passes)
 
     if strategy == "uhd":

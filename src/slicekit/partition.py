@@ -2,8 +2,8 @@
 
 Given a native-resolution image and the fixed pretraining resolution of a
 vision transformer, compute the ideal slice count, enumerate candidate
-column/row grids, score them by aspect-ratio deviation, and select the
-best partition together with exact pixel rectangles for every slice.
+column/row grids, score them by aspect-ratio deviation, and select the best
+partition: exact pixel rectangles and a patch grid for every encoder block.
 """
 
 from __future__ import annotations
@@ -86,6 +86,67 @@ class PixelRect:
 
 
 @dataclass(frozen=True)
+class PatchGrid:
+    cols: int
+    rows: int
+
+    def __post_init__(self):
+        if self.cols < 1 or self.rows < 1:
+            raise ValueError("patch grid dimensions must be >= 1")
+
+    @property
+    def tokens(self) -> int:
+        return self.cols * self.rows
+
+
+def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchGrid:
+    """Largest patch grid within the token budget matching the slice aspect.
+
+    The continuous optimum (c, r) = (sqrt(M*a), sqrt(M/a)) uses the budget M
+    exactly at aspect a = w/h.  We enumerate its floor/ceil neighbours,
+    decrementing any combination that overshoots the budget, and keep the
+    candidate with the smallest |log(c/r) - log(a)|; ties go to more tokens,
+    then more columns.  Slices are never upscaled, so the grid is further
+    capped by the slice's native patch capacity per axis.
+    """
+    if slice_w_px < vit.patch_px or slice_h_px < vit.patch_px:
+        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is smaller than one {vit.patch_px}px patch")
+    budget = vit.token_budget
+    cap_c = int(slice_w_px // vit.patch_px)
+    cap_r = int(slice_h_px // vit.patch_px)
+    aspect = slice_w_px / slice_h_px
+    ideal_c = math.sqrt(budget * aspect)
+    ideal_r = math.sqrt(budget / aspect)
+
+    seen: set[tuple[int, int]] = set()
+    stack = [
+        (min(max(c, 1), cap_c), min(max(r, 1), cap_r))
+        for c in (math.floor(ideal_c), math.ceil(ideal_c))
+        for r in (math.floor(ideal_r), math.ceil(ideal_r))
+    ]
+    feasible: list[tuple[int, int]] = []
+    while stack:
+        c, r = stack.pop()
+        if c < 1 or r < 1 or (c, r) in seen:
+            continue
+        seen.add((c, r))
+        if c * r <= budget:
+            feasible.append((c, r))
+        else:
+            stack.append((c - 1, r))
+            stack.append((c, r - 1))
+
+    log_a = math.log(aspect)
+    best = min(feasible, key=lambda cr: (abs(math.log(cr[0] / cr[1]) - log_a), -cr[0] * cr[1], -cr[0]))
+    return PatchGrid(cols=best[0], rows=best[1])
+
+
+def overview_grid(image: ImageSize, vit: VitSpec) -> PatchGrid:
+    """Patch grid for the native-aspect overview downscale of the full image."""
+    return fit_patch_grid(image.width_px, image.height_px, vit)
+
+
+@dataclass(frozen=True)
 class PartitionPlan:
     image: ImageSize
     vit: VitSpec
@@ -94,7 +155,13 @@ class PartitionPlan:
     ideal_n: int
     slice_rects: tuple[PixelRect, ...] = field(repr=False)
 
+    @property
+    def patch_grids(self) -> tuple[PatchGrid, ...]:
+        """One patch grid per encoder block: each slice in row-major order, then the overview."""
+        return (*(fit_patch_grid(r.w, r.h, self.vit) for r in self.slice_rects), overview_grid(self.image, self.vit))
+
     def to_json_dict(self) -> dict:
+        *slices, overview = self.patch_grids
         return {
             "image": {"w": self.image.width_px, "h": self.image.height_px},
             "vit": {
@@ -107,6 +174,8 @@ class PartitionPlan:
             "grid": {"m": self.grid.cols_m, "n": self.grid.rows_n},
             "score": self.score,
             "slices": [{"x": r.x, "y": r.y, "w": r.w, "h": r.h} for r in self.slice_rects],
+            "slice_patch_grids": [{"cols": g.cols, "rows": g.rows} for g in slices],
+            "overview_grid": {"cols": overview.cols, "rows": overview.rows},
         }
 
 
@@ -200,10 +269,12 @@ def _split_axis(length: int, parts: int) -> list[tuple[int, int]]:
 def select_partition(image: ImageSize, vit: VitSpec) -> PartitionPlan:
     """Pick the grid maximizing the partition score over the candidate set, exactly for integer sizes.
 
-    A grid whose slices would be narrower or shorter than one patch cannot be encoded; the image is
-    then kept whole (1x1).  Within 14..4032 px per side this happens only below one encoder tile
-    (N=1), where the N+1 candidates 2x1 and 1x2 would cut slices of a few pixels.
+    An image with a side below one patch is rejected; a grid whose slices would be narrower or shorter than one
+    patch is passed over for 1x1 (within 14..4032 px per side only at N=1, where the N+1 candidates 2x1 and 1x2
+    would cut slices of a few pixels).  So every block of every plan can be fitted a patch grid.
     """
+    if min(image.width_px, image.height_px) < vit.patch_px:
+        raise ValueError(f"image {image.width_px}x{image.height_px} has a side below one {vit.patch_px}px patch")
     n = ideal_slice_count(image, vit)
     p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
     grid = grid_table(n)[0][grid_index(n, p * p, q * q)]

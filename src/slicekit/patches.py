@@ -1,9 +1,5 @@
-"""Per-slice patch-grid planning and position-embedding interpolation.
-
-Plans how many patch columns/rows a slice (or the low-resolution overview
-image) gets under the encoder's token budget, and resizes the pretrained 2D
-position-embedding table to arbitrary grid shapes with align-corners
-bilinear interpolation.
+"""Resizing the pretrained 2D position-embedding table to any patch grid, with align-corners bilinear
+interpolation.  The patch grids themselves are planned with the partition and re-exported here.
 """
 
 from __future__ import annotations
@@ -13,21 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import ImageSize, VitSpec
-
-
-@dataclass(frozen=True)
-class PatchGrid:
-    cols: int
-    rows: int
-
-    def __post_init__(self):
-        if self.cols < 1 or self.rows < 1:
-            raise ValueError("patch grid dimensions must be >= 1")
-
-    @property
-    def tokens(self) -> int:
-        return self.cols * self.rows
+from .partition import PatchGrid, fit_patch_grid, overview_grid  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -53,51 +35,6 @@ class PosEmbedGrid:
     @property
     def dim(self) -> int:
         return self.values.shape[2]
-
-
-def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchGrid:
-    """Largest patch grid within the token budget matching the slice aspect.
-
-    The continuous optimum (c, r) = (sqrt(M*a), sqrt(M/a)) uses the budget M
-    exactly at aspect a = w/h.  We enumerate its floor/ceil neighbours,
-    decrementing any combination that overshoots the budget, and keep the
-    candidate with the smallest |log(c/r) - log(a)|; ties go to more tokens,
-    then more columns.  Slices are never upscaled, so the grid is further
-    capped by the slice's native patch capacity per axis.
-    """
-    if slice_w_px < vit.patch_px or slice_h_px < vit.patch_px:
-        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is smaller than one {vit.patch_px}px patch")
-    budget = vit.token_budget
-    cap_c = int(slice_w_px // vit.patch_px)
-    cap_r = int(slice_h_px // vit.patch_px)
-    aspect = slice_w_px / slice_h_px
-    ideal_c = math.sqrt(budget * aspect)
-    ideal_r = math.sqrt(budget / aspect)
-
-    def clip(v: int, cap: int) -> int:
-        return min(max(v, 1), cap)
-
-    seen: set[tuple[int, int]] = set()
-    stack = [
-        (clip(c, cap_c), clip(r, cap_r))
-        for c in (math.floor(ideal_c), math.ceil(ideal_c))
-        for r in (math.floor(ideal_r), math.ceil(ideal_r))
-    ]
-    feasible: list[tuple[int, int]] = []
-    while stack:
-        c, r = stack.pop()
-        if c < 1 or r < 1 or (c, r) in seen:
-            continue
-        seen.add((c, r))
-        if c * r <= budget:
-            feasible.append((c, r))
-        else:
-            stack.append((c - 1, r))
-            stack.append((c, r - 1))
-
-    log_a = math.log(aspect)
-    best = min(feasible, key=lambda cr: (abs(math.log(cr[0] / cr[1]) - log_a), -cr[0] * cr[1], -cr[0]))
-    return PatchGrid(cols=best[0], rows=best[1])
 
 
 def snap_to_patch(target_w_px: float, target_h_px: float, patch_px: int) -> tuple[int, int]:
@@ -160,7 +97,3 @@ def _interp_axis(values: np.ndarray, new_size: int, axis: int) -> np.ndarray:
     f = frac.reshape(shape)
     return a * (1.0 - f) + b * f
 
-
-def overview_grid(image: ImageSize, vit: VitSpec) -> PatchGrid:
-    """Patch grid for the native-aspect overview downscale of the full image."""
-    return fit_patch_grid(image.width_px, image.height_px, vit)

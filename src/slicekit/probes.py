@@ -22,6 +22,8 @@ COLORS = {
     "grey": (128, 128, 128),
 }
 SHAPES = ("circle", "triangle", "square")
+TILE_PX = 512  # the fixed tile of the modelled high-resolution mode
+PROBE_SIDE_PX = 336  # canvas side of the padding probe: one square encoder input
 
 
 @dataclass(frozen=True)
@@ -79,18 +81,18 @@ def _axis_positions(length: int, tile_px: int) -> list[int]:
     return [round(i * stride) for i in range(k)]
 
 
-def overlap_tile_cover(canvas: ImageSize, tile_px: int = 512) -> SliceCover:
-    """Cover the (padded) canvas with ceil(W/tile) x ceil(H/tile) fixed tiles.
+def overlap_tile_cover(canvas: ImageSize) -> SliceCover:
+    """Cover the (padded) canvas with ceil(W/tile) x ceil(H/tile) fixed TILE_PX tiles.
 
     Images at or below the tile size are padded into a single tile.  When an
     axis is not tile-divisible the tiles overlap: they are spread at stride
     (dim - tile)/(k - 1), rounded to integer pixels.
     """
-    xs = _axis_positions(canvas.width_px, tile_px)
-    ys = _axis_positions(canvas.height_px, tile_px)
-    rects = tuple(PixelRect(x=x, y=y, w=tile_px, h=tile_px) for y in ys for x in xs)
-    padded = ImageSize(max(canvas.width_px, tile_px), max(canvas.height_px, tile_px))
-    return SliceCover(tile_px=tile_px, rects=rects, padded_canvas=padded, grid=(len(xs), len(ys)))
+    xs = _axis_positions(canvas.width_px, TILE_PX)
+    ys = _axis_positions(canvas.height_px, TILE_PX)
+    rects = tuple(PixelRect(x=x, y=y, w=TILE_PX, h=TILE_PX) for y in ys for x in xs)
+    padded = ImageSize(max(canvas.width_px, TILE_PX), max(canvas.height_px, TILE_PX))
+    return SliceCover(tile_px=TILE_PX, rects=rects, padded_canvas=padded, grid=(len(xs), len(ys)))
 
 
 def object_multiplicity(obj: SceneObject, cover: SliceCover) -> int:
@@ -210,10 +212,10 @@ def _covers(obj: SceneObject, x: float, y: float) -> bool:
     return abs(x - cx) <= half * frac
 
 
-def padding_probe_scene(aspect_w: float, aspect_h: float, long_side_px: int = 336) -> SyntheticScene:
-    """Centered colored rectangle on a grey square canvas (padding-blindness probe)."""
-    canvas = ImageSize(long_side_px, long_side_px)
-    scale = long_side_px / max(aspect_w, aspect_h)
+def padding_probe_scene(aspect_w: float, aspect_h: float) -> SyntheticScene:
+    """Centered colored rectangle on a grey square PROBE_SIDE_PX canvas (padding-blindness probe)."""
+    canvas = ImageSize(PROBE_SIDE_PX, PROBE_SIDE_PX)
+    scale = PROBE_SIDE_PX / max(aspect_w, aspect_h)
     rect_w = max(1.0, aspect_w * scale)
     rect_h = max(1.0, aspect_h * scale)
     # a square object scaled per axis is not expressible; emulate the rectangle
@@ -221,9 +223,9 @@ def padding_probe_scene(aspect_w: float, aspect_h: float, long_side_px: int = 33
     size = min(rect_w, rect_h)
     count = max(1, round(max(rect_w, rect_h) / size))
     objs = []
-    cx0 = (long_side_px - max(rect_w, rect_h)) / 2 + size / 2
+    cx0 = (PROBE_SIDE_PX - max(rect_w, rect_h)) / 2 + size / 2
     for i in range(count):
         offset = cx0 + i * size
-        center = (offset, long_side_px / 2) if rect_w >= rect_h else (long_side_px / 2, offset)
+        center = (offset, PROBE_SIDE_PX / 2) if rect_w >= rect_h else (PROBE_SIDE_PX / 2, offset)
         objs.append(SceneObject("square", "green", center, size))
     return SyntheticScene(canvas=canvas, objects=tuple(objs))

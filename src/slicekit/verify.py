@@ -24,6 +24,7 @@ import numpy as np
 from .partition import grid_index, grid_table
 
 TWO_LOG2 = 2.0 * math.log(2.0)
+MC_SHARD_SIZE = 1_000_000  # samples per independently seeded Monte Carlo shard; changing it changes the draws
 
 
 @dataclass(frozen=True)
@@ -110,23 +111,18 @@ def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
     return worst <= TWO_LOG2, worst
 
 
-def sweep_slice_bounds(
-    grid_density: int = 1500,
-    aspect_range: tuple[float, float] = (1.0, 6.0),
-    n_range: tuple[float, float] = (1.0, 20.0),
-) -> tuple[float, float, float, float]:
-    """(min_ratio, max_ratio, min_area, max_area) over a dense (n, aspect) grid.
+def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, float]:
+    """(min_ratio, max_ratio, min_area, max_area) over a dense (n, aspect) grid of DistributionSpec()'s region.
 
     Ratios are folded; the full symmetric aspect range [1/hi, hi] gives the
     same folded values by symmetry of the score.
     """
     if grid_density < 1000:
         raise ValueError("grid density must be >= 1000 per axis")
-    n_lo, n_hi = n_range
-    a_lo, a_hi = aspect_range
-    # open at n_lo: start half a step in
-    n_vals = n_lo + (np.arange(grid_density) + 0.5) * (n_hi - n_lo) / grid_density
-    a_vals = np.exp(np.linspace(math.log(a_lo), math.log(a_hi), grid_density))
+    d = DistributionSpec()
+    # open at the low area ratio: start half a step in
+    n_vals = d.area_ratio_lo + (np.arange(grid_density) + 0.5) * (d.area_ratio_hi - d.area_ratio_lo) / grid_density
+    a_vals = np.exp(np.linspace(math.log(d.aspect_lo), math.log(d.aspect_hi), grid_density))
     min_r, max_r = math.inf, -math.inf
     min_s, max_s = math.inf, -math.inf
     for n_chunk in np.array_split(n_vals, max(1, grid_density // 64)):
@@ -143,20 +139,19 @@ def monte_carlo_expectations(
     dist: DistributionSpec,
     samples: int = 10_000_000,
     seed: int = 42,
-    shard_size: int = 1_000_000,
 ) -> tuple[StatReport, StatReport]:
     """Seeded Monte Carlo estimates of E/Var for slice ratio and area.
 
-    Shards have independently derived seeds and a fixed reduction order, so
-    results are bit-reproducible for a given (seed, shard_size).
+    Shards of MC_SHARD_SIZE samples have independently derived seeds and a
+    fixed reduction order, so results are bit-reproducible for a given seed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    shard_seeds = np.random.SeedSequence(seed).spawn(-(-samples // shard_size))
+    shard_seeds = np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE))
     acc = np.zeros(5)  # sum_r, sum_r2, sum_s, sum_s2, count
     remaining = samples
     for ss in shard_seeds:
-        k = min(shard_size, remaining)
+        k = min(MC_SHARD_SIZE, remaining)
         remaining -= k
         rng = np.random.default_rng(ss)
         n_area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, k)

@@ -36,6 +36,20 @@ class TestPlan:
         payload = json.loads(out)
         assert (payload["ideal_N"], payload["grid"], payload["llm_tokens"]) == (7, {"m": 2, "n": 3}, 448)
 
+    @pytest.mark.parametrize("size", ["5x5", "13x4000", "4000x13"])
+    def test_sub_patch_image_rejected_by_every_command(self, capsys, size):
+        errors = set()
+        for argv in (("plan", size), ("schema", size), ("cost", "--image", size)):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
+            errors.add(err)
+        assert errors == {f"error: image {size} has a side below one 14px patch\n"}
+
+    @pytest.mark.parametrize("size", ["14x14", "24x15", "672x1008"])
+    def test_encodable_image_accepted_by_every_command(self, capsys, size):
+        for argv in (("plan", size), ("schema", size), ("cost", "--image", size)):
+            assert run(capsys, *argv)[0] == 0
+
     def test_bad_size_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["plan", "not-a-size"])
@@ -66,7 +80,7 @@ class TestConfig:
         cfg.write_text(json.dumps({"format": "xml"}))
         code, _, err = run(capsys, "--config", str(cfg), "plan", "672x1008")
         assert code == 1
-        assert "output_format" in err
+        assert "config key format " in err
 
     @pytest.mark.parametrize(
         "raw, key",
@@ -84,7 +98,9 @@ class TestConfig:
         "raw, key",
         [({"K": "8"}, "K"), ({"max_N": None}, "max_N"), ({"K": True}, "K"), ({"seed": "x"}, "seed"),
          ({"format": 1}, "format"), ({"model_dims": 3}, "model_dims"), ({"vit": {"patch": 0}}, "vit.patch"),
-         ({"vit": {"w": 336.0}}, "vit.w"), ({"vit": {"M": False}}, "vit.M")],
+         ({"vit": {"w": 336.0}}, "vit.w"), ({"vit": {"M": False}}, "vit.M"),
+         # out of range: the error names the config key, not the AppConfig field
+         ({"max_N": 0}, "max_N"), ({"K": 0}, "K"), ({"vit": {"w": 0}}, "vit.w"), ({"vit": {"w": 300}}, "vit")],
     )
     def test_wrong_value_type_rejected(self, capsys, tmp_path, raw, key):
         cfg = tmp_path / "cfg.json"
@@ -130,6 +146,19 @@ class TestCost:
         )
         assert code == 0
         assert json.loads(out)["ratio"] == pytest.approx(0.968, abs=0.01)
+
+    def test_negative_text_tokens_rejected(self, capsys):
+        code, out, err = run(capsys, "cost", "--image", "672x1008", "--text-tokens", "-5000")
+        assert code == 1
+        assert out == "" and err == "error: text_tokens must be >= 0, got -5000\n"
+
+    @pytest.mark.parametrize("raw, named", [({"encoder": {"layers": 1}}, "'projector'"), ([1, 2], "JSON object")])
+    def test_bad_dims_file_names_file_and_key(self, capsys, tmp_path, raw, named):
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "cost", "--image", "672x1008", "--dims-config", str(path))
+        assert code == 1
+        assert out == "" and str(path) in err and named in err and len(err.strip().splitlines()) == 1
 
 
 class TestGradCheck:
@@ -191,6 +220,14 @@ class TestProbe:
         assert code == 0
         counts = json.loads(out)["counts"]
         assert {v for row in counts for v in row} == {4, 8, 16}
+
+    @pytest.mark.parametrize("raw, named", [({"canvas": {"w": 100}}, "'h'"), ([1, 2], "JSON object")])
+    def test_bad_scene_file_names_file_and_key(self, capsys, tmp_path, raw, named):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "probe", "phases", "--scene", str(path))
+        assert code == 1
+        assert out == "" and str(path) in err and named in err and len(err.strip().splitlines()) == 1
 
     def test_phases_with_ppm(self, capsys, tmp_path):
         scene = {

@@ -70,6 +70,14 @@ class TestDefaults:
         p.write_text(json.dumps(raw))
         assert load_model_dims(str(p)) == dims
 
+    @pytest.mark.parametrize("raw, named", [({"encoder": {"layers": 1}}, "'projector'"), ([1, 2], "JSON object")])
+    def test_missing_key_or_non_object_named(self, tmp_path, raw, named):
+        p = tmp_path / "dims.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as exc:
+            load_model_dims(str(p))
+        assert str(p) in str(exc.value) and named in str(exc.value)
+
 
 class TestEstimates:
     def test_visual_token_counts_per_strategy(self, dims):
@@ -81,6 +89,10 @@ class TestEstimates:
         r = estimate_flops(dims, IMAGE, "uhd", text_tokens=50)
         assert r.total_flops == r.encoder_flops + r.projector_flops + r.llm_prefill_flops
         assert r.total_flops > 0
+
+    def test_negative_text_tokens_rejected(self, dims):
+        with pytest.raises(ValueError, match="text_tokens must be >= 0"):
+            estimate_flops(dims, IMAGE, "uhd", text_tokens=-5000)
 
     def test_unknown_strategy(self, dims):
         with pytest.raises(ValueError):

@@ -239,11 +239,24 @@ class TestSelectPartition:
         tokens = token_count(plan, k)
         assert tokens == k * (len(plan.slice_rects) + 1) == layout.overview_len + sum(map(sum, layout.slice_lens))
 
+    @given(sizes)
+    def test_patch_grids_one_per_block(self, image):
+        plan = select_partition(image, VIT)
+        expected = [fit_patch_grid(r.w, r.h, VIT) for r in plan.slice_rects] + [overview_grid(image, VIT)]
+        assert list(plan.patch_grids) == expected
+
+    @pytest.mark.parametrize("w, h", [(5, 5), (13, 4000), (4000, 13), (13, 14)])
+    def test_side_below_one_patch_rejected(self, w, h):
+        with pytest.raises(ValueError, match=f"image {w}x{h} has a side below one 14px patch"):
+            select_partition(ImageSize(w, h), VIT)
+
     def test_json_dict_shape(self):
         d = select_partition(ImageSize(672, 1008), VIT).to_json_dict()
         assert d["grid"] == {"m": 2, "n": 3}
         assert d["ideal_N"] == 6
         assert len(d["slices"]) == 6
+        assert d["slice_patch_grids"] == [{"cols": 24, "rows": 24}] * 6
+        assert d["overview_grid"] == {"cols": 19, "rows": 29}
 
 
 class TestValidation:
