@@ -51,9 +51,7 @@ def _capped_plan(image: ImageSize, cfg: AppConfig) -> PartitionPlan:
 
 def cmd_plan(args, cfg: AppConfig) -> int:
     plan = _capped_plan(args.image, cfg)
-    payload = plan.to_json_dict()
-    payload["llm_tokens"] = schema.token_count(plan, cfg.resampler_queries)
-    _emit(payload, cfg, args.out)
+    _emit({**plan.to_json_dict(), "llm_tokens": schema.token_count(plan, cfg.resampler_queries)}, cfg, args.out)
     return 0
 
 
@@ -130,14 +128,21 @@ def _load_scene(path: str) -> probes.SyntheticScene:
 def cmd_probe(args, cfg: AppConfig) -> int:
     if args.kind == "padding":
         payload = {"effective_fraction": probes.padding_waste(args.aspect_w, args.aspect_h)}
-        scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h)
-    elif args.kind == "heatmap":
-        scene = _load_scene(args.scene)
-        matrix = probes.heatmap_probe(scene.canvas, scene.objects, args.grid_step)
+        if args.ppm:
+            scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h)
+            with open(args.ppm, "wb") as f:
+                f.write(probes.render_scene(scene))
+            payload["ppm"] = args.ppm
+        _emit(payload, cfg, args.out)
+        return 0
+
+    scene = _load_scene(args.scene)
+    if args.kind == "heatmap":
+        template = scene.objects
+        matrix = probes.heatmap_probe(scene.canvas, template, args.grid_step)
         payload = {"canvas": {"w": scene.canvas.width_px, "h": scene.canvas.height_px},
                    "grid_step": args.grid_step, "counts": matrix}
     else:  # phases
-        scene = _load_scene(args.scene)
         phase, answers = probes.phase_classify(scene, args.scale)
         payload = {"phase": phase, "predicted_answers": sorted(answers), "scale": args.scale}
     if args.ppm:

@@ -64,11 +64,14 @@ class CostReport:
 
 def load_model_dims(path: str | None = None) -> ModelDims:
     """Read architecture constants from JSON (packaged defaults if no path); a ValueError names a bad file."""
-    path = path or str(resources.files("slicekit.data").joinpath("model_dims.json"))
-    with open(path) as f:
-        raw = json.load(f)
+    if path is None:
+        raw = json.loads(resources.files("slicekit.data").joinpath("model_dims.json").read_text())
+    else:
+        with open(path) as f:
+            raw = json.load(f)
+    name = "packaged model_dims.json" if path is None else path
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: model dims must be a JSON object")
+        raise ValueError(f"{name}: model dims must be a JSON object")
     try:
         enc, proj, llm = raw["encoder"], raw["projector"], raw["llm"]
         return ModelDims(
@@ -79,9 +82,9 @@ def load_model_dims(path: str | None = None) -> ModelDims:
             llm=StackDims(llm["layers"], llm["hidden_dim"], llm["ffn_dim"]),
         )
     except KeyError as e:
-        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
+        raise ValueError(f"{name}: missing key {e.args[0]!r}") from None
     except TypeError as e:
-        raise ValueError(f"{path}: malformed model dims ({e})") from None
+        raise ValueError(f"{name}: malformed model dims ({e})") from None
 
 
 def vit_token_count(width_px: int, height_px: int, patch_px: int) -> int:

@@ -1,6 +1,4 @@
-"""Resizing the pretrained 2D position-embedding table to any patch grid, with align-corners bilinear
-interpolation.  The patch grids themselves are planned with the partition and re-exported here.
-"""
+"""Align-corners bilinear resizing of the 2D position-embedding table to a patch grid (planned in partition)."""
 
 from __future__ import annotations
 

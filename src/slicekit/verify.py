@@ -136,9 +136,7 @@ def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, f
 
 
 def monte_carlo_expectations(
-    dist: DistributionSpec,
-    samples: int = 10_000_000,
-    seed: int = 42,
+    dist: DistributionSpec, samples: int = 10_000_000, seed: int = 42
 ) -> tuple[StatReport, StatReport]:
     """Seeded Monte Carlo estimates of E/Var for slice ratio and area.
 

@@ -201,6 +201,13 @@ class TestProbe:
         assert code == 0
         assert json.loads(out)["effective_fraction"] == 0.25
 
+    @pytest.mark.parametrize("w, h", [(3, 2), (7, 2), (2, 3)])
+    def test_padding_without_ppm_builds_no_scene(self, capsys, w, h):
+        # ratios ending in .5 have no probe scene; the fraction alone must still print
+        code, out, _ = run(capsys, "probe", "padding", "--aspect-w", str(w), "--aspect-h", str(h))
+        assert code == 0
+        assert json.loads(out)["effective_fraction"] == pytest.approx(min(w, h) / max(w, h))
+
     def test_heatmap_requires_scene(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["probe", "heatmap"])

@@ -78,6 +78,10 @@ class TestDefaults:
             load_model_dims(str(p))
         assert str(p) in str(exc.value) and named in str(exc.value)
 
+    def test_empty_path_is_not_the_packaged_file(self):
+        with pytest.raises(FileNotFoundError):
+            load_model_dims("")
+
 
 class TestEstimates:
     def test_visual_token_counts_per_strategy(self, dims):
