@@ -51,13 +51,13 @@ def _capped_plan(image: ImageSize, cfg: AppConfig) -> PartitionPlan:
 
 def cmd_plan(args, cfg: AppConfig) -> int:
     plan = _capped_plan(args.image, cfg)
-    _emit({**plan.to_json_dict(), "llm_tokens": schema.token_count(plan, cfg.resampler_queries)}, cfg, args.out)
+    _emit({**plan.to_json_dict(), "llm_tokens": schema.token_count(plan, cfg.dims.resampler_queries)}, cfg, args.out)
     return 0
 
 
 def cmd_schema(args, cfg: AppConfig) -> int:
     plan = _capped_plan(args.image, cfg)
-    seq = schema.serialize_layout(plan, cfg.resampler_queries)
+    seq = schema.serialize_layout(plan, cfg.dims.resampler_queries)
     print(schema.render_layout(seq))
     _emit(schema.summary(seq), cfg, args.out)
     return 0
@@ -74,7 +74,10 @@ def cmd_compress(args, cfg: AppConfig) -> int:
         with open(path, "rb") as f:
             matrices.append(resampler.TokenMatrix(values=binio.tokens_from_bytes(f.read())))
     dim = matrices[0].dim
-    queries, params = resampler.init_resampler(cfg.resampler_queries, dim, cfg.seed)
+    for path, tokens in zip(args.inputs, matrices):
+        if tokens.dim != dim:
+            raise ValueError(f"{path} has token width {tokens.dim}, but {args.inputs[0]} has {dim}")
+    queries, params = resampler.init_resampler(cfg.dims.resampler_queries, dim, cfg.seed)
     outputs = resampler.compress_slices(matrices, queries, params)
     for path, tokens, out_tokens, out_path in zip(args.inputs, matrices, outputs, out_paths):
         with open(out_path, "wb") as f:
@@ -95,12 +98,11 @@ def cmd_grad_check(args, cfg: AppConfig) -> int:
 
 
 def cmd_cost(args, cfg: AppConfig) -> int:
-    dims = cost.load_model_dims(cfg.model_dims_path or args.dims_config)
     if args.compare_with is None:
-        report = cost.estimate_flops(dims, args.image, args.strategy, args.text_tokens, cfg.vit)
+        report = cost.estimate_flops(cfg.dims, args.image, args.strategy, args.text_tokens, cfg.vit)
         _emit(report.to_json_dict(), cfg, args.out)
         return 0
-    ratio, a, b = cost.compare_strategies(dims, args.strategy, args.compare_with, args.image, args.text_tokens, cfg.vit)
+    ratio, a, b = cost.compare_strategies(cfg.dims, args.strategy, args.compare_with, args.image, args.text_tokens, cfg.vit)
     _emit({"ratio": ratio, "a": a.to_json_dict(), "b": b.to_json_dict()}, cfg, args.out)
     return 0
 
@@ -203,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=cost.STRATEGIES, default="uhd")
     p.add_argument("--compare-with", choices=cost.STRATEGIES, help="second strategy; report the cost ratio")
     p.add_argument("--text-tokens", type=int, default=0)
-    p.add_argument("--dims-config", help="architecture constants JSON (packaged defaults otherwise)")
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("probe", help="encoding-flaw simulators")

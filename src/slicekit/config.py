@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
+from .cost import ModelDims, load_model_dims
 from .partition import VitSpec
 
 
 @dataclass(frozen=True)
 class AppConfig:
     vit: VitSpec = VitSpec()
-    resampler_queries: int = 64
     max_slices: int = 6
     seed: int = 42
     output_format: str = "json"  # json | text
-    model_dims_path: str | None = None
+    dims: ModelDims = field(default_factory=load_model_dims)  # the one source of K (dims.resampler_queries)
 
 
 def _positive(value: int) -> bool:
@@ -26,13 +26,12 @@ def _positive(value: int) -> bool:
 # bool is never taken for an integer
 _KEYS = {
     "vit": ("vit", dict, "an object", None),
-    "K": ("resampler_queries", int, "an integer >= 1", _positive),
     "max_N": ("max_slices", int, "an integer >= 1", _positive),
     "seed": ("seed", int, "an integer", None),
     "format": ("output_format", str, '"json" or "text"', lambda v: v in ("json", "text")),
-    "model_dims": ("model_dims_path", (str, type(None)), "a string or null", None),
+    "model_dims": ("dims", (str, type(None)), "a string or null", None),
 }
-_VIT_KEYS = ("w", "h", "patch", "M")
+_VIT_KEYS = ("w", "h", "patch")
 
 
 def _check(key: str, value, kind, name: str, in_range) -> None:
@@ -41,9 +40,8 @@ def _check(key: str, value, kind, name: str, in_range) -> None:
 
 
 def load_config(path: str | None = None) -> AppConfig:
-    cfg = AppConfig()
     if path is None:
-        return cfg
+        return AppConfig()
     with open(path) as f:
         raw = json.load(f)
     if not isinstance(raw, dict) or not isinstance(raw.get("vit", {}), dict):
@@ -58,9 +56,10 @@ def load_config(path: str | None = None) -> AppConfig:
     fields = {_KEYS[k][0]: value for k, value in raw.items()}
     if "vit" in raw:
         v = {"w": 336, "h": 336, "patch": 14, **raw["vit"]}
-        m = v.get("M", (v["w"] // v["patch"]) * (v["h"] // v["patch"]))
         try:
-            fields["vit"] = VitSpec(v["w"], v["h"], v["patch"], m)
+            fields["vit"] = VitSpec(v["w"], v["h"], v["patch"])
         except ValueError as e:
             raise ValueError(f"config key vit is inconsistent: {e}") from None
-    return replace(cfg, **fields)
+    if "model_dims" in raw:
+        fields["dims"] = load_model_dims(raw["model_dims"])
+    return AppConfig(**fields)

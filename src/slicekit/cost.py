@@ -32,8 +32,7 @@ class StackDims:
 @dataclass(frozen=True)
 class ModelDims:
     encoder: StackDims
-    encoder_patch_px: int
-    resampler_queries: int
+    resampler_queries: int  # K: tokens each encoder block is compressed to
     mlp_hidden_dim: int
     llm: StackDims
 
@@ -62,8 +61,16 @@ class CostReport:
         }
 
 
+# section -> keys of the model dims file; every value is a JSON integer >= 0, K >= 1 (bool is not an integer)
+_DIMS_KEYS = {
+    "encoder": ("layers", "hidden_dim", "ffn_dim"),
+    "projector": ("resampler_queries", "mlp_hidden_dim"),
+    "llm": ("layers", "hidden_dim", "ffn_dim"),
+}
+
+
 def load_model_dims(path: str | None = None) -> ModelDims:
-    """Read architecture constants from JSON (packaged defaults if no path); a ValueError names a bad file."""
+    """Read architecture constants from JSON (packaged defaults if no path); a ValueError names a bad file and key."""
     if path is None:
         raw = json.loads(resources.files("slicekit.data").joinpath("model_dims.json").read_text())
     else:
@@ -72,19 +79,25 @@ def load_model_dims(path: str | None = None) -> ModelDims:
     name = "packaged model_dims.json" if path is None else path
     if not isinstance(raw, dict):
         raise ValueError(f"{name}: model dims must be a JSON object")
-    try:
-        enc, proj, llm = raw["encoder"], raw["projector"], raw["llm"]
-        return ModelDims(
-            encoder=StackDims(enc["layers"], enc["hidden_dim"], enc["ffn_dim"]),
-            encoder_patch_px=enc["patch_px"],
-            resampler_queries=proj["resampler_queries"],
-            mlp_hidden_dim=proj["mlp_hidden_dim"],
-            llm=StackDims(llm["layers"], llm["hidden_dim"], llm["ffn_dim"]),
-        )
-    except KeyError as e:
-        raise ValueError(f"{name}: missing key {e.args[0]!r}") from None
-    except TypeError as e:
-        raise ValueError(f"{name}: malformed model dims ({e})") from None
+    for section in _DIMS_KEYS:
+        if section not in raw:
+            raise ValueError(f"{name}: missing key {section!r}")
+        if not isinstance(raw[section], dict):
+            raise ValueError(f"{name}: {section} must be a JSON object, got {json.dumps(raw[section])}")
+    for section, keys in _DIMS_KEYS.items():
+        for key in keys:
+            if key not in raw[section]:
+                raise ValueError(f"{name}: missing key '{section}.{key}'")
+            value, least = raw[section][key], 1 if key == "resampler_queries" else 0
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name}: {section}.{key} must be an integer >= {least}, got {json.dumps(value)}")
+    enc, proj, llm = raw["encoder"], raw["projector"], raw["llm"]
+    return ModelDims(
+        encoder=StackDims(enc["layers"], enc["hidden_dim"], enc["ffn_dim"]),
+        resampler_queries=proj["resampler_queries"],
+        mlp_hidden_dim=proj["mlp_hidden_dim"],
+        llm=StackDims(llm["layers"], llm["hidden_dim"], llm["ffn_dim"]),
+    )
 
 
 def vit_token_count(width_px: int, height_px: int, patch_px: int) -> int:

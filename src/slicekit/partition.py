@@ -31,26 +31,23 @@ class ImageSize:
 
 @dataclass(frozen=True)
 class VitSpec:
-    """Pretraining geometry of the visual encoder.
-
-    token_budget is the number of position embeddings, i.e. the patch count
-    at the pretraining resolution.
-    """
+    """Pretraining geometry of the visual encoder."""
 
     pretrain_width_px: int = 336
     pretrain_height_px: int = 336
     patch_px: int = 14
-    token_budget: int = 576
 
     def __post_init__(self):
-        for name in ("pretrain_width_px", "pretrain_height_px", "patch_px", "token_budget"):
+        for name in ("pretrain_width_px", "pretrain_height_px", "patch_px"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.pretrain_width_px % self.patch_px or self.pretrain_height_px % self.patch_px:
             raise ValueError("pretraining resolution must be a multiple of the patch size")
-        expected = (self.pretrain_width_px // self.patch_px) * (self.pretrain_height_px // self.patch_px)
-        if self.token_budget != expected:
-            raise ValueError(f"token_budget {self.token_budget} != patch grid product {expected}")
+
+    @property
+    def token_budget(self) -> int:
+        """Number of position embeddings: the patch count at the pretraining resolution."""
+        return (self.pretrain_width_px // self.patch_px) * (self.pretrain_height_px // self.patch_px)
 
     @property
     def pretrain_area_px(self) -> int:

@@ -49,6 +49,8 @@ class SyntheticScene:
     background: str = "grey"
 
     def __post_init__(self):
+        if self.background not in COLORS:
+            raise ValueError(f"unknown background {self.background!r}")
         for obj in self.objects:
             x, y = obj.center
             if not (0 <= x < self.canvas.width_px and 0 <= y < self.canvas.height_px):
@@ -172,8 +174,8 @@ def _fragment_count(scene: SyntheticScene, cover: SliceCover) -> int:
 
 def padding_waste(aspect_w: float, aspect_h: float) -> float:
     """Fraction of square-padded computation spent on real content."""
-    if aspect_w <= 0 or aspect_h <= 0:
-        raise ValueError("aspect components must be positive")
+    if not (0 < aspect_w < math.inf and 0 < aspect_h < math.inf):
+        raise ValueError(f"aspect components must be positive and finite, got {aspect_w}:{aspect_h}")
     return min(aspect_w, aspect_h) / max(aspect_w, aspect_h)
 
 
@@ -218,14 +220,10 @@ def padding_probe_scene(aspect_w: float, aspect_h: float) -> SyntheticScene:
     scale = PROBE_SIDE_PX / max(aspect_w, aspect_h)
     rect_w = max(1.0, aspect_w * scale)
     rect_h = max(1.0, aspect_h * scale)
-    # a square object scaled per axis is not expressible; emulate the rectangle
-    # with a row/column of squares
-    size = min(rect_w, rect_h)
-    count = max(1, round(max(rect_w, rect_h) / size))
-    objs = []
-    cx0 = (PROBE_SIDE_PX - max(rect_w, rect_h)) / 2 + size / 2
-    for i in range(count):
-        offset = cx0 + i * size
-        center = (offset, PROBE_SIDE_PX / 2) if rect_w >= rect_h else (PROBE_SIDE_PX / 2, offset)
-        objs.append(SceneObject("square", "green", center, size))
-    return SyntheticScene(canvas=canvas, objects=tuple(objs))
+    # a square object scaled per axis is not expressible; emulate the rectangle with ceil(long/short) squares
+    # of side short, centred evenly from short/2 to long - short/2 along it, so their union is the rectangle
+    long, short = max(rect_w, rect_h), min(rect_w, rect_h)
+    count = math.ceil(long / short)
+    offsets = ((PROBE_SIDE_PX - long + short) / 2 + i * (long - short) / max(1, count - 1) for i in range(count))
+    centers = ((o, PROBE_SIDE_PX / 2) if rect_w >= rect_h else (PROBE_SIDE_PX / 2, o) for o in offsets)
+    return SyntheticScene(canvas=canvas, objects=tuple(SceneObject("square", "green", c, short) for c in centers))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from slicekit import binio
+from slicekit import binio, probes
 from slicekit.cli import main
 from slicekit.patches import PosEmbedGrid
 
@@ -12,6 +12,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_dims(tmp_path, section="projector", key="resampler_queries", value=64):
+    """A model dims file equal to the packaged one except for one value."""
+    raw = {"encoder": {"layers": 24, "hidden_dim": 1024, "ffn_dim": 4096},
+           "projector": {"resampler_queries": 64, "mlp_hidden_dim": 5120},
+           "llm": {"layers": 40, "hidden_dim": 5120, "ffn_dim": 13824}}
+    raw[section][key] = value
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(raw))
+    return path
 
 
 class TestPlan:
@@ -84,7 +95,9 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "raw, key",
-        [({"max_n": 2}, "max_n"), ({"vit": {"width": 448}}, "vit.width"), ({"K": 8, "Seed": 1}, "Seed"), ([], "object")],
+        [({"max_n": 2}, "max_n"), ({"vit": {"width": 448}}, "vit.width"), ({"K": 8, "Seed": 1}, "Seed"), ([], "object"),
+         # K lives in the model dims file and M is derived from the vit geometry: neither is a config key
+         ({"K": 8}, "K"), ({"vit": {"M": 576}}, "vit.M")],
     )
     def test_unknown_key_or_shape_rejected(self, capsys, tmp_path, raw, key):
         cfg = tmp_path / "cfg.json"
@@ -96,11 +109,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "raw, key",
-        [({"K": "8"}, "K"), ({"max_N": None}, "max_N"), ({"K": True}, "K"), ({"seed": "x"}, "seed"),
+        [({"vit": {"h": "8"}}, "vit.h"), ({"max_N": None}, "max_N"), ({"seed": True}, "seed"), ({"seed": "x"}, "seed"),
          ({"format": 1}, "format"), ({"model_dims": 3}, "model_dims"), ({"vit": {"patch": 0}}, "vit.patch"),
-         ({"vit": {"w": 336.0}}, "vit.w"), ({"vit": {"M": False}}, "vit.M"),
+         ({"vit": {"w": 336.0}}, "vit.w"), ({"vit": {"h": False}}, "vit.h"),
          # out of range: the error names the config key, not the AppConfig field
-         ({"max_N": 0}, "max_N"), ({"K": 0}, "K"), ({"vit": {"w": 0}}, "vit.w"), ({"vit": {"w": 300}}, "vit")],
+         ({"max_N": 0}, "max_N"), ({"vit": {"patch": -14}}, "vit.patch"), ({"vit": {"w": 0}}, "vit.w"),
+         ({"vit": {"w": 300}}, "vit")],
     )
     def test_wrong_value_type_rejected(self, capsys, tmp_path, raw, key):
         cfg = tmp_path / "cfg.json"
@@ -113,6 +127,40 @@ class TestConfig:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent.json", "plan", "672x1008")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("projector", "resampler_queries", "8"), ("projector", "resampler_queries", 0),
+         ("projector", "resampler_queries", -3), ("projector", "resampler_queries", True),
+         ("projector", "resampler_queries", 8.0), ("projector", "mlp_hidden_dim", None),
+         ("encoder", "layers", -1), ("llm", "hidden_dim", False)],
+    )
+    def test_bad_dims_value_fails_every_command(self, capsys, tmp_path, section, key, value):
+        dims = write_dims(tmp_path, section, key, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dims": str(dims)}))
+        for argv in (("plan", "672x1008"), ("schema", "672x1008"), ("cost", "--image", "672x1008"),
+                     ("compress", str(dims)), ("grad-check",), ("probe", "padding")):
+            code, out, err = run(capsys, "--config", str(cfg), *argv)
+            assert code == 1 and out == ""
+            assert str(dims) in err and f"{section}.{key} " in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("size, blocks", [("672x1008", 7), ("336x336", 2), ("1344x336", 5)])
+    def test_every_command_reads_k_from_the_dims_file(self, capsys, tmp_path, size, blocks):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dims": str(write_dims(tmp_path, value=32))}))
+        code, out, _ = run(capsys, "--config", str(cfg), "plan", size)
+        plan = json.loads(out)
+        assert code == 0 and len(plan["slices"]) + 1 == blocks
+        code, out, _ = run(capsys, "--config", str(cfg), "schema", size)
+        schema_tokens = json.loads(out[out.index("{"):])["content_tokens"]
+        code, out, _ = run(capsys, "--config", str(cfg), "cost", "--image", size)
+        cost_tokens = json.loads(out)["visual_tokens_to_llm"]
+        assert plan["llm_tokens"] == schema_tokens == cost_tokens == 32 * blocks
+        src = tmp_path / "tokens.bin"
+        src.write_bytes(binio.tokens_to_bytes(np.random.default_rng(0).normal(size=(10, 8))))
+        assert run(capsys, "--config", str(cfg), "compress", str(src))[0] == 0
+        assert binio.tokens_from_bytes((tmp_path / "tokens.bin.compressed").read_bytes()).shape == (32, 8)
 
 
 class TestSchema:
@@ -156,9 +204,16 @@ class TestCost:
     def test_bad_dims_file_names_file_and_key(self, capsys, tmp_path, raw, named):
         path = tmp_path / "dims.json"
         path.write_text(json.dumps(raw))
-        code, out, err = run(capsys, "cost", "--image", "672x1008", "--dims-config", str(path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dims": str(path)}))
+        code, out, err = run(capsys, "--config", str(cfg), "cost", "--image", "672x1008")
         assert code == 1
         assert out == "" and str(path) in err and named in err and len(err.strip().splitlines()) == 1
+
+    def test_dims_file_is_named_only_by_config(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--image", "672x1008", "--dims-config", str(write_dims(tmp_path))])
+        assert exc.value.code == 2
 
 
 class TestGradCheck:
@@ -194,6 +249,19 @@ class TestCompress:
         assert out == "" and len(err.strip().splitlines()) == 1
         assert list(out_dir.iterdir()) == []
 
+    def test_token_width_mismatch_names_both_files_before_writing(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        (tmp_path / "a.bin").write_bytes(binio.tokens_to_bytes(rng.normal(size=(10, 32))))
+        (tmp_path / "b.bin").write_bytes(binio.tokens_to_bytes(rng.normal(size=(10, 16))))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(capsys, "compress", str(tmp_path / "a.bin"), str(tmp_path / "b.bin"),
+                             "--out-dir", str(out_dir))
+        assert code == 1
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "b.bin has token width 16" in err and "a.bin has 32" in err
+        assert list(out_dir.iterdir()) == []
+
 
 class TestProbe:
     def test_padding(self, capsys):
@@ -203,10 +271,21 @@ class TestProbe:
 
     @pytest.mark.parametrize("w, h", [(3, 2), (7, 2), (2, 3)])
     def test_padding_without_ppm_builds_no_scene(self, capsys, w, h):
-        # ratios ending in .5 have no probe scene; the fraction alone must still print
         code, out, _ = run(capsys, "probe", "padding", "--aspect-w", str(w), "--aspect-h", str(h))
         assert code == 0
         assert json.loads(out)["effective_fraction"] == pytest.approx(min(w, h) / max(w, h))
+
+    @pytest.mark.parametrize("w, h", [(3, 2), (7, 2), (2, 3), (5, 2)])
+    def test_padding_ppm_covers_the_whole_long_side(self, capsys, tmp_path, w, h):
+        ppm = tmp_path / "probe.ppm"
+        code, out, _ = run(capsys, "probe", "padding", "--aspect-w", str(w), "--aspect-h", str(h), "--ppm", str(ppm))
+        assert code == 0
+        data = ppm.read_bytes()
+        header = b"P6\n336 336\n255\n"
+        assert data.startswith(header)
+        pixels = [data[i : i + 3] for i in range(len(header), len(data), 3)]
+        middle = pixels[168 * 336 : 169 * 336] if w > h else pixels[168::336]
+        assert middle.count(bytes(probes.COLORS["green"])) == 336
 
     def test_heatmap_requires_scene(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +314,15 @@ class TestProbe:
         code, out, err = run(capsys, "probe", "phases", "--scene", str(path))
         assert code == 1
         assert out == "" and str(path) in err and named in err and len(err.strip().splitlines()) == 1
+
+    def test_unknown_background_rejected(self, capsys, tmp_path):
+        scene = {"canvas": {"w": 768, "h": 768}, "objects": [], "background": "pink"}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        code, out, err = run(capsys, "probe", "phases", "--scene", str(path), "--ppm", str(tmp_path / "o.ppm"))
+        assert code == 1
+        assert out == "" and err == "error: unknown background 'pink'\n"
+        assert not (tmp_path / "o.ppm").exists()
 
     def test_phases_with_ppm(self, capsys, tmp_path):
         scene = {

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -55,7 +56,6 @@ class TestStackFlops:
 class TestDefaults:
     def test_packaged_architecture_constants(self, dims):
         assert dims.encoder == StackDims(24, 1024, 4096)
-        assert dims.encoder_patch_px == 14
         assert dims.resampler_queries == 64
         assert dims.mlp_hidden_dim == 5120
         assert dims.llm == StackDims(40, 5120, 13824)
@@ -77,6 +77,30 @@ class TestDefaults:
         with pytest.raises(ValueError) as exc:
             load_model_dims(str(p))
         assert str(p) in str(exc.value) and named in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("projector", "resampler_queries", "8"), ("projector", "resampler_queries", 0),
+         ("projector", "resampler_queries", -3), ("projector", "resampler_queries", True),
+         ("encoder", "ffn_dim", 1.5), ("encoder", "layers", -1), ("llm", "layers", None)],
+    )
+    def test_bad_value_named(self, tmp_path, section, key, value):
+        raw = json.loads(resources.files("slicekit.data").joinpath("model_dims.json").read_text())
+        raw[section][key] = value
+        p = tmp_path / "dims.json"
+        p.write_text(json.dumps(raw))
+        least = 1 if key == "resampler_queries" else 0
+        with pytest.raises(ValueError) as exc:
+            load_model_dims(str(p))
+        assert str(exc.value) == f"{p}: {section}.{key} must be an integer >= {least}, got {json.dumps(value)}"
+
+    def test_zero_sized_stacks_accepted(self, tmp_path):
+        raw = {"encoder": {"layers": 0, "hidden_dim": 0, "ffn_dim": 0},
+               "projector": {"resampler_queries": 1, "mlp_hidden_dim": 0},
+               "llm": {"layers": 0, "hidden_dim": 0, "ffn_dim": 0}}
+        p = tmp_path / "dims.json"
+        p.write_text(json.dumps(raw))
+        assert load_model_dims(str(p)) == ModelDims(StackDims(0, 0, 0), 1, 0, StackDims(0, 0, 0))
 
     def test_empty_path_is_not_the_packaged_file(self):
         with pytest.raises(FileNotFoundError):

@@ -195,7 +195,7 @@ class TestSelectPartition:
         plan = select_partition(ImageSize(w, h), VIT)
         assert (plan.grid.cols_m, plan.grid.rows_n) == grid
 
-    @given(sizes, st.sampled_from([VIT, VitSpec(448, 336, 14, 768), VitSpec(224, 448, 14, 512)]))
+    @given(sizes, st.sampled_from([VIT, VitSpec(448, 336, 14), VitSpec(224, 448, 14)]))
     def test_matches_exact_oracle(self, image, vit):
         plan = select_partition(image, vit)
         p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
@@ -254,6 +254,7 @@ class TestSelectPartition:
         d = select_partition(ImageSize(672, 1008), VIT).to_json_dict()
         assert d["grid"] == {"m": 2, "n": 3}
         assert d["ideal_N"] == 6
+        assert d["vit"] == {"w": 336, "h": 336, "patch": 14, "M": 576}
         assert len(d["slices"]) == 6
         assert d["slice_patch_grids"] == [{"cols": 24, "rows": 24}] * 6
         assert d["overview_grid"] == {"cols": 19, "rows": 29}
@@ -267,8 +268,6 @@ class TestValidation:
     def test_bad_vit(self):
         with pytest.raises(ValueError):
             VitSpec(pretrain_width_px=335)
-        with pytest.raises(ValueError):
-            VitSpec(token_budget=100)
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):

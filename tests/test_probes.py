@@ -111,6 +111,11 @@ class TestPadding:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             padding_waste(0.0, 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                padding_waste(bad, 4.0)
+            with pytest.raises(ValueError):
+                padding_waste(1.0, bad)
 
     def test_probe_scene_covers_expected_fraction(self):
         scene = padding_probe_scene(1.0, 4.0)
@@ -163,3 +168,5 @@ class TestRendering:
             SceneObject("hexagon", "red", (0.0, 0.0), 5.0)
         with pytest.raises(ValueError):
             SyntheticScene(canvas=ImageSize(10, 10), objects=(SceneObject("circle", "red", (50.0, 5.0), 2.0),))
+        with pytest.raises(ValueError, match="unknown background 'pink'"):
+            SyntheticScene(canvas=ImageSize(10, 10), objects=(), background="pink")
