@@ -2,7 +2,8 @@
 
 Subcommands: plan, schema, compress, grad-check, cost, probe, verify,
 interp-pe.  Exit codes: 0 success/pass, 1 check failure, 2 usage error.
-JSON output is emitted with sorted keys for diffability.
+JSON output is emitted with sorted keys for diffability.  Only the commands
+that need numpy (compress, grad-check, verify, interp-pe) import it.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import binio, cost, probes, resampler, schema, verify
+from . import cost, probes, schema
 from .config import AppConfig, load_config
+from .jsonfile import load_json_file
 from .partition import ImageSize, PartitionPlan, PatchGrid, select_partition
-from .patches import interpolate_pos_embed
 
 
 def _parse_size(text: str) -> ImageSize:
@@ -64,6 +63,8 @@ def cmd_schema(args, cfg: AppConfig) -> int:
 
 
 def cmd_compress(args, cfg: AppConfig) -> int:
+    from . import binio, resampler
+
     out_paths = [f"{path}.compressed" if args.out_dir is None else f"{args.out_dir}/{path.split('/')[-1]}"
                  for path in args.inputs]
     clash = [path for i, path in enumerate(out_paths) if path in out_paths[:i]]
@@ -87,6 +88,10 @@ def cmd_compress(args, cfg: AppConfig) -> int:
 
 
 def cmd_grad_check(args, cfg: AppConfig) -> int:
+    import numpy as np
+
+    from . import resampler
+
     rng = np.random.default_rng(cfg.seed)
     queries, params = resampler.init_resampler(args.queries, args.dim, cfg.seed)
     tokens = resampler.TokenMatrix(values=rng.normal(size=(args.tokens, args.dim)))
@@ -108,8 +113,7 @@ def cmd_cost(args, cfg: AppConfig) -> int:
 
 
 def _load_scene(path: str) -> probes.SyntheticScene:
-    with open(path) as f:
-        raw = json.load(f)
+    raw = load_json_file(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scene must be a JSON object")
     try:
@@ -156,12 +160,17 @@ def cmd_probe(args, cfg: AppConfig) -> int:
 
 
 def cmd_verify(args, cfg: AppConfig) -> int:
+    from . import verify
+
     report = verify.run_proof_checks(samples=args.samples, seed=cfg.seed, grid_density=args.grid_density)
     _emit(report, cfg, args.out)
     return 0 if report["pass"] else 1
 
 
 def cmd_interp_pe(args, cfg: AppConfig) -> int:
+    from . import binio
+    from .patches import interpolate_pos_embed
+
     with open(args.input, "rb") as f:
         grid = binio.grid_from_bytes(f.read())
     out = interpolate_pos_embed(grid, PatchGrid(cols=args.cols, rows=args.rows))

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from .cost import ModelDims, load_model_dims
+from .jsonfile import load_json_file
 from .partition import VitSpec
 
 
@@ -42,8 +43,7 @@ def _check(key: str, value, kind, name: str, in_range) -> None:
 def load_config(path: str | None = None) -> AppConfig:
     if path is None:
         return AppConfig()
-    with open(path) as f:
-        raw = json.load(f)
+    raw = load_json_file(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("vit", {}), dict):
         raise ValueError("config must be a JSON object, with an object under 'vit'")
     unknown = [k for k in raw if k not in _KEYS] + [f"vit.{k}" for k in raw.get("vit", {}) if k not in _VIT_KEYS]

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+from .jsonfile import load_json_file
 from .partition import ImageSize, VitSpec, select_partition
 
 STRATEGIES = ("uhd", "llava15", "uhd-mlp", "fixed2x2-mlp")
@@ -74,8 +75,7 @@ def load_model_dims(path: str | None = None) -> ModelDims:
     if path is None:
         raw = json.loads(resources.files("slicekit.data").joinpath("model_dims.json").read_text())
     else:
-        with open(path) as f:
-            raw = json.load(f)
+        raw = load_json_file(path)
     name = "packaged model_dims.json" if path is None else path
     if not isinstance(raw, dict):
         raise ValueError(f"{name}: model dims must be a JSON object")
@@ -103,7 +103,7 @@ def load_model_dims(path: str | None = None) -> ModelDims:
 def vit_token_count(width_px: int, height_px: int, patch_px: int) -> int:
     """Patch tokens for an image encoded whole: (w/patch) * (h/patch)."""
     if width_px % patch_px or height_px % patch_px:
-        raise ValueError("dimensions must be multiples of the patch size (snap first)")
+        raise ValueError("dimensions must be multiples of the patch size")
     return (width_px // patch_px) * (height_px // patch_px)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,22 +32,6 @@ class PosEmbedGrid:
     @property
     def dim(self) -> int:
         return self.values.shape[2]
-
-
-def snap_to_patch(target_w_px: float, target_h_px: float, patch_px: int) -> tuple[int, int]:
-    """Round each dimension to the nearest patch multiple (half rounds up).
-
-    The adjustment per dimension never exceeds ceil(patch/2) pixels and the
-    result is never smaller than one patch.
-    """
-    if target_w_px <= 0 or target_h_px <= 0:
-        raise ValueError("target dimensions must be positive")
-
-    def snap(v: float) -> int:
-        mult = math.floor(v / patch_px + 0.5)
-        return max(1, mult) * patch_px
-
-    return snap(target_w_px), snap(target_h_px)
 
 
 def reshape_pos_embed_1d_to_2d(seq: np.ndarray, q: int) -> PosEmbedGrid:

@@ -57,6 +57,8 @@ class SyntheticScene:
                 raise ValueError(f"object center {obj.center} outside canvas")
 
     def scaled(self, factor: float) -> "SyntheticScene":
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scene scale must be finite and > 0, got {factor}")
         w = max(1, round(self.canvas.width_px * factor))
         h = max(1, round(self.canvas.height_px * factor))
         objs = tuple(
@@ -121,6 +123,8 @@ def heatmap_probe(
     """
     if not object_template:
         raise ValueError("object template must contain at least one object")
+    if grid_step_px < 1:
+        raise ValueError(f"heatmap grid step must be >= 1 px, got {grid_step_px}")
     max_dx = max(o.center[0] for o in object_template)
     max_dy = max(o.center[1] for o in object_template)
     cover = overlap_tile_cover(canvas)

@@ -81,6 +81,8 @@ class AttentionParams:
 
 def init_resampler(count_k: int, dim: int, seed: int) -> tuple[QuerySet, AttentionParams]:
     """Seeded pseudo-random queries and projection matrices (unit-variance / sqrt(dim))."""
+    if count_k < 1 or dim < 1:
+        raise ValueError(f"the resampler needs K >= 1 queries of dim >= 1, got K={count_k}, dim={dim}")
     rng = np.random.default_rng(seed)
     std = 1.0 / np.sqrt(dim)
     queries = QuerySet(values=rng.normal(0.0, std, size=(count_k, dim)))

@@ -1,17 +1,37 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slicekit import binio, probes
+import slicekit
+from slicekit import binio, cost, probes
 from slicekit.cli import main
 from slicekit.patches import PosEmbedGrid
+
+# two objects on a canvas below one 512px tile; scaled up by 8 it spans 2x2 overlapping tiles
+SMALL_SCENE = {"canvas": {"w": 100, "h": 80},
+               "objects": [{"shape": "circle", "color": "red", "center": [30, 40], "size": 10},
+                           {"shape": "square", "color": "blue", "center": [70, 20], "size": 8}]}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_scene(directory, raw=SMALL_SCENE):
+    path = directory / "scene.json"
+    path.write_text(json.dumps(raw))
+    return path
 
 
 def write_dims(tmp_path, section="projector", key="resampler_queries", value=64):
@@ -124,6 +144,19 @@ class TestConfig:
         assert out == ""
         assert f"config key {key} " in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("kind", ["config", "dims", "scene"])
+    def test_json_syntax_error_names_the_file(self, capsys, tmp_path, kind):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text('{"max_N": 3,')
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dims": str(bad)}))
+        argv = {"config": ("--config", str(bad), "plan", "672x1008"),
+                "dims": ("--config", str(cfg), "plan", "672x1008"),
+                "scene": ("probe", "phases", "--scene", str(bad))}[kind]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: not valid JSON (") and len(err.strip().splitlines()) == 1
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "--config", "/nonexistent.json", "plan", "672x1008")
         assert code == 1
@@ -221,6 +254,12 @@ class TestGradCheck:
         code, out, _ = run(capsys, "grad-check", "--queries", "3", "--tokens", "5", "--dim", "8")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("option, value", [("--dim", "0"), ("--dim", "-3"), ("--queries", "0")])
+    def test_size_below_one_is_a_one_line_error(self, capsys, option, value):
+        code, out, err = run(capsys, "grad-check", option, value)
+        assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error: the resampler needs K >= 1 queries of dim >= 1, got ")
 
 
 class TestCompress:
@@ -324,6 +363,18 @@ class TestProbe:
         assert out == "" and err == "error: unknown background 'pink'\n"
         assert not (tmp_path / "o.ppm").exists()
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_phases_rejects_scale_not_finite_and_positive(self, capsys, tmp_path, scale):
+        code, out, err = run(capsys, "probe", "phases", "--scene", str(write_scene(tmp_path)), "--scale", scale)
+        assert code == 1 and out == ""
+        assert err == f"error: scene scale must be finite and > 0, got {float(scale)}\n"
+
+    @pytest.mark.parametrize("step", ["0", "-5"])
+    def test_heatmap_rejects_grid_step_below_one(self, capsys, tmp_path, step):
+        code, out, err = run(capsys, "probe", "heatmap", "--scene", str(write_scene(tmp_path)), "--grid-step", step)
+        assert code == 1 and out == ""
+        assert err == f"error: heatmap grid step must be >= 1 px, got {step}\n"
+
     def test_phases_with_ppm(self, capsys, tmp_path):
         scene = {
             "canvas": {"w": 768, "h": 768},
@@ -362,3 +413,79 @@ class TestInterpPe:
         grid = binio.grid_from_bytes(dst.read_bytes())
         assert (grid.rows, grid.cols, grid.dim) == (17, 33, 8)
         assert "24x24x8 -> 17x33x8" in out
+
+
+class TestStartup:
+    def test_numpy_free_commands_leave_numpy_unimported(self, tmp_path):
+        scene = str(write_scene(tmp_path))
+        src = str(Path(slicekit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        for argv in (("plan", "672x1008"), ("schema", "672x1008"), ("cost", "--image", "672x1008"),
+                     ("probe", "padding"), ("probe", "heatmap", "--scene", scene, "--grid-step", "16"),
+                     ("probe", "phases", "--scene", scene, "--scale", "8")):
+            # -X importtime lists every module the interpreter imports, one per stderr line
+            proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "slicekit.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                        if line.startswith("import time:")}
+            assert "slicekit.partition" in imported
+            assert "numpy" not in imported, argv
+
+
+SPECIAL_NUMBERS = ("nan", "inf", "-inf", "0", "-1")
+
+
+def option_values(finite):
+    """Values for a numeric option: nan, +-inf, 0, a negative number, or one drawn from `finite`."""
+    return st.sampled_from(SPECIAL_NUMBERS) | finite.map(str)
+
+
+@st.composite
+def cli_argv(draw, scene: str) -> list[str]:
+    command = draw(st.sampled_from(("plan", "schema", "cost", "probe", "grad-check")))
+    if command in ("plan", "schema", "cost"):
+        side = st.integers(-20, 20_000)
+        size = f"{draw(side)}x{draw(side)}"
+        if command != "cost":
+            return [command, "--", size]
+        argv = ["cost", f"--image={size}", "--strategy", draw(st.sampled_from(cost.STRATEGIES))]
+        if draw(st.booleans()):
+            argv += ["--compare-with", draw(st.sampled_from(cost.STRATEGIES))]
+        return argv + [f"--text-tokens={draw(option_values(st.integers(-10**6, 10**9)))}"]
+    if command == "probe":
+        return ["probe", draw(st.sampled_from(("heatmap", "phases", "padding"))), "--scene", scene,
+                f"--grid-step={draw(option_values(st.integers(-100, 200)))}",
+                # the tile cover grows with the square of the scale, so finite scales stay at most 8
+                f"--scale={draw(option_values(st.floats(1e-3, 8.0)))}",
+                f"--aspect-w={draw(option_values(st.floats(allow_nan=False, allow_infinity=False)))}",
+                f"--aspect-h={draw(option_values(st.floats(allow_nan=False, allow_infinity=False)))}"]
+    size = option_values(st.integers(-3, 8))
+    step = option_values(st.floats(-1.0, 1.0) | st.floats(1e-9, 1e-3))
+    return ["grad-check", f"--queries={draw(size)}", f"--tokens={draw(size)}", f"--dim={draw(size)}",
+            f"--eps={draw(step)}", f"--tolerance={draw(step)}"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_scene(tmp_path_factory):
+    return str(write_scene(tmp_path_factory.mktemp("fuzz")))
+
+
+class TestFuzz:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_every_outcome_is_success_one_line_error_or_usage_error(self, fuzz_scene, data):
+        argv = data.draw(cli_argv(fuzz_scene))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                assert e.code == 2, argv
+                return
+        if code == 1 and argv[0] == "grad-check" and err.getvalue() == "":
+            assert json.loads(out.getvalue())["pass"] is False  # a failed check is reported, not an error
+        elif code == 1:
+            assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        else:
+            assert code == 0 and err.getvalue() == "", argv

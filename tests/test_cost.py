@@ -102,6 +102,13 @@ class TestDefaults:
         p.write_text(json.dumps(raw))
         assert load_model_dims(str(p)) == ModelDims(StackDims(0, 0, 0), 1, 0, StackDims(0, 0, 0))
 
+    def test_json_syntax_error_names_file(self, tmp_path):
+        p = tmp_path / "dims.json"
+        p.write_text('{"encoder": {"layers": 24,')
+        with pytest.raises(ValueError) as exc:
+            load_model_dims(str(p))
+        assert str(exc.value).startswith(f"{p}: not valid JSON (")
+
     def test_empty_path_is_not_the_packaged_file(self):
         with pytest.raises(FileNotFoundError):
             load_model_dims("")

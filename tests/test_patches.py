@@ -11,7 +11,6 @@ from slicekit.patches import (
     interpolate_pos_embed,
     overview_grid,
     reshape_pos_embed_1d_to_2d,
-    snap_to_patch,
 )
 
 VIT = VitSpec()
@@ -73,21 +72,6 @@ class TestFitPatchGrid:
     def test_aspect_monotone_square(self, side):
         g = fit_patch_grid(side, side, VIT)
         assert g.cols == g.rows  # square slices get square grids
-
-
-class TestSnapToPatch:
-    def test_rounds_to_nearest_multiple(self):
-        assert snap_to_patch(340, 330, 14) == (336, 336)
-        assert snap_to_patch(343, 343, 14) == (350, 350)  # half rounds up
-
-    def test_never_below_one_patch(self):
-        assert snap_to_patch(1, 1, 14) == (14, 14)
-
-    @given(st.floats(min_value=14.0, max_value=10000.0), st.floats(min_value=14.0, max_value=10000.0))
-    def test_adjustment_bounded(self, w, h):
-        sw, sh = snap_to_patch(w, h, 14)
-        assert sw % 14 == 0 and sh % 14 == 0
-        assert abs(sw - w) <= 7.0 and abs(sh - h) <= 7.0
 
 
 class TestReshape:

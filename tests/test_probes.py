@@ -72,6 +72,11 @@ class TestCounting:
         values = {v for row in matrix for v in row}
         assert values == {4, 8, 16}
 
+    @pytest.mark.parametrize("step", [0, -5])
+    def test_heatmap_rejects_grid_step_below_one(self, step):
+        with pytest.raises(ValueError, match=f"grid step must be >= 1 px, got {step}$"):
+            heatmap_probe(ImageSize(768, 768), CLUSTER, step)
+
 
 class TestPhases:
     def test_phase_one_at_low_resolution(self):
@@ -162,6 +167,12 @@ class TestRendering:
         assert small.canvas == ImageSize(50, 100)
         assert small.objects[0].center == (25.0, 50.0)
         assert small.objects[0].size == 10.0
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, 0.0, -1.0])
+    def test_scaled_rejects_scale_not_finite_and_positive(self, factor):
+        scene = SyntheticScene(canvas=ImageSize(100, 200), objects=(SceneObject("circle", "red", (50.0, 100.0), 20.0),))
+        with pytest.raises(ValueError, match=f"scale must be finite and > 0, got {factor}$"):
+            scene.scaled(factor)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,11 @@ class TestInit:
         q3, _ = init_resampler(8, 32, 43)
         assert not np.array_equal(q1.values, q3.values)
 
+    @pytest.mark.parametrize("count_k, dim", [(0, 16), (4, 0), (4, -3)])
+    def test_init_rejects_sizes_below_one_before_drawing(self, count_k, dim):
+        with pytest.raises(ValueError, match=f"got K={count_k}, dim={dim}$"):
+            init_resampler(count_k, dim, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QuerySet(values=np.zeros((0, 4)))
