@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -88,6 +89,9 @@ def cmd_compress(args, cfg: AppConfig) -> int:
 
 
 def cmd_grad_check(args, cfg: AppConfig) -> int:
+    if not 0 < args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
+
     import numpy as np
 
     from . import resampler

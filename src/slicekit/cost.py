@@ -114,6 +114,7 @@ def transformer_stack_flops(dims: StackDims, tokens: int) -> float:
 
 
 def resampler_flops(dims: ModelDims, input_tokens: int) -> float:
+    """The paper's accounting of one block, not what compress_slices runs; `bench/run.py --trace 1` prints the gap."""
     d, k = dims.encoder.hidden_dim, dims.resampler_queries
     t = input_tokens
     # key/value projections on t tokens, query projection on K queries,

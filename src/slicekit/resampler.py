@@ -102,7 +102,7 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _attend(q_vals: np.ndarray, t_vals: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, ...]:
-    """Projected queries q, projected keys k and the row-stochastic (K, T) attention weights."""
+    """Projected queries q, projected keys k and the (K, T) weights; the backward pass needs k."""
     if t_vals.shape[0] < 1:
         raise ValueError("empty slice: cross-attention needs at least one token")
     if not q_vals.shape[1] == t_vals.shape[1] == params.dim:
@@ -112,28 +112,66 @@ def _attend(q_vals: np.ndarray, t_vals: np.ndarray, params: AttentionParams) -> 
     return q, k, _softmax_rows((q @ k.T) * params.scale)
 
 
+def _query_keys(queries: QuerySet, params: AttentionParams) -> np.ndarray:
+    """qk = (Q Wq) Wk^T, the (K, d) map from a raw token to its K logits, shared by every block."""
+    if queries.dim != params.dim:
+        raise ValueError("query/token/parameter dims do not match")
+    return (queries.values @ params.w_q) @ params.w_k.T
+
+
+def _block_weights(qk: np.ndarray, x: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Row-stochastic (K, T) weights softmax((qk X^T) / sqrt(d)) of one block's raw tokens X."""
+    if x.shape[0] < 1:
+        raise ValueError("empty slice: cross-attention needs at least one token")
+    if x.shape[1] != params.dim:
+        raise ValueError("query/token/parameter dims do not match")
+    return _softmax_rows((qk @ x.T) * params.scale)
+
+
+def _canonical_order(x: np.ndarray) -> np.ndarray:
+    """Row order of ``np.lexsort(x.T[::-1])``: by column 0, ties broken by the next columns.
+
+    A stable argsort of column 0 gives that order whenever column 0 has no
+    tie; only a tie (``-0.0 == 0.0`` counts as one) pays for the full lexsort.
+    """
+    order = np.argsort(x[:, 0], kind="stable")
+    first = x[order, 0]
+    if (first[1:] == first[:-1]).any():
+        return np.lexsort(x.T[::-1])
+    return order
+
+
 def attention_weights(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> np.ndarray:
-    """Row-stochastic (K, T) attention matrix."""
-    return _attend(queries.values, tokens.values, params)[2]
+    """Row-stochastic (K, T) attention matrix, columns in the tokens' order."""
+    return _block_weights(_query_keys(queries, params), tokens.values, params)
 
 
 def cross_attention_forward(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> TokenMatrix:
-    """softmax(Q Wq (T Wk)^T / sqrt(d)) (T Wv); output always has K rows.
+    """softmax(((Q Wq) Wk^T) X^T / sqrt(d)) X Wv, evaluated as (A X) Wv; output always has K rows.
 
-    Token rows are brought into a content-based canonical order before the
-    weighted sum, so permuting the input key/value pairs yields bitwise
-    identical output.
+    The same computation as one block of ``compress_slices``.
     """
-    t_vals = tokens.values[np.lexsort(tokens.values.T[::-1])]
-    attn = _attend(queries.values, t_vals, params)[2]
-    return TokenMatrix(values=attn @ (t_vals @ params.w_v))
+    return compress_slices([tokens], queries, params)[0]
 
 
 def compress_slices(
     slice_tokens: list[TokenMatrix], queries: QuerySet, params: AttentionParams
 ) -> list[TokenMatrix]:
-    """Compress every slice with the shared queries/parameters."""
-    return [cross_attention_forward(queries, t, params) for t in slice_tokens]
+    """Compress every slice with the shared queries/parameters.
+
+    ``qk = (Q Wq) Wk^T`` is formed once per call.  Each block's T rows are
+    brought into ``_canonical_order`` (so permuting its key/value pairs yields
+    bitwise identical output), then weighted as A = softmax(qk X^T / sqrt(d))
+    and reduced to (A X) Wv: two K*T*d products and one K*d*d product, with
+    no (T, d) projection of the tokens.
+    """
+    qk = _query_keys(queries, params)
+    out = []
+    for tokens in slice_tokens:
+        x = tokens.values[_canonical_order(tokens.values)]
+        attn = _block_weights(qk, x, params)
+        out.append(TokenMatrix(values=(attn @ x) @ params.w_v))
+    return out
 
 
 def _forward_backward(

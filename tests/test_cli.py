@@ -261,6 +261,12 @@ class TestGradCheck:
         assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("error: the resampler needs K >= 1 queries of dim >= 1, got ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_tolerance_not_finite_and_positive_is_a_one_line_error(self, capsys, value):
+        code, out, err = run(capsys, "grad-check", "--tolerance", value)
+        assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error: --tolerance must be a finite number > 0, got ")
+
 
 class TestCompress:
     def test_round_trip_files(self, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from slicekit.resampler import (
     AttentionParams,
     QuerySet,
     TokenMatrix,
+    _canonical_order,
     _softmax_rows,
     attention_weights,
     compress_slices,
@@ -67,6 +70,69 @@ class TestForward:
         queries, params, _ = setup_case(2)
         with pytest.raises(ValueError):
             cross_attention_forward(queries, TokenMatrix(values=np.zeros((2, DIM + 1))), params)
+
+    def test_error_messages(self):
+        queries, params, tokens = setup_case(3)
+        with pytest.raises(ValueError, match="^empty slice: cross-attention needs at least one token$"):
+            compress_slices([tokens, TokenMatrix(values=np.zeros((0, DIM)))], queries, params)
+        mismatch = "^query/token/parameter dims do not match$"
+        with pytest.raises(ValueError, match=mismatch):
+            compress_slices([tokens], init_resampler(4, DIM + 1, 0)[0], params)
+        with pytest.raises(ValueError, match=mismatch):
+            attention_weights(queries, TokenMatrix(values=np.zeros((2, DIM + 1))), params)
+
+    @pytest.mark.parametrize("t", [1, 2, 324, 551, 576])
+    def test_matches_projected_key_reference(self, t):
+        """Against softmax(Q Wq (X Wk)^T / sqrt(d)) (X Wv), grouped as the per-token projections read."""
+        queries, params, tokens = setup_case(t, dim=64, k=64, seed_=t)
+        q, x = queries.values, tokens.values
+        logits = (q @ params.w_q) @ (x @ params.w_k).T / np.sqrt(64)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        ref = (e / e.sum(axis=1, keepdims=True)) @ (x @ params.w_v)
+        out = compress_slices([tokens], queries, params)[0].values
+        np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-12 * np.abs(ref).max())
+
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6))
+    def test_permutation_invariance_bitwise_with_ties(self, t, seed):
+        """Integer tokens from a small range tie in column 0, so the full lexsort decides the order."""
+        queries, params, _ = setup_case(2)
+        rng = np.random.default_rng(seed)
+        tokens = TokenMatrix(values=rng.integers(-2, 3, size=(t, DIM)).astype(np.float64))
+        shuffled = TokenMatrix(values=tokens.values[rng.permutation(t)])
+        base = cross_attention_forward(queries, tokens, params)
+        assert np.array_equal(base.values, cross_attention_forward(queries, shuffled, params).values)
+
+    def test_signed_zeros_in_first_column_tie(self):
+        queries, params, tokens = setup_case(6)
+        values = tokens.values.copy()
+        values[:, 0] = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0]
+        base = cross_attention_forward(queries, TokenMatrix(values=values), params)
+        for perm in ([1, 0, 3, 2, 5, 4], [5, 3, 1, 4, 2, 0]):
+            out = cross_attention_forward(queries, TokenMatrix(values=values[perm]), params)
+            assert np.array_equal(base.values, out.values)
+
+    def test_forms_no_projection_per_token(self):
+        """Peak traced memory of one warm forward stays below 1.5x the token block (a (T, d) product adds 1x)."""
+        queries, params, tokens = setup_case(2048, dim=1024, k=64)
+        cross_attention_forward(queries, tokens, params)
+        tracemalloc.start()
+        try:
+            cross_attention_forward(queries, tokens, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tokens.values.nbytes
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(0).normal(size=(50, 3)),  # no tie in column 0
+        np.random.default_rng(1).integers(-2, 3, size=(50, 3)).astype(np.float64),  # many ties
+        np.array([[0.0, 2.0], [-0.0, 1.0], [0.0, -1.0], [-1.0, 0.0]]),  # -0.0 ties with 0.0
+        np.zeros((1, 4)),
+    ])
+    def test_equals_full_lexsort(self, values):
+        assert np.array_equal(_canonical_order(values), np.lexsort(values.T[::-1]))
 
 
 class TestSoftmax:
