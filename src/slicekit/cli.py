@@ -175,9 +175,13 @@ def cmd_interp_pe(args, cfg: AppConfig) -> int:
     from . import binio
     from .patches import interpolate_pos_embed
 
+    target = PatchGrid(cols=args.cols, rows=args.rows)
+    if target.tokens > cfg.vit.token_budget:
+        raise ValueError(f"--rows x --cols = {target.tokens} exceeds the encoder's "
+                         f"token budget M={cfg.vit.token_budget}")
     with open(args.input, "rb") as f:
         grid = binio.grid_from_bytes(f.read())
-    out = interpolate_pos_embed(grid, PatchGrid(cols=args.cols, rows=args.rows))
+    out = interpolate_pos_embed(grid, target)
     with open(args.output, "wb") as f:
         f.write(binio.grid_to_bytes(out))
     print(f"{grid.rows}x{grid.cols}x{grid.dim} -> {out.rows}x{out.cols}x{out.dim} -> {args.output}")

@@ -48,33 +48,33 @@ def interpolate_pos_embed(src: PosEmbedGrid, target: PatchGrid) -> PosEmbedGrid:
     """Align-corners bilinear interpolation to the target grid shape.
 
     Corner cells of the source map exactly onto corner cells of the target,
-    so interpolating to the source's own shape is the identity.  Each axis is
-    handled separately (bilinear is separable) with a fixed summation order,
-    making results independent of how channels might be parallelized.
+    so interpolating to the source's own shape is the identity.  Bilinear is
+    separable: each axis is one product with its (new, old) weight matrix.
+    Tests pin the identity, constants, one-row/one-column sources and targets
+    of 1 bit for bit, repeated calls as bit-equal, and every grid within 1e-12
+    of a per-cell oracle; a slice of the channels may differ in the last bit.
     """
     out = _interp_axis(src.values, target.rows, axis=0)
     out = _interp_axis(out, target.cols, axis=1)
     return PosEmbedGrid(values=out)
 
 
-def _interp_axis(values: np.ndarray, new_size: int, axis: int) -> np.ndarray:
-    old_size = values.shape[axis]
-    if new_size == old_size:
-        return values.copy()
-    if old_size == 1:
-        reps = [1, 1, 1]
-        reps[axis] = new_size
-        return np.tile(values, reps)
-    if new_size == 1:
-        # align-corners degenerate target: keep the first source cell
-        return np.take(values, [0], axis=axis)
-    pos = np.arange(new_size) * (old_size - 1) / (new_size - 1)
-    lo = np.minimum(np.floor(pos).astype(int), old_size - 2)
+def _axis_weights(old: int, new: int) -> np.ndarray:
+    """(new, old) matrix whose row i holds 1-frac at lo and frac at lo+1 for position i(old-1)/(new-1)."""
+    weights = np.zeros((new, old))
+    if old == 1 or new == 1:
+        weights[:, 0] = 1.0
+        return weights
+    pos = np.arange(new) * (old - 1) / (new - 1)
+    lo = np.minimum(pos.astype(int), old - 2)
     frac = pos - lo
-    a = np.take(values, lo, axis=axis)
-    b = np.take(values, lo + 1, axis=axis)
-    shape = [1, 1, 1]
-    shape[axis] = new_size
-    f = frac.reshape(shape)
-    return a * (1.0 - f) + b * f
+    weights[np.arange(new), lo] = 1.0 - frac
+    weights[np.arange(new), lo + 1] = frac
+    return weights
 
+
+def _interp_axis(values: np.ndarray, new_size: int, axis: int) -> np.ndarray:
+    weights = _axis_weights(values.shape[axis], new_size)
+    if axis == 0:
+        return (weights @ values.reshape(values.shape[0], -1)).reshape(new_size, *values.shape[1:])
+    return np.matmul(weights, values)

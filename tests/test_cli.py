@@ -420,6 +420,15 @@ class TestInterpPe:
         assert (grid.rows, grid.cols, grid.dim) == (17, 33, 8)
         assert "24x24x8 -> 17x33x8" in out
 
+    @pytest.mark.parametrize("rows, cols", [(100000, 100000), (577, 1), (1, 577), (25, 24)])
+    def test_target_over_token_budget_rejected_before_reading(self, capsys, tmp_path, rows, cols):
+        missing = tmp_path / "missing.bin"
+        code, out, err = run(capsys, "interp-pe", str(missing), str(tmp_path / "o.bin"),
+                             "--rows", str(rows), "--cols", str(cols))
+        assert code == 1 and out == ""
+        assert err == f"error: --rows x --cols = {rows * cols} exceeds the encoder's token budget M=576\n"
+        assert not (tmp_path / "o.bin").exists()
+
 
 class TestStartup:
     def test_numpy_free_commands_leave_numpy_unimported(self, tmp_path):
@@ -448,8 +457,8 @@ def option_values(finite):
 
 
 @st.composite
-def cli_argv(draw, scene: str) -> list[str]:
-    command = draw(st.sampled_from(("plan", "schema", "cost", "probe", "grad-check")))
+def cli_argv(draw, scene: str, pe: str) -> list[str]:
+    command = draw(st.sampled_from(("plan", "schema", "cost", "probe", "grad-check", "interp-pe")))
     if command in ("plan", "schema", "cost"):
         side = st.integers(-20, 20_000)
         size = f"{draw(side)}x{draw(side)}"
@@ -466,6 +475,10 @@ def cli_argv(draw, scene: str) -> list[str]:
                 f"--scale={draw(option_values(st.floats(1e-3, 8.0)))}",
                 f"--aspect-w={draw(option_values(st.floats(allow_nan=False, allow_infinity=False)))}",
                 f"--aspect-h={draw(option_values(st.floats(allow_nan=False, allow_infinity=False)))}"]
+    if command == "interp-pe":
+        # 24x24 = M fits the default budget; 577 and 100000 exceed it on either axis
+        side = st.sampled_from(("-1", "0", "1", "24", "577", "100000"))
+        return ["interp-pe", pe, str(Path(pe).with_name("out.bin")), f"--rows={draw(side)}", f"--cols={draw(side)}"]
     size = option_values(st.integers(-3, 8))
     step = option_values(st.floats(-1.0, 1.0) | st.floats(1e-9, 1e-3))
     return ["grad-check", f"--queries={draw(size)}", f"--tokens={draw(size)}", f"--dim={draw(size)}",
@@ -477,11 +490,18 @@ def fuzz_scene(tmp_path_factory):
     return str(write_scene(tmp_path_factory.mktemp("fuzz")))
 
 
+@pytest.fixture(scope="module")
+def fuzz_pe(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz_pe") / "pe.bin"
+    path.write_bytes(binio.grid_to_bytes(PosEmbedGrid(values=np.random.default_rng(5).normal(size=(6, 5, 3)))))
+    return str(path)
+
+
 class TestFuzz:
     @settings(max_examples=150)
     @given(data=st.data())
-    def test_every_outcome_is_success_one_line_error_or_usage_error(self, fuzz_scene, data):
-        argv = data.draw(cli_argv(fuzz_scene))
+    def test_every_outcome_is_success_one_line_error_or_usage_error(self, fuzz_scene, fuzz_pe, data):
+        argv = data.draw(cli_argv(fuzz_scene, fuzz_pe))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -126,6 +128,44 @@ class TestInterpolation:
         assert out.values.shape == (r1, c1, 2)
         expect = bilinear_oracle(src.values, r1, c1)
         assert np.max(np.abs(out.values - expect)) < 1e-12
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
+    def test_full_table_matches_pointwise_oracle(self, r1, c1):
+        src = self.make_grid(24, 24)
+        out = interpolate_pos_embed(src, PatchGrid(cols=c1, rows=r1))
+        assert np.max(np.abs(out.values - bilinear_oracle(src.values, r1, c1))) < 1e-12
+
+    @pytest.mark.parametrize("shape, target", [((1, 7), (5, 7)), ((6, 1), (6, 9)), ((1, 1), (4, 3))])
+    def test_single_row_or_column_source_tiles_exactly(self, shape, target):
+        src = self.make_grid(*shape)
+        out = interpolate_pos_embed(src, PatchGrid(cols=target[1], rows=target[0]))
+        assert np.array_equal(out.values, np.broadcast_to(src.values, out.values.shape))
+
+    @pytest.mark.parametrize("rows, cols, kept", [(1, 7, np.s_[:1]), (5, 1, np.s_[:, :1]), (1, 1, np.s_[:1, :1])])
+    def test_target_of_one_keeps_the_first_cell(self, rows, cols, kept):
+        src = self.make_grid(5, 7)
+        out = interpolate_pos_embed(src, PatchGrid(cols=cols, rows=rows))
+        assert np.array_equal(out.values, src.values[kept])
+
+    def test_repeated_calls_are_bit_equal(self):
+        src = self.make_grid(24, 24, dim=64)
+        first = interpolate_pos_embed(src, PatchGrid(cols=25, rows=17)).values
+        interpolate_pos_embed(src, PatchGrid(cols=19, rows=29))
+        assert np.array_equal(interpolate_pos_embed(src, PatchGrid(cols=25, rows=17)).values, first)
+
+    @pytest.mark.parametrize("rows, cols", [(17, 25), (29, 19)])
+    def test_peak_allocation_below_three_outputs(self, rows, cols):
+        """One warm call from the 24x24x1024 table peaks below 3x the output's bytes."""
+        src = self.make_grid(24, 24, dim=1024)
+        target = PatchGrid(cols=cols, rows=rows)
+        interpolate_pos_embed(src, target)
+        tracemalloc.start()
+        try:
+            out = interpolate_pos_embed(src, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * out.values.nbytes
 
     def test_separable_axis_order(self):
         from slicekit.patches import _interp_axis
