@@ -17,7 +17,7 @@ from dataclasses import replace
 from . import cost, probes, schema
 from .config import AppConfig, load_config
 from .jsonfile import load_json_file
-from .partition import ImageSize, PartitionPlan, PatchGrid, select_partition
+from .partition import ImageSize, PatchGrid, select_partition
 
 
 def _parse_size(text: str) -> ImageSize:
@@ -40,23 +40,14 @@ def _emit(payload: dict, cfg: AppConfig, out: str | None) -> None:
         print(text)
 
 
-def _capped_plan(image: ImageSize, cfg: AppConfig) -> PartitionPlan:
-    """select_partition, refused when the chosen grid cuts more than max_N slices."""
-    plan = select_partition(image, cfg.vit)
-    if plan.grid.slice_count > cfg.max_slices:
-        raise ValueError(f"{image.width_px}x{image.height_px} would be cut into {plan.grid.slice_count} slices, "
-                         f"which exceeds max_N={cfg.max_slices}")
-    return plan
-
-
 def cmd_plan(args, cfg: AppConfig) -> int:
-    plan = _capped_plan(args.image, cfg)
+    plan = select_partition(args.image, cfg.vit, cfg.max_slices)
     _emit({**plan.to_json_dict(), "llm_tokens": schema.token_count(plan, cfg.dims.resampler_queries)}, cfg, args.out)
     return 0
 
 
 def cmd_schema(args, cfg: AppConfig) -> int:
-    plan = _capped_plan(args.image, cfg)
+    plan = select_partition(args.image, cfg.vit, cfg.max_slices)
     seq = schema.serialize_layout(plan, cfg.dims.resampler_queries)
     print(schema.render_layout(seq))
     _emit(schema.summary(seq), cfg, args.out)
@@ -108,10 +99,11 @@ def cmd_grad_check(args, cfg: AppConfig) -> int:
 
 def cmd_cost(args, cfg: AppConfig) -> int:
     if args.compare_with is None:
-        report = cost.estimate_flops(cfg.dims, args.image, args.strategy, args.text_tokens, cfg.vit)
+        report = cost.estimate_flops(cfg.dims, args.image, args.strategy, args.text_tokens, cfg.vit, cfg.max_slices)
         _emit(report.to_json_dict(), cfg, args.out)
         return 0
-    ratio, a, b = cost.compare_strategies(cfg.dims, args.strategy, args.compare_with, args.image, args.text_tokens, cfg.vit)
+    ratio, a, b = cost.compare_strategies(cfg.dims, args.strategy, args.compare_with, args.image, args.text_tokens,
+                                          cfg.vit, cfg.max_slices)
     _emit({"ratio": ratio, "a": a.to_json_dict(), "b": b.to_json_dict()}, cfg, args.out)
     return 0
 

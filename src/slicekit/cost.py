@@ -127,13 +127,13 @@ def mlp_projector_flops(dims: ModelDims, input_tokens: int) -> float:
     return input_tokens * (2.0 * d_in * h + 2.0 * h * d_out)
 
 
-def _encoder_passes(image: ImageSize, vit: VitSpec, strategy: str) -> list[int]:
-    """Token count of each encoder forward pass (slices + overview)."""
+def _encoder_passes(image: ImageSize, vit: VitSpec, strategy: str, max_slices: int | None) -> list[int]:
+    """Token count of each encoder forward pass (slices + overview); a sliced plan is capped at max_slices."""
     if strategy == "llava15":
         return [vit.token_budget]  # single square-resized pass
     if strategy == "fixed2x2-mlp":
         return [vit.token_budget] * 5  # four fixed slices + overview
-    return [g.tokens for g in select_partition(image, vit).patch_grids]
+    return [g.tokens for g in select_partition(image, vit, max_slices).patch_grids]
 
 
 def estimate_flops(
@@ -142,6 +142,7 @@ def estimate_flops(
     strategy: str = "uhd",
     text_tokens: int = 0,
     vit: VitSpec | None = None,
+    max_slices: int | None = None,
 ) -> CostReport:
     """Cost report for one encoding strategy on one image."""
     if strategy not in STRATEGIES:
@@ -149,7 +150,7 @@ def estimate_flops(
     vit = vit or VitSpec()
     if text_tokens < 0:
         raise ValueError(f"text_tokens must be >= 0, got {text_tokens}")
-    passes = _encoder_passes(image, vit, strategy)
+    passes = _encoder_passes(image, vit, strategy, max_slices)
     encoder = sum(transformer_stack_flops(dims.encoder, t) for t in passes)
 
     if strategy == "uhd":
@@ -177,8 +178,9 @@ def compare_strategies(
     image: ImageSize,
     text_tokens: int = 0,
     vit: VitSpec | None = None,
+    max_slices: int | None = None,
 ) -> tuple[float, CostReport, CostReport]:
     """Total-cost ratio a/b plus both reports."""
-    a = estimate_flops(dims, image, strategy_a, text_tokens, vit)
-    b = estimate_flops(dims, image, strategy_b, text_tokens, vit)
+    a = estimate_flops(dims, image, strategy_a, text_tokens, vit, max_slices)
+    b = estimate_flops(dims, image, strategy_b, text_tokens, vit, max_slices)
     return a.total_flops / b.total_flops, a, b

@@ -188,11 +188,9 @@ def candidate_grids(n: int) -> set[SliceGrid]:
         raise ValueError("slice count must be >= 1")
     out: set[SliceGrid] = set()
     for target in (n - 1, n, n + 1):
-        if target < 1:
-            continue
-        for m in range(1, target + 1):
+        for m in range(1, math.isqrt(target) + 1):
             if target % m == 0:
-                out.add(SliceGrid(cols_m=m, rows_n=target // m))
+                out.update((SliceGrid(cols_m=m, rows_n=target // m), SliceGrid(cols_m=target // m, rows_n=m)))
     return out
 
 
@@ -263,12 +261,13 @@ def _split_axis(length: int, parts: int) -> list[tuple[int, int]]:
     return spans
 
 
-def select_partition(image: ImageSize, vit: VitSpec) -> PartitionPlan:
+def select_partition(image: ImageSize, vit: VitSpec, max_slices: int | None = None) -> PartitionPlan:
     """Pick the grid maximizing the partition score over the candidate set, exactly for integer sizes.
 
     An image with a side below one patch is rejected; a grid whose slices would be narrower or shorter than one
     patch is passed over for 1x1 (within 14..4032 px per side only at N=1, where the N+1 candidates 2x1 and 1x2
-    would cut slices of a few pixels).  So every block of every plan can be fitted a patch grid.
+    would cut slices of a few pixels).  So every block of every plan can be fitted a patch grid.  A chosen grid
+    of more than max_slices slices (the config's max_N) is refused before any slice is cut.
     """
     if min(image.width_px, image.height_px) < vit.patch_px:
         raise ValueError(f"image {image.width_px}x{image.height_px} has a side below one {vit.patch_px}px patch")
@@ -277,6 +276,9 @@ def select_partition(image: ImageSize, vit: VitSpec) -> PartitionPlan:
     grid = grid_table(n)[0][grid_index(n, p * p, q * q)]
     if image.width_px // grid.cols_m < vit.patch_px or image.height_px // grid.rows_n < vit.patch_px:
         grid = SliceGrid(1, 1)
+    if max_slices is not None and grid.slice_count > max_slices:
+        raise ValueError(f"{image.width_px}x{image.height_px} would be cut into {grid.slice_count} slices, "
+                         f"which exceeds max_N={max_slices}")
     return PartitionPlan(
         image=image,
         vit=vit,

@@ -10,9 +10,9 @@ Scenes are synthetic shape arrangements rendered to portable pixmaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .partition import ImageSize, PixelRect
+from .partition import ImageSize
 
 COLORS = {
     "red": (220, 40, 40),
@@ -70,19 +70,26 @@ class SyntheticScene:
 
 @dataclass(frozen=True)
 class SliceCover:
+    """One tile_px square tile at every (x, y) with x in xs and y in ys: the tile starts per axis, ascending."""
+
     tile_px: int
-    rects: tuple[PixelRect, ...]
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
     padded_canvas: ImageSize
-    grid: tuple[int, int] = field(default=(1, 1))  # tiles along (x, y)
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        """Tiles along (x, y)."""
+        return len(self.xs), len(self.ys)
 
 
-def _axis_positions(length: int, tile_px: int) -> list[int]:
+def _axis_positions(length: int, tile_px: int) -> tuple[int, ...]:
     """Tile start offsets along one axis: equal-overlap placement."""
     if length <= tile_px:
-        return [0]
+        return (0,)
     k = math.ceil(length / tile_px)
     stride = (length - tile_px) / (k - 1)
-    return [round(i * stride) for i in range(k)]
+    return tuple(round(i * stride) for i in range(k))
 
 
 def overlap_tile_cover(canvas: ImageSize) -> SliceCover:
@@ -92,17 +99,19 @@ def overlap_tile_cover(canvas: ImageSize) -> SliceCover:
     axis is not tile-divisible the tiles overlap: they are spread at stride
     (dim - tile)/(k - 1), rounded to integer pixels.
     """
-    xs = _axis_positions(canvas.width_px, TILE_PX)
-    ys = _axis_positions(canvas.height_px, TILE_PX)
-    rects = tuple(PixelRect(x=x, y=y, w=TILE_PX, h=TILE_PX) for y in ys for x in xs)
     padded = ImageSize(max(canvas.width_px, TILE_PX), max(canvas.height_px, TILE_PX))
-    return SliceCover(tile_px=TILE_PX, rects=rects, padded_canvas=padded, grid=(len(xs), len(ys)))
+    return SliceCover(tile_px=TILE_PX, xs=_axis_positions(canvas.width_px, TILE_PX),
+                      ys=_axis_positions(canvas.height_px, TILE_PX), padded_canvas=padded)
 
 
 def object_multiplicity(obj: SceneObject, cover: SliceCover) -> int:
-    """Number of tiles whose (half-open) extent contains the object center."""
+    """Number of tiles whose (half-open) extent contains the object center.
+
+    A tile contains a point exactly when both of its axis spans do, so the count is the product of the per-axis counts.
+    """
     x, y = obj.center
-    return sum(1 for r in cover.rects if r.x <= x < r.x + r.w and r.y <= y < r.y + r.h)
+    t = cover.tile_px
+    return sum(s <= x < s + t for s in cover.xs) * sum(s <= y < s + t for s in cover.ys)
 
 
 def simulate_count(scene: SyntheticScene, cover: SliceCover) -> int:
@@ -153,7 +162,7 @@ def phase_classify(scene: SyntheticScene, resolution_scale: float) -> tuple[int,
     resized = scene.scaled(resolution_scale)
     truth = len(resized.objects)
     cover = overlap_tile_cover(resized.canvas)
-    if len(cover.rects) == 1:
+    if cover.grid == (1, 1):
         return 1, {truth}
 
     simulated = simulate_count(resized, cover)
@@ -165,14 +174,14 @@ def phase_classify(scene: SyntheticScene, resolution_scale: float) -> tuple[int,
 
 
 def _fragment_count(scene: SyntheticScene, cover: SliceCover) -> int:
-    """Objects counted once per tile their bounding disk touches (cut pieces)."""
+    """Objects counted once per tile their bounding box overlaps (cut pieces): per object, a product of per-axis counts."""
+    t = cover.tile_px
     total = 0
     for obj in scene.objects:
         x, y = obj.center
         half = obj.size / 2
-        for r in cover.rects:
-            if x + half > r.x and x - half < r.x + r.w and y + half > r.y and y - half < r.y + r.h:
-                total += 1
+        total += sum(x - half < s + t and s < x + half for s in cover.xs) * sum(
+            y - half < s + t and s < y + half for s in cover.ys)
     return total
 
 

@@ -101,17 +101,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _attend(q_vals: np.ndarray, t_vals: np.ndarray, params: AttentionParams) -> tuple[np.ndarray, ...]:
-    """Projected queries q, projected keys k and the (K, T) weights; the backward pass needs k."""
-    if t_vals.shape[0] < 1:
-        raise ValueError("empty slice: cross-attention needs at least one token")
-    if not q_vals.shape[1] == t_vals.shape[1] == params.dim:
-        raise ValueError("query/token/parameter dims do not match")
-    q = q_vals @ params.w_q
-    k = t_vals @ params.w_k
-    return q, k, _softmax_rows((q @ k.T) * params.scale)
-
-
 def _query_keys(queries: QuerySet, params: AttentionParams) -> np.ndarray:
     """qk = (Q Wq) Wk^T, the (K, d) map from a raw token to its K logits, shared by every block."""
     if queries.dim != params.dim:
@@ -174,29 +163,28 @@ def compress_slices(
     return out
 
 
-def _forward_backward(
-    q_vals: np.ndarray, t_vals: np.ndarray, params: AttentionParams, probe: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss sum(out * probe) and its analytic gradients."""
-    scale = params.scale
-    q, k, attn = _attend(q_vals, t_vals, params)
-    v = t_vals @ params.w_v
-    out = attn @ v
-    loss = float(np.sum(out * probe))
+def _gradients(
+    queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, probe: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Analytic gradients of sum(compress_slices([tokens], queries, params)[0] * probe).
 
-    d_out = probe
-    d_attn = d_out @ v.T
-    d_v = attn.T @ d_out
+    Backpropagates through qk = (Q Wq) Wk^T and (A X) Wv, the grouping the forward runs, so no (T, d)
+    projection is formed.  The gradients do not depend on the token order, so the tokens are taken as given.
+    """
+    x = tokens.values
+    qk = _query_keys(queries, params)
+    attn = _block_weights(qk, x, params)
+    q = queries.values @ params.w_q
+    d_attn = (probe @ params.w_v.T) @ x.T
     d_logits = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
-    d_q = (d_logits @ k) * scale
-    d_k = (d_logits.T @ q) * scale
-    grads = {
+    d_qk = (d_logits @ x) * params.scale
+    d_q = d_qk @ params.w_k
+    return {
         "queries": d_q @ params.w_q.T,
-        "w_q": q_vals.T @ d_q,
-        "w_k": t_vals.T @ d_k,
-        "w_v": t_vals.T @ d_v,
+        "w_q": queries.values.T @ d_q,
+        "w_k": d_qk.T @ q,
+        "w_v": (attn @ x).T @ probe,
     }
-    return loss, grads
 
 
 def grad_check(
@@ -219,19 +207,15 @@ def grad_check(
         else np.asarray(probe_direction, dtype=np.float64)
     )
 
-    arrays = {
-        "queries": queries.values.copy(),
-        "w_q": params.w_q.copy(),
-        "w_k": params.w_k.copy(),
-        "w_v": params.w_v.copy(),
-    }
+    # the finite differences perturb these copies in place, through the objects that hold them
+    q = QuerySet(values=queries.values.copy())
+    p = AttentionParams(w_q=params.w_q.copy(), w_k=params.w_k.copy(), w_v=params.w_v.copy())
+    arrays = {"queries": q.values, "w_q": p.w_q, "w_k": p.w_k, "w_v": p.w_v}
 
-    def loss_of(arrs: dict[str, np.ndarray]) -> float:
-        p = AttentionParams(w_q=arrs["w_q"], w_k=arrs["w_k"], w_v=arrs["w_v"])
-        return _forward_backward(arrs["queries"], tokens.values, p, probe)[0]
+    def loss() -> float:
+        return float(np.sum(compress_slices([tokens], q, p)[0].values * probe))
 
-    p0 = AttentionParams(w_q=arrays["w_q"], w_k=arrays["w_k"], w_v=arrays["w_v"])
-    _, analytic = _forward_backward(arrays["queries"], tokens.values, p0, probe)
+    analytic = _gradients(q, tokens, p, probe)
     for g in analytic.values():
         if not np.isfinite(g).all():
             raise ValueError("non-finite analytic gradient")
@@ -245,9 +229,9 @@ def grad_check(
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + eps
-            plus = loss_of(arrays)
+            plus = loss()
             arr[idx] = orig - eps
-            minus = loss_of(arrays)
+            minus = loss()
             arr[idx] = orig
             numeric[idx] = (plus - minus) / (2.0 * eps)
         denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric)), 1e-6)

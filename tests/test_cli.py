@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,23 @@ class TestCost:
         assert code == 1
         assert out == "" and err == "error: text_tokens must be >= 0, got -5000\n"
 
+    @pytest.mark.parametrize("size", ["2000x2000", "1000000x1000000", "100000000x100000000"])
+    def test_plan_schema_and_slicing_cost_share_the_max_n_cap(self, capsys, size):
+        errors = set()
+        for argv in (("plan", size), ("schema", size), ("cost", "--image", size),
+                     ("cost", "--image", size, "--strategy", "llava15", "--compare-with", "uhd-mlp")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 2.0, argv
+            assert code == 1 and out == "" and len(err.strip().splitlines()) == 1, argv
+            errors.add(err)
+        assert len(errors) == 1 and errors.pop().endswith("slices, which exceeds max_N=6\n")
+
+    @pytest.mark.parametrize("strategy", ["llava15", "fixed2x2-mlp"])
+    def test_strategies_that_do_not_slice_are_not_capped(self, capsys, strategy):
+        code, out, _ = run(capsys, "cost", "--image", "2000x2000", "--strategy", strategy)
+        assert code == 0 and json.loads(out)["strategy"] == strategy
+
     @pytest.mark.parametrize("raw, named", [({"encoder": {"layers": 1}}, "'projector'"), ([1, 2], "JSON object")])
     def test_bad_dims_file_names_file_and_key(self, capsys, tmp_path, raw, named):
         path = tmp_path / "dims.json"
@@ -375,6 +393,11 @@ class TestProbe:
         assert code == 1 and out == ""
         assert err == f"error: scene scale must be finite and > 0, got {float(scale)}\n"
 
+    def test_phases_at_scale_1e5(self, capsys, tmp_path):
+        code, out, err = run(capsys, "probe", "phases", "--scene", str(write_scene(tmp_path)), "--scale", "1e5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["predicted_answers"] == [2, 6263039]
+
     @pytest.mark.parametrize("step", ["0", "-5"])
     def test_heatmap_rejects_grid_step_below_one(self, capsys, tmp_path, step):
         code, out, err = run(capsys, "probe", "heatmap", "--scene", str(write_scene(tmp_path)), "--grid-step", step)
@@ -460,7 +483,7 @@ def option_values(finite):
 def cli_argv(draw, scene: str, pe: str) -> list[str]:
     command = draw(st.sampled_from(("plan", "schema", "cost", "probe", "grad-check", "interp-pe")))
     if command in ("plan", "schema", "cost"):
-        side = st.integers(-20, 20_000)
+        side = st.integers(-20, 20_000) | st.integers(-20, 10**8)
         size = f"{draw(side)}x{draw(side)}"
         if command != "cost":
             return [command, "--", size]
@@ -471,8 +494,7 @@ def cli_argv(draw, scene: str, pe: str) -> list[str]:
     if command == "probe":
         return ["probe", draw(st.sampled_from(("heatmap", "phases", "padding"))), "--scene", scene,
                 f"--grid-step={draw(option_values(st.integers(-100, 200)))}",
-                # the tile cover grows with the square of the scale, so finite scales stay at most 8
-                f"--scale={draw(option_values(st.floats(1e-3, 8.0)))}",
+                f"--scale={draw(option_values(st.floats(1e-3, 1e5)))}",
                 f"--aspect-w={draw(option_values(st.floats(allow_nan=False, allow_infinity=False)))}",
                 f"--aspect-h={draw(option_values(st.floats(allow_nan=False, allow_infinity=False)))}"]
     if command == "interp-pe":

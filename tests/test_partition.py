@@ -1,9 +1,12 @@
 import math
+import re
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slicekit.config import AppConfig
 from slicekit.partition import (
     ImageSize,
     PixelRect,
@@ -22,6 +25,7 @@ from slicekit.patches import fit_patch_grid, overview_grid
 from slicekit.schema import parse_layout, serialize_layout, token_count
 
 VIT = VitSpec()
+MAX_N = AppConfig().max_slices
 
 sizes = st.builds(
     ImageSize,
@@ -108,6 +112,12 @@ class TestCandidateGrids:
     def test_matches_brute_force(self, n):
         got = {(g.cols_m, g.rows_n) for g in candidate_grids(n)}
         assert got == brute_force_candidates(n)
+
+    @pytest.mark.parametrize("n", [4095, 65536, 99_991, 1_000_000])
+    def test_large_counts_match_trial_division(self, n):
+        """Divisor pairs up to isqrt give every factorization; the counts include squares and their neighbours."""
+        got = {(g.cols_m, g.rows_n) for g in candidate_grids(n)}
+        assert got == {(m, t // m) for t in (n - 1, n, n + 1) for m in range(1, t + 1) if t % m == 0}
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -228,10 +238,19 @@ class TestSelectPartition:
         assert select_partition(ImageSize(28, 14), VIT).grid == SliceGrid(2, 1)
         assert select_partition(ImageSize(14, 28), VIT).grid == SliceGrid(1, 2)
 
-    @given(side_up_to(6 * 336 * 336 // 14).flatmap(lambda w: st.tuples(st.just(w), side_up_to(6 * 336 * 336 // w))))
-    def test_plan_path_never_raises_up_to_six_tiles(self, size):
+    @given(side_up_to((MAX_N + 1) * 336 * 336 // 14)
+           .flatmap(lambda w: st.tuples(st.just(w), side_up_to((MAX_N + 1) * 336 * 336 // w))))
+    def test_capped_plan_path_never_raises_up_to_max_n_plus_one_tiles(self, size):
+        """A plan of at most max_N slices that round-trips through the schema, or the one-line max_N refusal."""
         image, k = ImageSize(*size), 64
-        plan = select_partition(image, VIT)
+        try:
+            plan = select_partition(image, VIT, MAX_N)
+        except ValueError as e:
+            refused = re.fullmatch(rf"{size[0]}x{size[1]} would be cut into (\d+) slices, which exceeds max_N={MAX_N}",
+                                   str(e))
+            assert refused and int(refused[1]) > MAX_N, str(e)
+            return
+        assert plan.grid.slice_count <= MAX_N
         grids = [fit_patch_grid(r.w, r.h, VIT) for r in plan.slice_rects]
         assert all(1 <= g.tokens <= VIT.token_budget for g in grids + [overview_grid(image, VIT)])
         layout = parse_layout(serialize_layout(plan, k))
@@ -244,6 +263,21 @@ class TestSelectPartition:
         plan = select_partition(image, VIT)
         expected = [fit_patch_grid(r.w, r.h, VIT) for r in plan.slice_rects] + [overview_grid(image, VIT)]
         assert list(plan.patch_grids) == expected
+
+    @pytest.mark.parametrize("side", [10**6, 10**8])
+    def test_cap_refuses_before_cutting_a_slice(self, side):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^{side}x{side} would be cut into \d+ slices, which exceeds max_N=6$"):
+            select_partition(ImageSize(side, side), VIT, 6)
+        assert time.perf_counter() - start < 2.0
+
+    def test_cap_applies_after_the_whole_image_fallback(self):
+        for w, h in SUB_PATCH_SIZES[::7]:
+            assert select_partition(ImageSize(w, h), VIT, 1).grid == SliceGrid(1, 1)
+        with pytest.raises(ValueError, match="^28x14 would be cut into 2 slices, which exceeds max_N=1$"):
+            select_partition(ImageSize(28, 14), VIT, 1)
+        plan = select_partition(ImageSize(672, 1008), VIT, 6)
+        assert plan == select_partition(ImageSize(672, 1008), VIT) and plan.grid.slice_count == 6
 
     @pytest.mark.parametrize("w, h", [(5, 5), (13, 4000), (4000, 13), (13, 14)])
     def test_side_below_one_patch_rejected(self, w, h):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from slicekit.partition import ImageSize
 from slicekit.probes import (
     SceneObject,
     SyntheticScene,
+    _fragment_count,
     heatmap_probe,
     object_multiplicity,
     overlap_tile_cover,
@@ -27,28 +29,55 @@ CLUSTER = tuple(
 class TestTileCover:
     def test_small_image_single_padded_tile(self):
         cover = overlap_tile_cover(ImageSize(300, 400))
-        assert len(cover.rects) == 1
+        assert (cover.xs, cover.ys) == ((0,), (0,))
         assert cover.padded_canvas == ImageSize(512, 512)
 
     def test_exact_multiple_disjoint(self):
         cover = overlap_tile_cover(ImageSize(1024, 512))
         assert cover.grid == (2, 1)
-        assert sorted((r.x, r.y) for r in cover.rects) == [(0, 0), (512, 0)]
+        assert (cover.xs, cover.ys) == ((0, 512), (0,))
 
     def test_overlapping_positions(self):
         cover = overlap_tile_cover(ImageSize(768, 768))
         assert cover.grid == (2, 2)
-        assert sorted({r.x for r in cover.rects}) == [0, 256]
+        assert cover.xs == cover.ys == (0, 256)
 
     @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000))
     def test_cover_reaches_both_edges(self, w, h):
         cover = overlap_tile_cover(ImageSize(w, h))
-        assert min(r.x for r in cover.rects) == 0
-        assert max(r.x + r.w for r in cover.rects) >= w
+        for starts, side in ((cover.xs, w), (cover.ys, h)):
+            assert starts[0] == 0 and starts[-1] + cover.tile_px >= side
+            assert list(starts) == sorted(starts)
         kx = math.ceil(w / 512) if w > 512 else 1
         ky = math.ceil(h / 512) if h > 512 else 1
         assert cover.grid == (kx, ky)
-        assert len(cover.rects) == kx * ky
+
+    @given(st.integers(1, 3000), st.integers(1, 3000), st.floats(0, 1, exclude_max=True),
+           st.floats(0, 1, exclude_max=True), st.floats(0.5, 900))
+    def test_per_axis_counts_equal_counting_every_tile(self, w, h, fx, fy, size):
+        """A tile holds a point (or meets a box) exactly when both of its axis spans do."""
+        cover = overlap_tile_cover(ImageSize(w, h))
+        obj = SceneObject("square", "red", (fx * w, fy * h), size)
+        (x, y), half, t = obj.center, size / 2, cover.tile_px
+        tiles = [(tx, ty) for tx in cover.xs for ty in cover.ys]
+        assert object_multiplicity(obj, cover) == sum(tx <= x < tx + t and ty <= y < ty + t for tx, ty in tiles)
+        scene = SyntheticScene(canvas=ImageSize(w, h), objects=(obj,))
+        assert _fragment_count(scene, cover) == sum(
+            x - half < tx + t and tx < x + half and y - half < ty + t and ty < y + half for tx, ty in tiles)
+
+    def test_cover_of_a_huge_canvas_holds_only_the_axis_starts(self):
+        """probe phases --scale 1e5 on a 100x80 scene: a 10^7 x 8*10^6 px canvas, about 3*10^8 tiles."""
+        scene = SyntheticScene(canvas=ImageSize(100, 80), objects=(
+            SceneObject("circle", "red", (30.0, 40.0), 10.0), SceneObject("square", "blue", (70.0, 20.0), 8.0)))
+        tracemalloc.start()
+        try:
+            phase, answers = phase_classify(scene, 1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert overlap_tile_cover(scene.scaled(1e5).canvas).grid == (19532, 15625)
+        assert (phase, answers) == (2, {2, 6263039})
+        assert peak < 8e6
 
 
 class TestCounting:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slicekit import resampler
 from slicekit.resampler import (
     AttentionParams,
     QuerySet,
     TokenMatrix,
     _canonical_order,
+    _gradients,
     _softmax_rows,
     attention_weights,
     compress_slices,
@@ -173,6 +175,53 @@ class TestGradCheck:
         probe = np.random.default_rng(11).normal(size=(3, 8))
         report = grad_check(queries, tokens, params, eps=1e-5, probe_direction=probe)
         assert report["max_rel_err"] < 1e-4
+
+    @pytest.mark.parametrize("t", [1, 9])
+    def test_random_probe_on_one_token_and_on_ties_in_column_0(self, t):
+        queries, params, tokens = setup_case(t, dim=8, k=3, seed_=4)
+        if t == 9:
+            values = tokens.values.copy()
+            values[:, 0] = [1.0, -1.0, 1.0, 0.0, -0.0, 0.0, 1.0, -1.0, 2.0]
+            tokens = TokenMatrix(values=values)
+        probe = np.random.default_rng(12).normal(size=(3, 8))
+        report = grad_check(queries, tokens, params, eps=1e-5, probe_direction=probe)
+        assert report["max_rel_err"] < 1e-4, report
+
+    def test_numeric_loss_runs_compress_slices(self, monkeypatch):
+        """Every finite-difference evaluation is one call of the forward the pipeline runs."""
+        queries, params, tokens = setup_case(5, dim=4, k=2, seed_=6)
+        calls = []
+
+        def counted(slice_tokens, q, p):
+            calls.append(len(slice_tokens))
+            return compress_slices(slice_tokens, q, p)
+
+        monkeypatch.setattr(resampler, "compress_slices", counted)
+        grad_check(queries, tokens, params)
+        assert calls == [1] * 2 * (2 * 4 + 3 * 4 * 4)
+
+    def test_error_messages(self):
+        queries, params, tokens = setup_case(3, dim=6, k=2)
+        mismatch = "^query/token/parameter dims do not match$"
+        with pytest.raises(ValueError, match=mismatch):
+            grad_check(queries, TokenMatrix(values=np.zeros((3, 7))), params)
+        with pytest.raises(ValueError, match=mismatch):
+            grad_check(init_resampler(2, 7, 0)[0], tokens, params)
+        with pytest.raises(ValueError, match="^empty slice: cross-attention needs at least one token$"):
+            grad_check(queries, TokenMatrix(values=np.zeros((0, 6))), params)
+
+    def test_backward_forms_no_projection_per_token(self):
+        """Peak traced memory of the analytic gradients stays below half the token block (X Wk or X Wv adds 1x)."""
+        queries, params, tokens = setup_case(4096, dim=256, k=4)
+        probe = np.ones((4, 256))
+        _gradients(queries, tokens, params, probe)
+        tracemalloc.start()
+        try:
+            _gradients(queries, tokens, params, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * tokens.values.nbytes
 
     def test_eps_validated(self):
         queries, params, tokens = setup_case(4, dim=6, k=2)
