@@ -156,9 +156,14 @@ def cmd_probe(args, cfg: AppConfig) -> int:
 
 
 def cmd_verify(args, cfg: AppConfig) -> int:
+    if not 1 <= args.samples < math.inf:
+        raise ValueError(f"--samples must be a finite number >= 1, got {args.samples}")
+
     from . import verify
 
-    report = verify.run_proof_checks(samples=args.samples, seed=cfg.seed, grid_density=args.grid_density)
+    if args.grid_density < verify.MIN_GRID_DENSITY:
+        raise ValueError(f"--grid-density must be >= {verify.MIN_GRID_DENSITY}, got {args.grid_density}")
+    report = verify.run_proof_checks(samples=int(args.samples), seed=cfg.seed, grid_density=args.grid_density)
     _emit(report, cfg, args.out)
     return 0 if report["pass"] else 1
 
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the partition strategy's theoretical claims")
     p.add_argument("what", choices=("proofs",))
-    p.add_argument("--samples", type=lambda s: int(float(s)), default=10_000_000)
+    p.add_argument("--samples", type=float, default=10_000_000)
     p.add_argument("--grid-density", type=int, default=1500)
     p.set_defaults(func=cmd_verify)
 

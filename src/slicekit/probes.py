@@ -136,18 +136,26 @@ def heatmap_probe(
         raise ValueError(f"heatmap grid step must be >= 1 px, got {grid_step_px}")
     max_dx = max(o.center[0] for o in object_template)
     max_dy = max(o.center[1] for o in object_template)
+    oxs = range(0, canvas.width_px - math.ceil(max_dx), grid_step_px)
+    oys = range(0, canvas.height_px - math.ceil(max_dy), grid_step_px)
+    if not (oxs and oys):
+        return [[] for _ in oys]
+    # offsets only grow from the origin and every placement fits below the far edges, so the template
+    # placed at the origin is the one that can put a centre outside the canvas
+    SyntheticScene(canvas=canvas, objects=tuple(
+        SceneObject(o.shape, o.color, (o.center[0] + 0, o.center[1] + 0), o.size) for o in object_template))
     cover = overlap_tile_cover(canvas)
-    matrix: list[list[int]] = []
-    for oy in range(0, canvas.height_px - math.ceil(max_dy), grid_step_px):
-        row = []
-        for ox in range(0, canvas.width_px - math.ceil(max_dx), grid_step_px):
-            placed = tuple(
-                SceneObject(o.shape, o.color, (o.center[0] + ox, o.center[1] + oy), o.size)
-                for o in object_template
-            )
-            scene = SyntheticScene(canvas=canvas, objects=placed)
-            row.append(simulate_count(scene, cover))
-        matrix.append(row)
+    t = cover.tile_px
+    # a tile holds a centre exactly when both axis spans do: per object, tiles along x times tiles along y
+    along_x = list(zip(*([sum(s <= o.center[0] + ox < s + t for s in cover.xs) for ox in oxs]
+                         for o in object_template)))
+    rows: dict[tuple[int, ...], list[int]] = {}
+    matrix = []
+    for along_y in zip(*([sum(s <= o.center[1] + oy < s + t for s in cover.ys) for oy in oys]
+                         for o in object_template)):
+        if along_y not in rows:  # placements whose per-object y counts agree have equal rows
+            rows[along_y] = [sum(x * y for x, y in zip(xs, along_y)) for xs in along_x]
+        matrix.append(list(rows[along_y]))
     return matrix
 
 

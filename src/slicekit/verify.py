@@ -25,6 +25,7 @@ from .partition import grid_index, grid_table
 
 TWO_LOG2 = 2.0 * math.log(2.0)
 MC_SHARD_SIZE = 1_000_000  # samples per independently seeded Monte Carlo shard; changing it changes the draws
+MIN_GRID_DENSITY = 1000  # points per axis of the bounds sweep
 
 
 @dataclass(frozen=True)
@@ -71,18 +72,33 @@ class StatReport:
 
 def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best (cols, rows) per sample for a square-pretrained encoder, from the same
-    switch table and tie-breaks as select_partition (partition.grid_table)."""
-    ideal = np.maximum(np.ceil(area_ratio).astype(np.int64), 1)
-    cols = np.empty(area_ratio.shape, dtype=np.int64)
-    rows = np.empty(area_ratio.shape, dtype=np.int64)
-    aspect_sq = aspect * aspect
-    for n in np.unique(ideal).tolist():
-        idx = np.nonzero(ideal == n)[0]
-        grids = grid_table(n)[0]
-        best = grid_index(n, aspect_sq[idx], 1)
-        cols[idx] = np.array([g.cols_m for g in grids])[best]
-        rows[idx] = np.array([g.rows_n for g in grids])[best]
-    return cols, rows
+    switch table and tie-breaks as select_partition (partition.grid_table).
+
+    One stable sort groups the samples by band (ideal count ceil(area_ratio)); grid_index runs on each band's
+    contiguous slice of aspect^2, and a small per-sample index into all bands' grids is scattered back.
+    """
+    band = np.maximum(np.ceil(area_ratio), 1)
+    band = band.astype(np.uint8 if (band <= 255).all() else np.int64)  # numpy radix-sorts uint8
+    order = np.argsort(band, kind="stable")
+    band = band[order]
+    bounds = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), band.size]
+    bands = band[bounds[:-1]].tolist() if band.size else []
+    del band  # the dels keep the peak below the two int64 outputs plus about two sample arrays
+    tables = [grid_table(n)[0] for n in bands]
+    offsets = np.cumsum([0, *map(len, tables)])
+    aspect_sq = aspect[order]
+    aspect_sq *= aspect_sq
+    chosen = np.empty(aspect_sq.shape, dtype=np.min_scalar_type(offsets[-1]))
+    for lo, hi, n, offset in zip(bounds, bounds[1:], bands, offsets):
+        chosen[lo:hi] = offset + grid_index(n, aspect_sq[lo:hi], 1)
+    del aspect_sq
+    index = np.empty_like(chosen)
+    index[order] = chosen
+    del order, chosen
+    grids = [g for table in tables for g in table]
+    cols = np.array([g.cols_m for g in grids], dtype=np.int64)
+    rows = np.array([g.rows_n for g in grids], dtype=np.int64)
+    return cols[index], rows[index]
 
 
 def slice_statistics(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,13 +118,17 @@ def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    worst = 0.0
+    holds, worst = True, 0.0
     for n in range(1, n_max + 1):
-        logs = [math.log(g.rows_n / g.cols_m) for g in grid_table(n)[0]]
+        grids = grid_table(n)[0]
+        logs = [math.log(g.rows_n / g.cols_m) for g in grids]
         # in the sorted table each candidate's nearest neighbour is adjacent
         gaps = [abs(a - b) for a, b in zip(logs, logs[1:])]
         worst = max(worst, gaps[0], gaps[-1], *(min(a, b) for a, b in zip(gaps, gaps[1:])))
-    return worst <= TWO_LOG2, worst
+        # decided in integers: neighbours a < b in cols/rows are within 2*log(2) iff (c_b/r_b) / (c_a/r_a) <= 4
+        near = [b.cols_m * a.rows_n <= 4 * a.cols_m * b.rows_n for a, b in zip(grids, grids[1:])]
+        holds = holds and all(left or right for left, right in zip([False, *near], [*near, False]))
+    return holds, worst
 
 
 def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, float]:
@@ -117,22 +137,19 @@ def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, f
     Ratios are folded; the full symmetric aspect range [1/hi, hi] gives the
     same folded values by symmetry of the score.
     """
-    if grid_density < 1000:
-        raise ValueError("grid density must be >= 1000 per axis")
+    if grid_density < MIN_GRID_DENSITY:
+        raise ValueError(f"grid density must be >= {MIN_GRID_DENSITY} per axis")
     d = DistributionSpec()
     # open at the low area ratio: start half a step in
     n_vals = d.area_ratio_lo + (np.arange(grid_density) + 0.5) * (d.area_ratio_hi - d.area_ratio_lo) / grid_density
     a_vals = np.exp(np.linspace(math.log(d.aspect_lo), math.log(d.aspect_hi), grid_density))
-    min_r, max_r = math.inf, -math.inf
-    min_s, max_s = math.inf, -math.inf
-    for n_chunk in np.array_split(n_vals, max(1, grid_density // 64)):
-        nn, aa = np.meshgrid(n_chunk, a_vals, indexing="ij")
-        ratio, area = slice_statistics(nn.ravel(), aa.ravel())
-        min_r = min(min_r, float(ratio.min()))
-        max_r = max(max_r, float(ratio.max()))
-        min_s = min(min_s, float(area.min()))
-        max_s = max(max_s, float(area.max()))
-    return min_r, max_r, min_s, max_s
+    # The grid depends on n only through its band ceil(n), so the ratio is constant along n within a band, and
+    # the area n / cells is monotone in n (rounded division by a positive constant is): each band's first and
+    # last n carry every extreme of the full grid.
+    last = np.flatnonzero(np.diff(np.ceil(n_vals)))
+    nn, aa = np.meshgrid(n_vals[np.unique(np.r_[0, last, last + 1, grid_density - 1])], a_vals, indexing="ij")
+    ratio, area = slice_statistics(nn.ravel(), aa.ravel())
+    return float(ratio.min()), float(ratio.max()), float(area.min()), float(area.max())
 
 
 def monte_carlo_expectations(

@@ -428,6 +428,23 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["candidate_density"]["holds"] is True
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--samples", "inf"], "--samples must be a finite number >= 1, got inf"),
+        (["--samples", "1e400"], "--samples must be a finite number >= 1, got inf"),
+        (["--samples", "nan"], "--samples must be a finite number >= 1, got nan"),
+        (["--samples", "0"], "--samples must be a finite number >= 1, got 0.0"),
+        (["--samples", "-1"], "--samples must be a finite number >= 1, got -1.0"),
+        (["--samples", "2e4", "--grid-density", "10"], "--grid-density must be >= 1000, got 10"),
+    ])
+    def test_bad_values_rejected_before_any_work(self, capsys, monkeypatch, argv, message):
+        from slicekit import verify
+
+        def no_work(*a, **k):
+            raise AssertionError("ran the proof checks")
+        monkeypatch.setattr(verify, "run_proof_checks", no_work)
+        code, out, err = run(capsys, "verify", "proofs", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestInterpPe:
     def test_file_round_trip(self, capsys, tmp_path):
@@ -481,7 +498,7 @@ def option_values(finite):
 
 @st.composite
 def cli_argv(draw, scene: str, pe: str) -> list[str]:
-    command = draw(st.sampled_from(("plan", "schema", "cost", "probe", "grad-check", "interp-pe")))
+    command = draw(st.sampled_from(("plan", "schema", "cost", "probe", "grad-check", "interp-pe", "verify")))
     if command in ("plan", "schema", "cost"):
         side = st.integers(-20, 20_000) | st.integers(-20, 10**8)
         size = f"{draw(side)}x{draw(side)}"
@@ -501,6 +518,10 @@ def cli_argv(draw, scene: str, pe: str) -> list[str]:
         # 24x24 = M fits the default budget; 577 and 100000 exceed it on either axis
         side = st.sampled_from(("-1", "0", "1", "24", "577", "100000"))
         return ["interp-pe", pe, str(Path(pe).with_name("out.bin")), f"--rows={draw(side)}", f"--cols={draw(side)}"]
+    if command == "verify":
+        samples = st.sampled_from(("-1", "0", "1", "20000", "inf", "nan", "1e400"))
+        density = st.sampled_from(("-5", "999", "1000", "3000"))
+        return ["verify", "proofs", f"--samples={draw(samples)}", f"--grid-density={draw(density)}"]
     size = option_values(st.integers(-3, 8))
     step = option_values(st.floats(-1.0, 1.0) | st.floats(1e-9, 1e-3))
     return ["grad-check", f"--queries={draw(size)}", f"--tokens={draw(size)}", f"--dim={draw(size)}",
@@ -531,7 +552,7 @@ class TestFuzz:
             except SystemExit as e:
                 assert e.code == 2, argv
                 return
-        if code == 1 and argv[0] == "grad-check" and err.getvalue() == "":
+        if code == 1 and argv[0] in ("grad-check", "verify") and err.getvalue() == "":
             assert json.loads(out.getvalue())["pass"] is False  # a failed check is reported, not an error
         elif code == 1:
             assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())

@@ -101,6 +101,39 @@ class TestCounting:
         values = {v for row in matrix for v in row}
         assert values == {4, 8, 16}
 
+    @given(
+        st.integers(1, 1100), st.integers(1, 1100),
+        st.lists(st.tuples(st.floats(0, 600) | st.integers(0, 600), st.floats(0, 600) | st.integers(0, 600)),
+                 min_size=1, max_size=4),
+        st.integers(16, 200),
+    )
+    def test_heatmap_equals_per_placement_scenes(self, w, h, centers, step):
+        canvas = ImageSize(w, h)
+        template = tuple(SceneObject("square", "red", c, 10.0) for c in centers)
+        cover = overlap_tile_cover(canvas)
+        expected = [
+            [simulate_count(SyntheticScene(canvas, tuple(
+                SceneObject(o.shape, o.color, (o.center[0] + ox, o.center[1] + oy), o.size) for o in template)), cover)
+             for ox in range(0, w - math.ceil(max(c[0] for c in centers)), step)]
+            for oy in range(0, h - math.ceil(max(c[1] for c in centers)), step)
+        ]
+        assert heatmap_probe(canvas, template, step) == expected
+
+    def test_heatmap_one_pixel_step_on_a_large_canvas(self):
+        matrix = heatmap_probe(ImageSize(1000, 1000), CLUSTER, 1)
+        assert (len(matrix), len(matrix[0])) == (968, 968)
+        cover = overlap_tile_cover(ImageSize(1000, 1000))
+        for oy, ox in ((0, 0), (455, 500), (487, 488), (967, 967), (300, 700)):
+            placed = tuple(SceneObject("circle", "red", (o.center[0] + ox, o.center[1] + oy), 24.0) for o in CLUSTER)
+            assert matrix[oy][ox] == simulate_count(SyntheticScene(ImageSize(1000, 1000), placed), cover)
+
+    def test_heatmap_centre_outside_canvas_raises_only_with_a_placement(self):
+        template = (SceneObject("circle", "red", (-5.0, 10.0), 24.0),)
+        with pytest.raises(ValueError, match=r"object center \(-5.0, 10.0\) outside canvas"):
+            heatmap_probe(ImageSize(768, 768), template, 64)
+        assert heatmap_probe(ImageSize(768, 10), template, 64) == []  # no row fits, so nothing is placed
+        assert heatmap_probe(ImageSize(10, 30), (SceneObject("circle", "red", (20.0, -5.0), 24.0),), 8) == [[]] * 5
+
     @pytest.mark.parametrize("step", [0, -5])
     def test_heatmap_rejects_grid_step_below_one(self, step):
         with pytest.raises(ValueError, match=f"grid step must be >= 1 px, got {step}$"):

@@ -1,14 +1,17 @@
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slicekit.partition import ImageSize, VitSpec, select_partition
+from slicekit.partition import ImageSize, VitSpec, grid_index, grid_table, select_partition
 from slicekit.verify import (
     ALTERNATE_SPEC,
+    MIN_GRID_DENSITY,
     TWO_LOG2,
     DistributionSpec,
     enumerate_ratio_bound,
@@ -62,6 +65,48 @@ class TestVectorizedSelection:
             grid = select_partition(ImageSize(side, side), VIT).grid
             assert (c, r) == (grid.cols_m, grid.rows_n)
 
+    @given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 7, 12, 20, 255, 256, 300]), st.data()), max_size=60))
+    def test_equals_per_sample_grid_index_on_mixed_bands(self, draws):
+        area, aspect = [], []
+        for n, data in draws:
+            # n itself, the open low end of its band, or a point inside it
+            area.append(data.draw(st.sampled_from([float(n), math.nextafter(n - 1, n), n - 0.5]) if n > 1
+                                  else st.sampled_from([1.0, 0.25])))
+            aspect.append(data.draw(st.sampled_from(switch_aspects(n)) | st.floats(1 / 8, 8)))
+        cols, rows = select_grids_vectorized(np.array(area), np.array(aspect))
+        assert cols.dtype == rows.dtype == np.int64 and cols.shape == rows.shape == (len(area),)
+        for a, s, c, r in zip(area, aspect, cols.tolist(), rows.tolist()):
+            n = max(math.ceil(a), 1)
+            grid = grid_table(n)[0][grid_index(n, s * s, 1)]
+            assert (c, r) == (grid.cols_m, grid.rows_n), (a, s)
+
+    def test_empty_input(self):
+        cols, rows = select_grids_vectorized(np.empty(0), np.empty(0))
+        assert cols.shape == rows.shape == (0,) and cols.dtype == rows.dtype == np.int64
+
+    def test_peak_memory_below_four_and_a_half_sample_arrays(self):
+        rng = np.random.default_rng(0)
+        area, aspect = rng.uniform(1, 20, 10**6), np.exp(rng.uniform(0, math.log(6), 10**6))
+        tracemalloc.start()
+        try:
+            select_grids_vectorized(area, aspect)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * area.nbytes, peak  # the two int64 outputs take 2 of them
+
+
+def switch_aspects(n: int) -> list[float]:
+    """Aspects at band n's switch points a^2 = num/den and one ulp either side, plus any aspect within two
+    ulps that grid_index sees exactly on the switch point (a*a*den == num)."""
+    out = []
+    for num, den, _ in grid_table(n)[1]:
+        a = math.sqrt(num / den)
+        near = [math.nextafter(math.nextafter(a, 0), 0), math.nextafter(a, 0), a, math.nextafter(a, math.inf),
+                math.nextafter(math.nextafter(a, math.inf), math.inf)]
+        out += [x for x in near if x * x * den == num] + near[1:4]
+    return out
+
 
 class TestEnumerationBound:
     def test_holds_up_to_twenty(self):
@@ -74,6 +119,20 @@ class TestEnumerationBound:
         with pytest.raises(ValueError):
             enumerate_ratio_bound(0)
 
+    @pytest.mark.parametrize("n_max", [*range(1, 61), 81, 82, 102, 128])
+    def test_matches_exact_oracle(self, n_max):
+        # holds when every candidate's nearer neighbour is at most 4 apart in cols/rows, i.e. 2*log(2) in
+        # log-aspect; 1x2 and 2x1 (n=2) are exactly 4 apart, 9x9 (n=82) is 9 from both neighbours, and
+        # 6x17 (n=102) and 8x16 (n=128) are exactly 4 from the nearer one
+        def nearer_gap(grids, i):
+            ratio = [Fraction(g.cols_m, g.rows_n) for g in grids]
+            return min(max(ratio[i] / ratio[j], ratio[j] / ratio[i]) for j in (i - 1, i + 1) if 0 <= j < len(grids))
+
+        gaps = [nearer_gap(grid_table(n)[0], i) for n in range(1, n_max + 1) for i in range(len(grid_table(n)[0]))]
+        holds, worst = enumerate_ratio_bound(n_max)
+        assert holds is all(gap <= 4 for gap in gaps)
+        assert worst == pytest.approx(math.log(max(gaps)), rel=1e-12)
+
 
 class TestSweep:
     def test_bounds_on_dense_grid(self):
@@ -85,6 +144,22 @@ class TestSweep:
     def test_density_floor_enforced(self):
         with pytest.raises(ValueError):
             sweep_slice_bounds(grid_density=10)
+        with pytest.raises(ValueError):
+            sweep_slice_bounds(grid_density=MIN_GRID_DENSITY - 1)
+
+    @pytest.mark.parametrize("density", [1000, 1500, 1777, 2048])
+    def test_equals_full_grid(self, density):
+        # every (n, aspect) point of the grid, a chunk of n rows at a time
+        d = DistributionSpec()
+        n_vals = d.area_ratio_lo + (np.arange(density) + 0.5) * (d.area_ratio_hi - d.area_ratio_lo) / density
+        a_vals = np.exp(np.linspace(math.log(d.aspect_lo), math.log(d.aspect_hi), density))
+        min_r, max_r, min_s, max_s = math.inf, -math.inf, math.inf, -math.inf
+        for n_chunk in np.array_split(n_vals, max(1, density // 64)):
+            nn, aa = np.meshgrid(n_chunk, a_vals, indexing="ij")
+            ratio, area = slice_statistics(nn.ravel(), aa.ravel())
+            min_r, max_r = min(min_r, float(ratio.min())), max(max_r, float(ratio.max()))
+            min_s, max_s = min(min_s, float(area.min())), max(max_s, float(area.max()))
+        assert sweep_slice_bounds(density) == (min_r, max_r, min_s, max_s)
 
 
 class TestMonteCarlo:
@@ -92,6 +167,17 @@ class TestMonteCarlo:
         a = monte_carlo_expectations(DistributionSpec(), samples=50_000, seed=7)
         b = monte_carlo_expectations(DistributionSpec(), samples=50_000, seed=7)
         assert a == b
+
+    def test_pinned_values(self):
+        # the selection changed in how it groups samples, not in what it computes
+        assert repr(monte_carlo_expectations(DistributionSpec(), 50_000, 7)) == (
+            "(StatReport(expectation=1.2532813865522736, variance=0.042244559086567435, samples=50000, "
+            "std_error=0.0009191796243016643, seed=7), StatReport(expectation=0.9409411842453855, "
+            "variance=0.020637757001658263, samples=50000, std_error=0.0006424602244755432, seed=7))")
+        assert repr(monte_carlo_expectations(ALTERNATE_SPEC, 50_000, 7)) == (
+            "(StatReport(expectation=1.3188856151235526, variance=0.063446329912769, samples=50000, "
+            "std_error=0.0011264664212729024, seed=7), StatReport(expectation=0.8447461082764951, "
+            "variance=0.07479829889226208, samples=50000, std_error=0.0012230968799916227, seed=7))")
 
     def test_seed_sensitivity(self):
         a = monte_carlo_expectations(DistributionSpec(), samples=50_000, seed=7)
