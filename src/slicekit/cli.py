@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -59,9 +60,15 @@ def cmd_compress(args, cfg: AppConfig) -> int:
 
     out_paths = [f"{path}.compressed" if args.out_dir is None else f"{args.out_dir}/{path.split('/')[-1]}"
                  for path in args.inputs]
-    clash = [path for i, path in enumerate(out_paths) if path in out_paths[:i]]
-    if clash:
-        raise ValueError(f"two inputs would both write {clash[0]}; give them distinct file names")
+    inputs = {os.path.realpath(path) for path in args.inputs}
+    written: set[str] = set()
+    for out_path in out_paths:
+        real = os.path.realpath(out_path)
+        if real in inputs:
+            raise ValueError(f"{out_path} is also an input; compress would overwrite it")
+        if real in written:
+            raise ValueError(f"two inputs would both write {out_path}; give them distinct file names")
+        written.add(real)
     matrices = []
     for path in args.inputs:
         with open(path, "rb") as f:
@@ -161,6 +168,8 @@ def cmd_verify(args, cfg: AppConfig) -> int:
 
     from . import verify
 
+    if args.samples > verify.MAX_SAMPLES:
+        raise ValueError(f"--samples must be <= {verify.MAX_SAMPLES}, got {args.samples}")
     if args.grid_density < verify.MIN_GRID_DENSITY:
         raise ValueError(f"--grid-density must be >= {verify.MIN_GRID_DENSITY}, got {args.grid_density}")
     report = verify.run_proof_checks(samples=int(args.samples), seed=cfg.seed, grid_density=args.grid_density)
@@ -210,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=4)
     p.add_argument("--tokens", type=int, default=8)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_grad_check)
 
@@ -263,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"probe {args.kind} requires --scene")
     try:
         return args.func(args, cfg)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -2,7 +2,7 @@
 
 A fixed set of K learnable queries attends over each slice's visual tokens,
 producing exactly K output tokens per slice regardless of the input count.
-Includes the analytic backward pass and a central finite-difference
+Includes the analytic backward pass and a four-point finite-difference
 gradient check used to verify it.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+FD_BATCH_ENTRIES = 2**20  # array entries held by one batch of perturbed copies in grad_check; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -96,20 +98,23 @@ def init_resampler(count_k: int, dim: int, seed: int) -> tuple[QuerySet, Attenti
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     # max-subtraction keeps exp() in range; shift-invariant up to rounding
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _query_keys(queries: QuerySet, params: AttentionParams) -> np.ndarray:
-    """qk = (Q Wq) Wk^T, the (K, d) map from a raw token to its K logits, shared by every block."""
+def _projected_queries(queries: QuerySet, params: AttentionParams) -> np.ndarray:
+    """Q Wq; qk = (Q Wq) Wk^T is the (K, d) map from a raw token to its K logits, shared by every block."""
     if queries.dim != params.dim:
         raise ValueError("query/token/parameter dims do not match")
-    return (queries.values @ params.w_q) @ params.w_k.T
+    return queries.values @ params.w_q
 
 
 def _block_weights(qk: np.ndarray, x: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Row-stochastic (K, T) weights softmax((qk X^T) / sqrt(d)) of one block's raw tokens X."""
+    """Row-stochastic (..., K, T) weights softmax((qk X^T) / sqrt(d)) of one block's raw tokens X.
+
+    ``qk`` may carry leading batch axes (the gradient check's perturbed copies); a (K, d) ``qk`` is the forward.
+    """
     if x.shape[0] < 1:
         raise ValueError("empty slice: cross-attention needs at least one token")
     if x.shape[1] != params.dim:
@@ -132,7 +137,7 @@ def _canonical_order(x: np.ndarray) -> np.ndarray:
 
 def attention_weights(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> np.ndarray:
     """Row-stochastic (K, T) attention matrix, columns in the tokens' order."""
-    return _block_weights(_query_keys(queries, params), tokens.values, params)
+    return _block_weights(_projected_queries(queries, params) @ params.w_k.T, tokens.values, params)
 
 
 def cross_attention_forward(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> TokenMatrix:
@@ -154,7 +159,7 @@ def compress_slices(
     and reduced to (A X) Wv: two K*T*d products and one K*d*d product, with
     no (T, d) projection of the tokens.
     """
-    qk = _query_keys(queries, params)
+    qk = _projected_queries(queries, params) @ params.w_k.T
     out = []
     for tokens in slice_tokens:
         x = tokens.values[_canonical_order(tokens.values)]
@@ -163,18 +168,16 @@ def compress_slices(
     return out
 
 
-def _gradients(
-    queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, probe: np.ndarray
-) -> dict[str, np.ndarray]:
+def _gradients(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams,
+               probe: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic gradients of sum(compress_slices([tokens], queries, params)[0] * probe).
 
     Backpropagates through qk = (Q Wq) Wk^T and (A X) Wv, the grouping the forward runs, so no (T, d)
     projection is formed.  The gradients do not depend on the token order, so the tokens are taken as given.
     """
     x = tokens.values
-    qk = _query_keys(queries, params)
-    attn = _block_weights(qk, x, params)
-    q = queries.values @ params.w_q
+    q = _projected_queries(queries, params)
+    attn = _block_weights(q @ params.w_k.T, x, params)
     d_attn = (probe @ params.w_v.T) @ x.T
     d_logits = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
     d_qk = (d_logits @ x) * params.scale
@@ -187,56 +190,51 @@ def _gradients(
     }
 
 
-def grad_check(
-    queries: QuerySet,
-    tokens: TokenMatrix,
-    params: AttentionParams,
-    eps: float = 1e-5,
-    probe_direction: np.ndarray | None = None,
-) -> dict[str, float]:
-    """Compare analytic gradients against central finite differences.
+def _numeric_gradients(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams,
+                       probe: np.ndarray, h: float) -> dict[str, np.ndarray]:
+    """Four-point differences (f(-2h) - 8f(-h) + 8f(+h) - f(+2h)) / 12h of f = sum(compress_slices(...)[0] * probe).
 
-    Returns per-parameter relative errors plus the overall maximum under the
-    key ``max_rel_err``.
+    The copies of one array perturbed at one entry by -2h, -h, +h and +2h are stacked on a leading batch
+    axis, at most FD_BATCH_ENTRIES array entries per batch, and evaluated at once through the forward's
+    grouping: (Q Wq) Wk^T, _block_weights on the tokens in _canonical_order, and (A X) Wv.
+    """
+    x = tokens.values[_canonical_order(tokens.values)]
+    arrays = {"queries": queries.values, "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v}
+    steps = np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h
+    numeric = {}
+    for name, arr in arrays.items():
+        grad = np.empty(arr.size)
+        chunk = max(1, FD_BATCH_ENTRIES // (4 * arr.size))
+        for start in range(0, arr.size, chunk):
+            entries = np.arange(start, min(start + chunk, arr.size))
+            copies = np.broadcast_to(arr.ravel(), (4, entries.size, arr.size)).copy()
+            copies[:, np.arange(entries.size), entries] += steps
+            b = dict(arrays, **{name: copies.reshape(-1, *arr.shape)})
+            attn = _block_weights((b["queries"] @ b["w_q"]) @ np.swapaxes(b["w_k"], -1, -2), x, params)
+            f = (((attn @ x) @ b["w_v"]) * probe).sum(axis=(-2, -1)).reshape(4, -1)
+            grad[entries] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        numeric[name] = grad.reshape(arr.shape)
+    return numeric
+
+
+def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, eps: float = 1e-3,
+               probe_direction: np.ndarray | None = None) -> dict[str, float]:
+    """Compare analytic gradients against four-point finite differences with step ``eps``.
+
+    Returns per-parameter relative errors plus the overall maximum under the key ``max_rel_err``.
     """
     if not (0.0 < eps <= 1e-3):
         raise ValueError("eps must be in (0, 1e-3]")
-    probe = (
-        np.ones((queries.count_k, params.dim))
-        if probe_direction is None
-        else np.asarray(probe_direction, dtype=np.float64)
-    )
-
-    # the finite differences perturb these copies in place, through the objects that hold them
-    q = QuerySet(values=queries.values.copy())
-    p = AttentionParams(w_q=params.w_q.copy(), w_k=params.w_k.copy(), w_v=params.w_v.copy())
-    arrays = {"queries": q.values, "w_q": p.w_q, "w_k": p.w_k, "w_v": p.w_v}
-
-    def loss() -> float:
-        return float(np.sum(compress_slices([tokens], q, p)[0].values * probe))
-
-    analytic = _gradients(q, tokens, p, probe)
+    probe = (np.ones((queries.count_k, params.dim)) if probe_direction is None
+             else np.asarray(probe_direction, dtype=np.float64))
+    analytic = _gradients(queries, tokens, params, probe)
     for g in analytic.values():
         if not np.isfinite(g).all():
             raise ValueError("non-finite analytic gradient")
-
+    numeric = _numeric_gradients(queries, tokens, params, probe, eps)
     report: dict[str, float] = {}
-    worst = 0.0
-    for name, arr in arrays.items():
-        numeric = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            plus = loss()
-            arr[idx] = orig - eps
-            minus = loss()
-            arr[idx] = orig
-            numeric[idx] = (plus - minus) / (2.0 * eps)
-        denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric)), 1e-6)
-        err = float(np.max(np.abs(analytic[name] - numeric) / denom))
-        report[name] = err
-        worst = max(worst, err)
-    report["max_rel_err"] = worst
+    for name, a in analytic.items():
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric[name])), 1e-6)
+        report[name] = float(np.max(np.abs(a - numeric[name]) / denom))
+    report["max_rel_err"] = max(report.values())
     return report

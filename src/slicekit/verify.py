@@ -26,6 +26,7 @@ from .partition import grid_index, grid_table
 TWO_LOG2 = 2.0 * math.log(2.0)
 MC_SHARD_SIZE = 1_000_000  # samples per independently seeded Monte Carlo shard; changing it changes the draws
 MIN_GRID_DENSITY = 1000  # points per axis of the bounds sweep
+MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; minutes at about 10^7 samples/s, at most 1000 shards
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,8 @@ def monte_carlo_expectations(
     Shards of MC_SHARD_SIZE samples have independently derived seeds and a
     fixed reduction order, so results are bit-reproducible for a given seed.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"need between 1 and {MAX_SAMPLES} samples, got {samples}")
     shard_seeds = np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE))
     acc = np.zeros(5)  # sum_r, sum_r2, sum_s, sum_s2, count
     remaining = samples

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -285,17 +287,35 @@ class TestGradCheck:
         assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("error: --tolerance must be a finite number > 0, got ")
 
+    def test_width_96_passes_at_default_tolerance(self, capsys):
+        code, out, _ = run(capsys, "grad-check", "--dim", "96")
+        payload = json.loads(out)
+        assert (code, payload["pass"]) == (0, True), payload
+        assert payload["max_rel_err"] < 1e-4
+
+    @pytest.mark.parametrize("message, expect", [
+        ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
+         "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64\n"),
+        ("", "error: MemoryError\n"),
+    ])
+    def test_memory_error_is_a_one_line_error(self, capsys, monkeypatch, message, expect):
+        from slicekit import resampler
+
+        def no_memory(*a, **k):
+            raise MemoryError(message)
+        monkeypatch.setattr(resampler, "init_resampler", no_memory)
+        assert run(capsys, "grad-check", "--dim", "100000") == (1, "", expect)
+
 
 class TestCompress:
     def test_round_trip_files(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         src = tmp_path / "tokens.bin"
         src.write_bytes(binio.tokens_to_bytes(rng.normal(size=(100, 32))))
-        code, out, _ = run(capsys, "compress", str(src), "--out-dir", str(tmp_path))
+        (tmp_path / "out").mkdir()
+        code, out, _ = run(capsys, "compress", str(src), "--out-dir", str(tmp_path / "out"))
         assert code == 0
-        result = binio.tokens_from_bytes((tmp_path / "tokens.bin.compressed").read_bytes()) \
-            if (tmp_path / "tokens.bin.compressed").exists() \
-            else binio.tokens_from_bytes((tmp_path / "tokens.bin").read_bytes())
+        result = binio.tokens_from_bytes((tmp_path / "out" / "tokens.bin").read_bytes())
         assert result.shape == (64, 32)
         assert "100 -> 64 tokens" in out
 
@@ -311,6 +331,21 @@ class TestCompress:
         assert code == 1
         assert out == "" and len(err.strip().splitlines()) == 1
         assert list(out_dir.iterdir()) == []
+
+    def test_output_equal_to_an_input_refused_before_writing(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        (tmp_path / "sub").mkdir()
+        a, b = tmp_path / "a", tmp_path / "a.compressed"
+        for path in (a, b, tmp_path / "sub" / "x"):
+            path.write_bytes(binio.tokens_to_bytes(rng.normal(size=(10, 8))))
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        for argv in ((str(a), str(b)),  # a's output is the input a.compressed
+                     (str(tmp_path / "sub" / "x"), "--out-dir", str(tmp_path / "sub")),  # x's output is x
+                     (str(a), "--out-dir", f"{tmp_path}/sub/..")):  # the same directory, spelled differently
+            code, out, err = run(capsys, "compress", *argv)
+            assert (code, out) == (1, "") and len(err.strip().splitlines()) == 1, argv
+            assert err.endswith(" is also an input; compress would overwrite it\n")
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
     def test_token_width_mismatch_names_both_files_before_writing(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -435,6 +470,8 @@ class TestVerify:
         (["--samples", "0"], "--samples must be a finite number >= 1, got 0.0"),
         (["--samples", "-1"], "--samples must be a finite number >= 1, got -1.0"),
         (["--samples", "2e4", "--grid-density", "10"], "--grid-density must be >= 1000, got 10"),
+        (["--samples", "1e18"], "--samples must be <= 1000000000, got 1e+18"),
+        (["--samples", "1000000001"], "--samples must be <= 1000000000, got 1000000001.0"),
     ])
     def test_bad_values_rejected_before_any_work(self, capsys, monkeypatch, argv, message):
         from slicekit import verify
@@ -519,7 +556,7 @@ def cli_argv(draw, scene: str, pe: str) -> list[str]:
         side = st.sampled_from(("-1", "0", "1", "24", "577", "100000"))
         return ["interp-pe", pe, str(Path(pe).with_name("out.bin")), f"--rows={draw(side)}", f"--cols={draw(side)}"]
     if command == "verify":
-        samples = st.sampled_from(("-1", "0", "1", "20000", "inf", "nan", "1e400"))
+        samples = st.sampled_from(("-1", "0", "1", "20000", "inf", "nan", "1e400", "1e18"))
         density = st.sampled_from(("-5", "999", "1000", "3000"))
         return ["verify", "proofs", f"--samples={draw(samples)}", f"--grid-density={draw(density)}"]
     size = option_values(st.integers(-3, 8))
@@ -540,21 +577,75 @@ def fuzz_pe(tmp_path_factory):
     return str(path)
 
 
+def assert_outcome(argv):
+    """Exit 0 with empty stderr, exit 1 with one stderr line (or a reported failed check), or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == 2, argv
+            return
+    if code == 1 and argv[0] in ("grad-check", "verify") and err.getvalue() == "":
+        assert json.loads(out.getvalue())["pass"] is False  # a failed check is reported, not an error
+    elif code == 1:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    else:
+        assert code == 0 and err.getvalue() == "", argv
+
+
+def token_file(rows, count, dim, fill=1.0):
+    """A PEG1 file of the given shape, written without binio's checks so that it may hold non-finite values."""
+    return binio.MAGIC + struct.pack("<III", rows, count, dim) + np.full(rows * count * dim, fill, "<f8").tobytes()
+
+
+TOKEN_FILES = {
+    "empty": b"",
+    "truncated-header": token_file(1, 2, 3)[:10],
+    "width-0": token_file(1, 2, 0),
+    "width-1": token_file(1, 3, 1),
+    "zero-tokens": token_file(1, 0, 3),
+    "two-rows": token_file(2, 2, 3),
+    "non-finite": token_file(1, 2, 3, fill=np.nan),
+    "width-3": token_file(1, 4, 3, fill=0.5),
+    "width-2": token_file(1, 5, 2, fill=-0.25),
+}
+
+
+@st.composite
+def compress_case(draw) -> tuple[dict[str, bytes], list[str]]:
+    """Token files under a/ and b/ (one name in both collides under --out-dir), and compress's arguments.
+
+    Drawing x and x.compressed as inputs, or the inputs' own directory as --out-dir, makes an output equal an input.
+    """
+    kinds = st.sampled_from(sorted(TOKEN_FILES))
+    names = draw(st.lists(st.tuples(st.sampled_from(("a", "b")), kinds), min_size=1, max_size=3))
+    files = {f"{d}/{kind}": TOKEN_FILES[kind] for d, kind in names}
+    inputs = [f"{d}/{kind}" for d, kind in names]
+    if draw(st.booleans()):
+        inputs.append(f"{inputs[0]}.compressed")
+        files[inputs[-1]] = TOKEN_FILES[draw(kinds)]
+    out_dir = draw(st.sampled_from((None, "a", "b", "out")))
+    return files, inputs + ([] if out_dir is None else ["--out-dir", out_dir])
+
+
 class TestFuzz:
     @settings(max_examples=150)
     @given(data=st.data())
     def test_every_outcome_is_success_one_line_error_or_usage_error(self, fuzz_scene, fuzz_pe, data):
-        argv = data.draw(cli_argv(fuzz_scene, fuzz_pe))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:
-                assert e.code == 2, argv
-                return
-        if code == 1 and argv[0] in ("grad-check", "verify") and err.getvalue() == "":
-            assert json.loads(out.getvalue())["pass"] is False  # a failed check is reported, not an error
-        elif code == 1:
-            assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
-        else:
-            assert code == 0 and err.getvalue() == "", argv
+        assert_outcome(data.draw(cli_argv(fuzz_scene, fuzz_pe)))
+
+    @settings(max_examples=100)
+    @given(case=compress_case())
+    def test_compress_outcome_is_success_or_one_line_error_and_inputs_stay_unchanged(self, case):
+        files, args = case
+        with tempfile.TemporaryDirectory() as root:
+            for sub in ("a", "b", "out"):
+                os.mkdir(os.path.join(root, sub))
+            for rel, data in files.items():
+                with open(os.path.join(root, rel), "wb") as f:
+                    f.write(data)
+            assert_outcome(["compress", *(a if a.startswith("--") else os.path.join(root, a) for a in args)])
+            for rel, data in files.items():
+                with open(os.path.join(root, rel), "rb") as f:
+                    assert f.read() == data, (args, rel)

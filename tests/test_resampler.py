@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from slicekit import resampler
 from slicekit.resampler import (
+    FD_BATCH_ENTRIES,
     AttentionParams,
     QuerySet,
     TokenMatrix,
     _canonical_order,
     _gradients,
+    _numeric_gradients,
     _softmax_rows,
     attention_weights,
     compress_slices,
@@ -21,6 +23,14 @@ from slicekit.resampler import (
 )
 
 DIM = 16
+TOLERANCE = 1e-4  # grad-check's default --tolerance
+
+# the backward's two known mistakes, applied to its output: dWk transposed, and 1/sqrt(d) dropped from d_qk,
+# which scales every gradient upstream of d_qk by sqrt(d)
+MUTANTS = {
+    "transposed dWk": lambda g, d: {**g, "w_k": g["w_k"].T},
+    "dropped scale": lambda g, d: {**g, **{k: g[k] * np.sqrt(d) for k in ("queries", "w_q", "w_k")}},
+}
 
 
 def setup_case(tokens, dim=DIM, k=4, seed_=0):
@@ -187,18 +197,71 @@ class TestGradCheck:
         report = grad_check(queries, tokens, params, eps=1e-5, probe_direction=probe)
         assert report["max_rel_err"] < 1e-4, report
 
-    def test_numeric_loss_runs_compress_slices(self, monkeypatch):
-        """Every finite-difference evaluation is one call of the forward the pipeline runs."""
+    def test_batched_differences_equal_per_entry_compress_slices_loop(self, monkeypatch):
+        """The finite differences run the pipeline's forward: per entry and step, one compress_slices call agrees."""
         queries, params, tokens = setup_case(5, dim=4, k=2, seed_=6)
-        calls = []
+        values = tokens.values.copy()
+        values[:, 0] = [1.0, -1.0, 1.0, 0.0, -0.0]  # ties in column 0: the canonical order needs the full lexsort
+        tokens = TokenMatrix(values=values)
+        probe = np.random.default_rng(7).normal(size=(2, 4))
+        h = 1e-3
+        arrays = {"queries": queries.values, "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v}
+        oracle = {}
+        for name, arr in arrays.items():
+            oracle[name] = np.empty_like(arr)
+            for idx in np.ndindex(arr.shape):
+                f = []
+                for step in (-2.0, -1.0, 1.0, 2.0):
+                    moved = dict(arrays, **{name: arr.copy()})
+                    moved[name][idx] += step * h
+                    out = compress_slices([tokens], QuerySet(values=moved.pop("queries")), AttentionParams(**moved))
+                    f.append(np.sum(out[0].values * probe))
+                oracle[name][idx] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        for batch_entries in (FD_BATCH_ENTRIES, 200, 1):  # one batch per array, then several partly filled ones
+            monkeypatch.setattr(resampler, "FD_BATCH_ENTRIES", batch_entries)
+            batched = _numeric_gradients(queries, tokens, params, probe, h)
+            for name in arrays:
+                np.testing.assert_allclose(batched[name], oracle[name], rtol=0, atol=1e-9, err_msg=name)
 
-        def counted(slice_tokens, q, p):
-            calls.append(len(slice_tokens))
-            return compress_slices(slice_tokens, q, p)
+    def test_inputs_are_read_only_to_the_check(self):
+        queries, params, tokens = setup_case(6, dim=8, k=3, seed_=2)
+        arrays = (queries.values, params.w_q, params.w_k, params.w_v, tokens.values)
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False  # an in-place perturbation would raise
+        assert grad_check(queries, tokens, params)["max_rel_err"] < TOLERANCE
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
-        monkeypatch.setattr(resampler, "compress_slices", counted)
-        grad_check(queries, tokens, params)
-        assert calls == [1] * 2 * (2 * 4 + 3 * 4 * 4)
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutated_backward_fails_at_width_16(self, monkeypatch, mutant):
+        queries, params, tokens = setup_case(8, dim=16, k=4)
+        gradients = resampler._gradients
+        monkeypatch.setattr(resampler, "_gradients", lambda *a: MUTANTS[mutant](gradients(*a), 16))
+        assert grad_check(queries, tokens, params)["max_rel_err"] >= TOLERANCE
+
+    def test_width_96_passes_in_bounded_memory_and_each_mutant_fails(self, monkeypatch):
+        """One four-point evaluation at (K, T, d) = (4, 8, 96) serves the true backward and both mutants."""
+        queries, params, tokens = setup_case(8, dim=96, k=4)
+        real, memo = resampler._numeric_gradients, []
+
+        def numeric_once(*args):
+            if not memo:
+                memo.append(real(*args))
+            return memo[0]
+
+        monkeypatch.setattr(resampler, "_numeric_gradients", numeric_once)
+        tracemalloc.start()
+        try:
+            report = grad_check(queries, tokens, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["max_rel_err"] < TOLERANCE, report
+        assert peak < 3 * FD_BATCH_ENTRIES * 8
+        gradients = resampler._gradients
+        for name, mutate in MUTANTS.items():
+            monkeypatch.setattr(resampler, "_gradients", lambda *a, mutate=mutate: mutate(gradients(*a), 96))
+            assert grad_check(queries, tokens, params)["max_rel_err"] >= TOLERANCE, name
 
     def test_error_messages(self):
         queries, params, tokens = setup_case(3, dim=6, k=2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from slicekit.partition import ImageSize, VitSpec, grid_index, grid_table, select_partition
 from slicekit.verify import (
     ALTERNATE_SPEC,
+    MAX_SAMPLES,
     MIN_GRID_DENSITY,
     TWO_LOG2,
     DistributionSpec,
@@ -192,6 +193,11 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_expectations(DistributionSpec(), samples=0)
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**18])
+    def test_sample_count_past_the_bound_raises_before_any_shard_is_seeded(self, samples):
+        with pytest.raises(ValueError, match=f"^need between 1 and {MAX_SAMPLES} samples, got {samples}$"):
+            monte_carlo_expectations(DistributionSpec(), samples=samples)
 
 
 class TestExact:
