@@ -123,37 +123,30 @@ def _load_scene(path: str) -> probes.SyntheticScene:
         return probes.SyntheticScene(
             canvas=ImageSize(raw["canvas"]["w"], raw["canvas"]["h"]),
             objects=tuple(
-                probes.SceneObject(o["shape"], o["color"], (o["center"][0], o["center"][1]), o["size"])
+                probes.SceneObject(o["shape"], o["color"], tuple(o["center"]), o["size"])
                 for o in raw["objects"]
             ),
             background=raw.get("background", "grey"),
         )
     except KeyError as e:
         raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
-    except (TypeError, IndexError) as e:
+    except (TypeError, OverflowError) as e:
         raise ValueError(f"{path}: malformed scene ({e})") from None
 
 
 def cmd_probe(args, cfg: AppConfig) -> int:
     if args.kind == "padding":
         payload = {"effective_fraction": probes.padding_waste(args.aspect_w, args.aspect_h)}
-        if args.ppm:
-            scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h)
-            with open(args.ppm, "wb") as f:
-                f.write(probes.render_scene(scene))
-            payload["ppm"] = args.ppm
-        _emit(payload, cfg, args.out)
-        return 0
-
-    scene = _load_scene(args.scene)
-    if args.kind == "heatmap":
-        template = scene.objects
-        matrix = probes.heatmap_probe(scene.canvas, template, args.grid_step)
-        payload = {"canvas": {"w": scene.canvas.width_px, "h": scene.canvas.height_px},
-                   "grid_step": args.grid_step, "counts": matrix}
-    else:  # phases
-        phase, answers = probes.phase_classify(scene, args.scale)
-        payload = {"phase": phase, "predicted_answers": sorted(answers), "scale": args.scale}
+        scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h) if args.ppm else None
+    else:
+        scene = _load_scene(args.scene)
+        if args.kind == "heatmap":
+            matrix = probes.heatmap_probe(scene.canvas, scene.objects, args.grid_step)
+            payload = {"canvas": {"w": scene.canvas.width_px, "h": scene.canvas.height_px},
+                       "grid_step": args.grid_step, "counts": matrix}
+        else:  # phases
+            phase, answers = probes.phase_classify(scene, args.scale)
+            payload = {"phase": phase, "predicted_answers": sorted(answers), "scale": args.scale}
     if args.ppm:
         with open(args.ppm, "wb") as f:
             f.write(probes.render_scene(scene))

@@ -21,12 +21,11 @@ class ImageSize:
     height_px: int
 
     def __post_init__(self):
+        for side in (self.width_px, self.height_px):
+            if isinstance(side, bool) or not hasattr(side, "__index__"):  # ints and numpy integers have __index__
+                raise ValueError(f"image dimensions must be integers, got {self.width_px!r}x{self.height_px!r}")
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError(f"image dimensions must be positive, got {self.width_px}x{self.height_px}")
-
-    @property
-    def aspect(self) -> float:
-        return self.width_px / self.height_px
 
 
 @dataclass(frozen=True)

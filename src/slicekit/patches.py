@@ -18,6 +18,8 @@ class PosEmbedGrid:
     def __post_init__(self):
         if self.values.ndim != 3:
             raise ValueError("position embedding grid must be rank 3 (rows, cols, dim)")
+        if 0 in self.values.shape:
+            raise ValueError(f"position embedding grid has an empty axis: (rows, cols, dim) = {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise ValueError("position embeddings must be finite")
 

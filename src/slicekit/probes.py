@@ -38,8 +38,10 @@ class SceneObject:
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.color not in COLORS:
             raise ValueError(f"unknown color {self.color!r}")
-        if self.size <= 0:
-            raise ValueError("object size must be positive")
+        if not (math.isfinite(self.size) and self.size > 0):
+            raise ValueError(f"object size must be finite and > 0, got {self.size}")
+        if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
+            raise ValueError(f"object center must be two finite numbers, got {self.center}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,10 @@ class SyntheticScene:
 
 @dataclass(frozen=True)
 class SliceCover:
-    """One tile_px square tile at every (x, y) with x in xs and y in ys: the tile starts per axis, ascending."""
+    """One TILE_PX square tile at every (x, y) with x in xs and y in ys: the tile starts per axis, ascending."""
 
-    tile_px: int
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    padded_canvas: ImageSize
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -83,12 +83,12 @@ class SliceCover:
         return len(self.xs), len(self.ys)
 
 
-def _axis_positions(length: int, tile_px: int) -> tuple[int, ...]:
+def _axis_positions(length: int) -> tuple[int, ...]:
     """Tile start offsets along one axis: equal-overlap placement."""
-    if length <= tile_px:
+    if length <= TILE_PX:
         return (0,)
-    k = math.ceil(length / tile_px)
-    stride = (length - tile_px) / (k - 1)
+    k = math.ceil(length / TILE_PX)
+    stride = (length - TILE_PX) / (k - 1)
     return tuple(round(i * stride) for i in range(k))
 
 
@@ -99,9 +99,17 @@ def overlap_tile_cover(canvas: ImageSize) -> SliceCover:
     axis is not tile-divisible the tiles overlap: they are spread at stride
     (dim - tile)/(k - 1), rounded to integer pixels.
     """
-    padded = ImageSize(max(canvas.width_px, TILE_PX), max(canvas.height_px, TILE_PX))
-    return SliceCover(tile_px=TILE_PX, xs=_axis_positions(canvas.width_px, TILE_PX),
-                      ys=_axis_positions(canvas.height_px, TILE_PX), padded_canvas=padded)
+    return SliceCover(xs=_axis_positions(canvas.width_px), ys=_axis_positions(canvas.height_px))
+
+
+def _tiles_holding(starts: tuple[int, ...], v: float) -> int:
+    """Tiles along one axis whose half-open span [s, s + TILE_PX) holds v."""
+    return sum(s <= v < s + TILE_PX for s in starts)
+
+
+def _tiles_meeting(starts: tuple[int, ...], lo: float, hi: float) -> int:
+    """Tiles along one axis whose span meets the open interval (lo, hi)."""
+    return sum(lo < s + TILE_PX and s < hi for s in starts)
 
 
 def object_multiplicity(obj: SceneObject, cover: SliceCover) -> int:
@@ -110,8 +118,7 @@ def object_multiplicity(obj: SceneObject, cover: SliceCover) -> int:
     A tile contains a point exactly when both of its axis spans do, so the count is the product of the per-axis counts.
     """
     x, y = obj.center
-    t = cover.tile_px
-    return sum(s <= x < s + t for s in cover.xs) * sum(s <= y < s + t for s in cover.ys)
+    return _tiles_holding(cover.xs, x) * _tiles_holding(cover.ys, y)
 
 
 def simulate_count(scene: SyntheticScene, cover: SliceCover) -> int:
@@ -142,17 +149,13 @@ def heatmap_probe(
         return [[] for _ in oys]
     # offsets only grow from the origin and every placement fits below the far edges, so the template
     # placed at the origin is the one that can put a centre outside the canvas
-    SyntheticScene(canvas=canvas, objects=tuple(
-        SceneObject(o.shape, o.color, (o.center[0] + 0, o.center[1] + 0), o.size) for o in object_template))
+    SyntheticScene(canvas, object_template)
     cover = overlap_tile_cover(canvas)
-    t = cover.tile_px
     # a tile holds a centre exactly when both axis spans do: per object, tiles along x times tiles along y
-    along_x = list(zip(*([sum(s <= o.center[0] + ox < s + t for s in cover.xs) for ox in oxs]
-                         for o in object_template)))
+    along_x = list(zip(*([_tiles_holding(cover.xs, o.center[0] + ox) for ox in oxs] for o in object_template)))
     rows: dict[tuple[int, ...], list[int]] = {}
     matrix = []
-    for along_y in zip(*([sum(s <= o.center[1] + oy < s + t for s in cover.ys) for oy in oys]
-                         for o in object_template)):
+    for along_y in zip(*([_tiles_holding(cover.ys, o.center[1] + oy) for oy in oys] for o in object_template)):
         if along_y not in rows:  # placements whose per-object y counts agree have equal rows
             rows[along_y] = [sum(x * y for x, y in zip(xs, along_y)) for xs in along_x]
         matrix.append(list(rows[along_y]))
@@ -173,23 +176,17 @@ def phase_classify(scene: SyntheticScene, resolution_scale: float) -> tuple[int,
     if cover.grid == (1, 1):
         return 1, {truth}
 
-    simulated = simulate_count(resized, cover)
-    fragments = _fragment_count(resized, cover)
-    answers = {truth, simulated, fragments}
     multiplicities = [object_multiplicity(o, cover) for o in resized.objects]
-    phase = 3 if max(multiplicities) > 1 else 2
-    return phase, answers
+    phase = 3 if max(multiplicities, default=0) > 1 else 2
+    return phase, {truth, sum(multiplicities), _fragment_count(resized, cover)}
 
 
 def _fragment_count(scene: SyntheticScene, cover: SliceCover) -> int:
     """Objects counted once per tile their bounding box overlaps (cut pieces): per object, a product of per-axis counts."""
-    t = cover.tile_px
     total = 0
     for obj in scene.objects:
-        x, y = obj.center
-        half = obj.size / 2
-        total += sum(x - half < s + t and s < x + half for s in cover.xs) * sum(
-            y - half < s + t and s < y + half for s in cover.ys)
+        (x, y), half = obj.center, obj.size / 2
+        total += _tiles_meeting(cover.xs, x - half, x + half) * _tiles_meeting(cover.ys, y - half, y + half)
     return total
 
 
@@ -203,8 +200,7 @@ def padding_waste(aspect_w: float, aspect_h: float) -> float:
 def render_scene(scene: SyntheticScene) -> bytes:
     """Deterministic P6 portable-pixmap rasterization (no anti-aliasing)."""
     w, h = scene.canvas.width_px, scene.canvas.height_px
-    bg = COLORS[scene.background]
-    rows = [bytearray(bg * w) for _ in range(h)]
+    pixels = bytearray(COLORS[scene.background]) * (w * h)
     for obj in scene.objects:
         color = bytes(COLORS[obj.color])
         cx, cy = obj.center
@@ -216,9 +212,9 @@ def render_scene(scene: SyntheticScene) -> bytes:
         for py in range(y0, y1 + 1):
             for px in range(x0, x1 + 1):
                 if _covers(obj, px + 0.5, py + 0.5):
-                    rows[py][3 * px : 3 * px + 3] = color
-    header = f"P6\n{w} {h}\n255\n".encode()
-    return header + b"".join(bytes(r) for r in rows)
+                    i = 3 * (py * w + px)
+                    pixels[i : i + 3] = color
+    return f"P6\n{w} {h}\n255\n".encode() + pixels
 
 
 def _covers(obj: SceneObject, x: float, y: float) -> bool:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FD_BATCH_ENTRIES = 2**20  # array entries held by one batch of perturbed copies in grad_check; bounds its memory
+FD_MAX_MULTIPLY_ADDS = 10**11  # multiply-adds of grad_check's perturbed forwards; bounds its time (13 s on 2 cores)
 
 
 @dataclass(frozen=True)
@@ -225,6 +226,12 @@ def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, 
     """
     if not (0.0 < eps <= 1e-3):
         raise ValueError("eps must be in (0, 1e-3]")
+    k, t, d = queries.count_k, tokens.count, params.dim
+    # four forwards per perturbed entry of Q, Wq, Wk and Wv, each (Q Wq) Wk^T, qk X^T, A X and (A X) Wv
+    work = 4 * (k * d + 3 * d * d) * k * d * (3 * d + 2 * t)
+    if work > FD_MAX_MULTIPLY_ADDS:
+        raise ValueError(f"grad_check at K={k}, T={t}, d={d} needs about {work:.1e} multiply-adds of finite "
+                         f"differences, more than the limit of {FD_MAX_MULTIPLY_ADDS:.0e}")
     probe = (np.ones((queries.count_k, params.dim)) if probe_direction is None
              else np.asarray(probe_direction, dtype=np.float64))
     analytic = _gradients(queries, tokens, params, probe)

@@ -293,6 +293,16 @@ class TestGradCheck:
         assert (code, payload["pass"]) == (0, True), payload
         assert payload["max_rel_err"] < 1e-4
 
+    def test_dim_1024_refused_before_any_finite_difference(self, capsys, monkeypatch):
+        from slicekit import resampler
+
+        def no_differences(*a):
+            raise AssertionError("ran the finite differences")
+        monkeypatch.setattr(resampler, "_numeric_gradients", no_differences)
+        code, out, err = run(capsys, "grad-check", "--dim", "1024")
+        assert (code, out) == (1, "") and len(err.splitlines()) == 1
+        assert err.startswith("error: grad_check at K=4, T=8, d=1024 needs about 1.6e+14 multiply-adds")
+
     @pytest.mark.parametrize("message, expect", [
         ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
          "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64\n"),
@@ -422,6 +432,33 @@ class TestProbe:
         assert out == "" and err == "error: unknown background 'pink'\n"
         assert not (tmp_path / "o.ppm").exists()
 
+    @pytest.mark.parametrize("canvas, obj, message", [
+        ('{"w": 600.5, "h": 90}', '"center": [30, 40], "size": 10', "image dimensions must be integers, got 600.5x90"),
+        ('{"w": true, "h": 400}', '"center": [30, 40], "size": 10', "image dimensions must be integers, got Truex400"),
+        ('{"w": 600, "h": "90"}', '"center": [30, 40], "size": 10', "image dimensions must be integers, got 600x'90'"),
+        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": 1e400', "object size must be finite and > 0, got inf"),
+        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": NaN', "object size must be finite and > 0, got nan"),
+        ('{"w": 600, "h": 400}', '"center": [30, 40, 5], "size": 10', "object center must be two finite numbers, "
+                                                                       "got (30, 40, 5)"),
+        ('{"w": 600, "h": 400}', '"center": [1e400, 40], "size": 10', "object center must be two finite numbers, "
+                                                                        "got (inf, 40)"),
+    ])
+    @pytest.mark.parametrize("kind, ppm_option", [("heatmap", False), ("phases", True)])
+    def test_scene_values_checked_on_load(self, capsys, tmp_path, canvas, obj, message, kind, ppm_option):
+        path = tmp_path / "scene.json"
+        path.write_text(f'{{"canvas": {canvas}, "objects": [{{"shape": "circle", "color": "red", {obj}}}]}}')
+        ppm = tmp_path / "o.ppm"
+        code, out, err = run(capsys, "probe", kind, "--scene", str(path), *(["--ppm", str(ppm)] if ppm_option else []))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not ppm.exists()
+
+    @pytest.mark.parametrize("scale, phase", [("1.0", 2), ("0.4", 1)])
+    def test_phases_on_a_scene_without_objects(self, capsys, tmp_path, scale, phase):
+        path = write_scene(tmp_path, {"canvas": {"w": 1100, "h": 800}, "objects": []})
+        code, out, err = run(capsys, "probe", "phases", "--scene", str(path), "--scale", scale)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"phase": phase, "predicted_answers": [0], "scale": float(scale)}
+
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
     def test_phases_rejects_scale_not_finite_and_positive(self, capsys, tmp_path, scale):
         code, out, err = run(capsys, "probe", "phases", "--scene", str(write_scene(tmp_path)), "--scale", scale)
@@ -506,6 +543,15 @@ class TestInterpPe:
         assert err == f"error: --rows x --cols = {rows * cols} exceeds the encoder's token budget M=576\n"
         assert not (tmp_path / "o.bin").exists()
 
+    @pytest.mark.parametrize("rows, cols, dim", [(0, 4, 3), (4, 0, 3), (4, 4, 0)])
+    def test_grid_file_with_an_empty_axis_rejected(self, capsys, tmp_path, rows, cols, dim):
+        src = tmp_path / "pe.bin"
+        src.write_bytes(token_file(rows, cols, dim))
+        code, out, err = run(capsys, "interp-pe", str(src), str(tmp_path / "o.bin"), "--rows", "3", "--cols", "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: position embedding grid has an empty axis: (rows, cols, dim) = {(rows, cols, dim)}\n"
+        assert not (tmp_path / "o.bin").exists()
+
 
 class TestStartup:
     def test_numpy_free_commands_leave_numpy_unimported(self, tmp_path):
@@ -533,6 +579,53 @@ def option_values(finite):
     return st.sampled_from(SPECIAL_NUMBERS) | finite.map(str)
 
 
+NOT_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+SCENE_DEFECTS = {
+    "side": ("600.5", "600.0", "true", "false", '"600"', "0", "-1", "null", *NOT_FINITE),
+    "shape": ('"hexagon"', "3", '["circle"]', "null"),
+    "color": ('"pink"', "null", '["red"]'),
+    "center": ("[]", "[5]", "[5, 5, 5]", "[-5, 5]", "[5, 3000]", '["5", 5]', "[true, 5]", "5", "null",
+               *(f"[{v}, 5]" for v in NOT_FINITE)),
+    "size": ("0", "-1", '"8"', "null", *NOT_FINITE),
+}
+
+
+@st.composite
+def scene_text(draw) -> str:
+    """A valid scene file of 0-3 objects with at most one field replaced by a bad value.
+
+    Canvas sides stay at most 2000 px, because --ppm allocates 3*W*H bytes.
+    """
+    canvas = {"w": draw(st.integers(1, 2000)), "h": draw(st.integers(1, 2000))}
+    objects = [{"shape": draw(st.sampled_from(probes.SHAPES)), "color": draw(st.sampled_from(sorted(probes.COLORS))),
+                "center": [draw(st.floats(0, canvas[axis], exclude_max=True)) for axis in "wh"],
+                "size": draw(st.floats(0.5, 60))} for _ in range(draw(st.integers(0, 3)))]
+    texts = [{k: json.dumps(v) for k, v in d.items()} for d in (canvas, *objects)]
+    defect = draw(st.none() | st.sampled_from(sorted(SCENE_DEFECTS)))
+    if defect == "side":
+        texts[0][draw(st.sampled_from("wh"))] = draw(st.sampled_from(SCENE_DEFECTS["side"]))
+    elif defect and objects:
+        texts[draw(st.integers(1, len(objects)))][defect] = draw(st.sampled_from(SCENE_DEFECTS[defect]))
+    fields = [", ".join(f'"{k}": {v}' for k, v in t.items()) for t in texts]
+    return f'{{"canvas": {{{fields[0]}}}, "objects": [{", ".join(f"{{{f}}}" for f in fields[1:])}]}}'
+
+
+@st.composite
+def pe_file(draw) -> bytes:
+    """A valid PEG1 file of up to 4x4x3 values, or one with one defect: an empty axis, non-finite values, a truncated
+    end or a bad magic."""
+    shape, fill = [draw(st.integers(1, 4)) for _ in range(3)], draw(st.floats(-2, 2))
+    defect = draw(st.none() | st.sampled_from(("empty-axis", "non-finite", "truncated", "bad-magic")))
+    if defect == "empty-axis":
+        shape[draw(st.integers(0, 2))] = 0
+    elif defect == "non-finite":
+        fill = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    data = token_file(*shape, fill=fill)
+    if defect == "truncated":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    return b"PEG0" + data[4:] if defect == "bad-magic" else data
+
+
 @st.composite
 def cli_argv(draw, scene: str, pe: str) -> list[str]:
     command = draw(st.sampled_from(("plan", "schema", "cost", "probe", "grad-check", "interp-pe", "verify")))
@@ -546,11 +639,16 @@ def cli_argv(draw, scene: str, pe: str) -> list[str]:
             argv += ["--compare-with", draw(st.sampled_from(cost.STRATEGIES))]
         return argv + [f"--text-tokens={draw(option_values(st.integers(-10**6, 10**9)))}"]
     if command == "probe":
-        return ["probe", draw(st.sampled_from(("heatmap", "phases", "padding"))), "--scene", scene,
-                f"--grid-step={draw(option_values(st.integers(-100, 200)))}",
-                f"--scale={draw(option_values(st.floats(1e-3, 1e5)))}",
-                f"--aspect-w={draw(option_values(st.floats(allow_nan=False, allow_infinity=False)))}",
-                f"--aspect-h={draw(option_values(st.floats(allow_nan=False, allow_infinity=False)))}"]
+        kind = draw(st.sampled_from(("heatmap", "phases", "padding")))
+        if kind == "heatmap":
+            options = [f"--grid-step={draw(option_values(st.integers(-100, 200)))}"]
+        elif kind == "phases":
+            options = [f"--scale={draw(option_values(st.floats(1e-3, 1e5)))}"]
+        else:
+            aspect = option_values(st.floats(allow_nan=False, allow_infinity=False))
+            options = [f"--aspect-w={draw(aspect)}", f"--aspect-h={draw(aspect)}"]
+        ppm = ["--ppm", str(Path(scene).with_name("out.ppm"))] if draw(st.booleans()) else []
+        return ["probe", kind, "--scene", scene, *options, *ppm]
     if command == "interp-pe":
         # 24x24 = M fits the default budget; 577 and 100000 exceed it on either axis
         side = st.sampled_from(("-1", "0", "1", "24", "577", "100000"))
@@ -566,15 +664,8 @@ def cli_argv(draw, scene: str, pe: str) -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def fuzz_scene(tmp_path_factory):
-    return str(write_scene(tmp_path_factory.mktemp("fuzz")))
-
-
-@pytest.fixture(scope="module")
-def fuzz_pe(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz_pe") / "pe.bin"
-    path.write_bytes(binio.grid_to_bytes(PosEmbedGrid(values=np.random.default_rng(5).normal(size=(6, 5, 3)))))
-    return str(path)
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 def assert_outcome(argv):
@@ -632,8 +723,11 @@ def compress_case(draw) -> tuple[dict[str, bytes], list[str]]:
 class TestFuzz:
     @settings(max_examples=150)
     @given(data=st.data())
-    def test_every_outcome_is_success_one_line_error_or_usage_error(self, fuzz_scene, fuzz_pe, data):
-        assert_outcome(data.draw(cli_argv(fuzz_scene, fuzz_pe)))
+    def test_every_outcome_is_success_one_line_error_or_usage_error(self, fuzz_dir, data):
+        scene, pe = fuzz_dir / "scene.json", fuzz_dir / "pe.bin"
+        scene.write_text(data.draw(scene_text()))
+        pe.write_bytes(data.draw(pe_file()))
+        assert_outcome(data.draw(cli_argv(str(scene), str(pe))))
 
     @settings(max_examples=100)
     @given(case=compress_case())

@@ -2,6 +2,7 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,6 +93,17 @@ def switch_point_images(n_max=20, max_side=4000):
                 image = ImageSize(w0 * t, h0 * t)
                 if ideal_slice_count(image, VIT) == n:
                     yield image
+
+
+class TestImageSize:
+    @pytest.mark.parametrize("w, h", [(600.5, 400), (600.0, 400), (True, 400), (600, False), ("600", 400),
+                                      (None, 400), (600, np.float64(400))])
+    def test_sides_must_be_integers(self, w, h):
+        with pytest.raises(ValueError, match=f"^image dimensions must be integers, got {re.escape(repr(w))}x"):
+            ImageSize(w, h)
+
+    def test_numpy_integers_accepted(self):
+        assert ImageSize(np.int64(672), np.int32(1008)) == ImageSize(672, 1008)
 
 
 class TestIdealSliceCount:

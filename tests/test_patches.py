@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -185,3 +186,9 @@ class TestInterpolation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PosEmbedGrid(values=np.full((2, 2, 1), np.nan))
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 3, 0), (0, 0, 0)])
+    def test_rejects_an_empty_axis(self, shape):
+        message = rf"^position embedding grid has an empty axis: \(rows, cols, dim\) = {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            PosEmbedGrid(values=np.zeros(shape))

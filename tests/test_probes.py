@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -7,8 +8,12 @@ from hypothesis import strategies as st
 
 from slicekit.partition import ImageSize
 from slicekit.probes import (
+    COLORS,
+    SHAPES,
+    TILE_PX,
     SceneObject,
     SyntheticScene,
+    _covers,
     _fragment_count,
     heatmap_probe,
     object_multiplicity,
@@ -30,7 +35,6 @@ class TestTileCover:
     def test_small_image_single_padded_tile(self):
         cover = overlap_tile_cover(ImageSize(300, 400))
         assert (cover.xs, cover.ys) == ((0,), (0,))
-        assert cover.padded_canvas == ImageSize(512, 512)
 
     def test_exact_multiple_disjoint(self):
         cover = overlap_tile_cover(ImageSize(1024, 512))
@@ -46,7 +50,7 @@ class TestTileCover:
     def test_cover_reaches_both_edges(self, w, h):
         cover = overlap_tile_cover(ImageSize(w, h))
         for starts, side in ((cover.xs, w), (cover.ys, h)):
-            assert starts[0] == 0 and starts[-1] + cover.tile_px >= side
+            assert starts[0] == 0 and starts[-1] + TILE_PX >= side
             assert list(starts) == sorted(starts)
         kx = math.ceil(w / 512) if w > 512 else 1
         ky = math.ceil(h / 512) if h > 512 else 1
@@ -58,7 +62,7 @@ class TestTileCover:
         """A tile holds a point (or meets a box) exactly when both of its axis spans do."""
         cover = overlap_tile_cover(ImageSize(w, h))
         obj = SceneObject("square", "red", (fx * w, fy * h), size)
-        (x, y), half, t = obj.center, size / 2, cover.tile_px
+        (x, y), half, t = obj.center, size / 2, TILE_PX
         tiles = [(tx, ty) for tx in cover.xs for ty in cover.ys]
         assert object_multiplicity(obj, cover) == sum(tx <= x < tx + t and ty <= y < ty + t for tx, ty in tiles)
         scene = SyntheticScene(canvas=ImageSize(w, h), objects=(obj,))
@@ -159,6 +163,11 @@ class TestPhases:
         assert phase == 3
         assert 4 in answers  # quadrupled count in the double-overlap band
 
+    @pytest.mark.parametrize("scale, expected", [(1.0, (2, {0})), (1.5, (2, {0})), (0.4, (1, {0}))])
+    def test_scene_without_objects(self, scale, expected):
+        """1100x800 spans 3x2 tiles, and 1.5x 4x3; at 0.4 it fits one padded tile."""
+        assert phase_classify(SyntheticScene(canvas=ImageSize(1100, 800), objects=()), scale) == expected
+
     def test_phase_two_disjoint_tiles(self):
         scene = SyntheticScene(
             canvas=ImageSize(1024, 512),
@@ -195,7 +204,42 @@ class TestPadding:
         assert content / total == pytest.approx(0.25, abs=0.02)
 
 
+def render_by_rows(scene):
+    """The row-wise renderer that the flat buffer replaced: one bytearray per row, joined; the reference."""
+    w, h = scene.canvas.width_px, scene.canvas.height_px
+    rows = [bytearray(COLORS[scene.background] * w) for _ in range(h)]
+    for obj in scene.objects:
+        (cx, cy), half = obj.center, obj.size / 2
+        for py in range(max(0, math.floor(cy - half)), min(h - 1, math.ceil(cy + half)) + 1):
+            for px in range(max(0, math.floor(cx - half)), min(w - 1, math.ceil(cx + half)) + 1):
+                if _covers(obj, px + 0.5, py + 0.5):
+                    rows[py][3 * px : 3 * px + 3] = bytes(COLORS[obj.color])
+    return f"P6\n{w} {h}\n255\n".encode() + b"".join(bytes(r) for r in rows)
+
+
+@st.composite
+def scenes(draw):
+    """Canvases of 1-48 px per side (often 1-3) holding 0-5 objects of any shape and colour, some larger than it."""
+    w, h = (draw(st.integers(1, 3) | st.integers(1, 48)) for _ in range(2))
+    center = st.tuples(st.floats(0, w, exclude_max=True), st.floats(0, h, exclude_max=True))
+    obj = st.builds(SceneObject, st.sampled_from(SHAPES), st.sampled_from(sorted(COLORS)), center, st.floats(0.01, 70))
+    objects = tuple(draw(st.lists(obj, max_size=5)))
+    return SyntheticScene(ImageSize(w, h), objects, draw(st.sampled_from(sorted(COLORS))))
+
+
 class TestRendering:
+    @given(scenes())
+    def test_flat_buffer_equals_rows_joined(self, scene):
+        assert render_scene(scene) == render_by_rows(scene)
+
+    @pytest.mark.parametrize("w, h", [(1, 1), (1, 7), (7, 1)])
+    def test_one_pixel_canvases_with_and_without_objects(self, w, h):
+        empty = SyntheticScene(ImageSize(w, h), ())
+        dot = SyntheticScene(ImageSize(w, h), (SceneObject("square", "red", (0.5, 0.5), 1.0),))
+        assert render_scene(empty) == render_by_rows(empty) == f"P6\n{w} {h}\n255\n".encode() + b"\x80" * (3 * w * h)
+        assert render_scene(dot) == render_by_rows(dot)
+        assert render_scene(dot)[-3 * w * h :][:3] == bytes(COLORS["red"])
+
     def test_ppm_header_and_size(self):
         scene = SyntheticScene(canvas=ImageSize(20, 10), objects=())
         img = render_scene(scene)
@@ -235,6 +279,21 @@ class TestRendering:
         scene = SyntheticScene(canvas=ImageSize(100, 200), objects=(SceneObject("circle", "red", (50.0, 100.0), 20.0),))
         with pytest.raises(ValueError, match=f"scale must be finite and > 0, got {factor}$"):
             scene.scaled(factor)
+
+    @pytest.mark.parametrize("center, size, message", [
+        ((5.0, 5.0), 0.0, "object size must be finite and > 0, got 0.0"),
+        ((5.0, 5.0), -1.0, "object size must be finite and > 0, got -1.0"),
+        ((5.0, 5.0), math.inf, "object size must be finite and > 0, got inf"),
+        ((5.0, 5.0), math.nan, "object size must be finite and > 0, got nan"),
+        ((), 2.0, "object center must be two finite numbers, got ()"),
+        ((5.0,), 2.0, "object center must be two finite numbers, got (5.0,)"),
+        ((5.0, 5.0, 5.0), 2.0, "object center must be two finite numbers, got (5.0, 5.0, 5.0)"),
+        ((math.inf, 5.0), 2.0, "object center must be two finite numbers, got (inf, 5.0)"),
+        ((5.0, math.nan), 2.0, "object center must be two finite numbers, got (5.0, nan)"),
+    ])
+    def test_object_needs_a_finite_positive_size_and_a_finite_centre(self, center, size, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SceneObject("circle", "red", center, size)
 
     def test_validation(self):
         with pytest.raises(ValueError):

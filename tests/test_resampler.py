@@ -286,6 +286,18 @@ class TestGradCheck:
             tracemalloc.stop()
         assert peak < 0.5 * tokens.values.nbytes
 
+    def test_work_over_the_limit_refused_before_any_finite_difference(self, monkeypatch):
+        def no_differences(*args):
+            raise AssertionError("ran the finite differences")
+        monkeypatch.setattr(resampler, "_numeric_gradients", no_differences)
+        queries, params, tokens = setup_case(8, dim=1024, k=4)
+        with pytest.raises(ValueError, match=r"^grad_check at K=4, T=8, d=1024 needs about 1\.6e\+14 multiply-adds "
+                                             r"of finite differences, more than the limit of 1e\+11$"):
+            grad_check(queries, tokens, params)
+        queries, params, tokens = setup_case(8, dim=128, k=4)  # grad-check --dim 128 (about 5 s) stays allowed
+        with pytest.raises(AssertionError, match="ran the finite differences"):
+            grad_check(queries, tokens, params)
+
     def test_eps_validated(self):
         queries, params, tokens = setup_case(4, dim=6, k=2)
         with pytest.raises(ValueError):
