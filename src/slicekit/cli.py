@@ -94,6 +94,7 @@ def cmd_grad_check(args, cfg: AppConfig) -> int:
 
     from . import resampler
 
+    resampler.check_fd_work(args.queries, args.tokens, args.dim)
     rng = np.random.default_rng(cfg.seed)
     queries, params = resampler.init_resampler(args.queries, args.dim, cfg.seed)
     tokens = resampler.TokenMatrix(values=rng.normal(size=(args.tokens, args.dim)))
@@ -148,8 +149,9 @@ def cmd_probe(args, cfg: AppConfig) -> int:
             phase, answers = probes.phase_classify(scene, args.scale)
             payload = {"phase": phase, "predicted_answers": sorted(answers), "scale": args.scale}
     if args.ppm:
+        ppm = probes.render_scene(scene)
         with open(args.ppm, "wb") as f:
-            f.write(probes.render_scene(scene))
+            f.write(ppm)
         payload["ppm"] = args.ppm
     _emit(payload, cfg, args.out)
     return 0
@@ -265,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"probe {args.kind} requires --scene")
     try:
         return args.func(args, cfg)
-    except (ValueError, OSError, MemoryError) as e:
+    except (ValueError, OSError, MemoryError, OverflowError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 

@@ -10,13 +10,21 @@ comparisons between strategies are expressed as ratios.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from .jsonfile import load_json_file
 from .partition import ImageSize, VitSpec, select_partition
 
-STRATEGIES = ("uhd", "llava15", "uhd-mlp", "fixed2x2-mlp")
+# strategy -> (encoder passes at the pretraining size, or None for the plan's slices plus overview;
+#              whether the resampler, not the MLP, projects the passes' tokens)
+_STRATEGIES = {
+    "uhd": (None, True),
+    "llava15": (1, False),  # one square-resized pass
+    "uhd-mlp": (None, False),
+    "fixed2x2-mlp": (5, False),  # four fixed slices + overview
+}
+STRATEGIES = tuple(_STRATEGIES)
 
 
 @dataclass(frozen=True)
@@ -51,15 +59,7 @@ class CostReport:
         return self.encoder_flops + self.projector_flops + self.llm_prefill_flops
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "encoder_flops": self.encoder_flops,
-            "projector_flops": self.projector_flops,
-            "llm_prefill_flops": self.llm_prefill_flops,
-            "total_flops": self.total_flops,
-            "total_tflops": self.total_flops / 1e12,
-            "visual_tokens_to_llm": self.visual_tokens_to_llm,
-        }
+        return {**asdict(self), "total_flops": self.total_flops, "total_tflops": self.total_flops / 1e12}
 
 
 # section -> keys of the model dims file; every value is a JSON integer >= 0, K >= 1 (bool is not an integer)
@@ -127,15 +127,6 @@ def mlp_projector_flops(dims: ModelDims, input_tokens: int) -> float:
     return input_tokens * (2.0 * d_in * h + 2.0 * h * d_out)
 
 
-def _encoder_passes(image: ImageSize, vit: VitSpec, strategy: str, max_slices: int | None) -> list[int]:
-    """Token count of each encoder forward pass (slices + overview); a sliced plan is capped at max_slices."""
-    if strategy == "llava15":
-        return [vit.token_budget]  # single square-resized pass
-    if strategy == "fixed2x2-mlp":
-        return [vit.token_budget] * 5  # four fixed slices + overview
-    return [g.tokens for g in select_partition(image, vit, max_slices).patch_grids]
-
-
 def estimate_flops(
     dims: ModelDims,
     image: ImageSize,
@@ -144,31 +135,25 @@ def estimate_flops(
     vit: VitSpec | None = None,
     max_slices: int | None = None,
 ) -> CostReport:
-    """Cost report for one encoding strategy on one image."""
+    """Cost report for one encoding strategy on one image; only a sliced plan is capped at max_slices."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     vit = vit or VitSpec()
     if text_tokens < 0:
         raise ValueError(f"text_tokens must be >= 0, got {text_tokens}")
-    passes = _encoder_passes(image, vit, strategy, max_slices)
+    squares, resampled = _STRATEGIES[strategy]
+    passes = ([g.tokens for g in select_partition(image, vit, max_slices).patch_grids] if squares is None
+              else [vit.token_budget] * squares)
     encoder = sum(transformer_stack_flops(dims.encoder, t) for t in passes)
-
-    if strategy == "uhd":
+    if resampled:
         projector = sum(resampler_flops(dims, t) for t in passes)
         visual_tokens = dims.resampler_queries * len(passes)
     else:
-        total_in = sum(passes)
-        projector = mlp_projector_flops(dims, total_in)
-        visual_tokens = total_in
+        visual_tokens = sum(passes)
+        projector = mlp_projector_flops(dims, visual_tokens)
 
     llm = transformer_stack_flops(dims.llm, visual_tokens + text_tokens)
-    return CostReport(
-        strategy=strategy,
-        encoder_flops=encoder,
-        projector_flops=projector,
-        llm_prefill_flops=llm,
-        visual_tokens_to_llm=visual_tokens,
-    )
+    return CostReport(strategy, encoder, projector, llm, visual_tokens)
 
 
 def compare_strategies(

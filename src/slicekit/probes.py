@@ -24,6 +24,7 @@ COLORS = {
 SHAPES = ("circle", "triangle", "square")
 TILE_PX = 512  # the fixed tile of the modelled high-resolution mode
 PROBE_SIDE_PX = 336  # canvas side of the padding probe: one square encoder input
+MAX_CELLS = 2**25  # most heatmap placements or rendered pixels; bounds memory (render_scene: 3 bytes per pixel)
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,8 @@ def heatmap_probe(
     max_dy = max(o.center[1] for o in object_template)
     oxs = range(0, canvas.width_px - math.ceil(max_dx), grid_step_px)
     oys = range(0, canvas.height_px - math.ceil(max_dy), grid_step_px)
+    if len(oys) * max(len(oxs), 1) > MAX_CELLS:  # a row without placements is still one list
+        raise ValueError(f"heatmap of {len(oxs)} x {len(oys)} placements is more than the limit of {MAX_CELLS}")
     if not (oxs and oys):
         return [[] for _ in oys]
     # offsets only grow from the origin and every placement fits below the far edges, so the template
@@ -200,6 +203,8 @@ def padding_waste(aspect_w: float, aspect_h: float) -> float:
 def render_scene(scene: SyntheticScene) -> bytes:
     """Deterministic P6 portable-pixmap rasterization (no anti-aliasing)."""
     w, h = scene.canvas.width_px, scene.canvas.height_px
+    if w * h > MAX_CELLS:
+        raise ValueError(f"scene of {w} x {h} pixels is more than the limit of {MAX_CELLS} pixels")
     pixels = bytearray(COLORS[scene.background]) * (w * h)
     for obj in scene.objects:
         color = bytes(COLORS[obj.color])

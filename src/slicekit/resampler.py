@@ -218,6 +218,18 @@ def _numeric_gradients(queries: QuerySet, tokens: TokenMatrix, params: Attention
     return numeric
 
 
+def check_fd_work(k: int, t: int, d: int) -> None:
+    """Refuse a grad_check of K queries, T tokens and width d whose finite differences exceed FD_MAX_MULTIPLY_ADDS.
+
+    Sizes below 1 are left to the checks of the resampler's own types.
+    """
+    # four forwards per perturbed entry of Q, Wq, Wk and Wv, each (Q Wq) Wk^T, qk X^T, A X and (A X) Wv
+    work = 4 * (k * d + 3 * d * d) * k * d * (3 * d + 2 * t)
+    if min(k, d) >= 1 and work > FD_MAX_MULTIPLY_ADDS:
+        raise ValueError(f"grad_check at K={k}, T={t}, d={d} needs about {work:.1e} multiply-adds of finite "
+                         f"differences, more than the limit of {FD_MAX_MULTIPLY_ADDS:.0e}")
+
+
 def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, eps: float = 1e-3,
                probe_direction: np.ndarray | None = None) -> dict[str, float]:
     """Compare analytic gradients against four-point finite differences with step ``eps``.
@@ -226,12 +238,7 @@ def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, 
     """
     if not (0.0 < eps <= 1e-3):
         raise ValueError("eps must be in (0, 1e-3]")
-    k, t, d = queries.count_k, tokens.count, params.dim
-    # four forwards per perturbed entry of Q, Wq, Wk and Wv, each (Q Wq) Wk^T, qk X^T, A X and (A X) Wv
-    work = 4 * (k * d + 3 * d * d) * k * d * (3 * d + 2 * t)
-    if work > FD_MAX_MULTIPLY_ADDS:
-        raise ValueError(f"grad_check at K={k}, T={t}, d={d} needs about {work:.1e} multiply-adds of finite "
-                         f"differences, more than the limit of {FD_MAX_MULTIPLY_ADDS:.0e}")
+    check_fd_work(queries.count_k, tokens.count, params.dim)
     probe = (np.ones((queries.count_k, params.dim)) if probe_direction is None
              else np.asarray(probe_direction, dtype=np.float64))
     analytic = _gradients(queries, tokens, params, probe)

@@ -2,21 +2,22 @@
 
 The overview block comes first, joined to the slice rows by a single row
 separator; slice blocks within a row are joined by the column separator and
-rows by the row separator.  Separators are abstract sentinel symbols here;
-the CLI renders them as "," and a newline.
+rows by the row separator.  Each separator's value is the text it renders
+as: "," and a newline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from .partition import PartitionPlan
 
 
 class Sep(Enum):
     COL = ","
-    ROW = "\\n"
+    ROW = "\n"
 
 
 @dataclass(frozen=True)
@@ -41,25 +42,18 @@ class SchemaParseError(ValueError):
 
 
 def serialize_layout(plan: PartitionPlan, tokens_per_block: int) -> list:
-    """Flat item sequence: overview block, ROW sep, slice rows.
+    """Flat item sequence: overview block, then each slice in row-major order after its separator.
 
-    Content token total is tokens_per_block * (m*n + 1).  Exactly n*(m-1)
-    column separators and n-1 row separators join the slice blocks; one
-    additional ROW separator joins the overview to the first slice row.
+    The separator before slice i is ROW when i starts a row of m slices and COL otherwise, so
+    the ROW before slice 0 joins the overview; content token total is tokens_per_block * (m*n + 1).
     """
     if tokens_per_block < 1:
         raise ValueError("tokens_per_block must be >= 1")
-    m, n = plan.grid.cols_m, plan.grid.rows_n
+    m = plan.grid.cols_m
     seq: list = [ContentToken("overview")] * tokens_per_block
-    seq.append(Sep.ROW)
-    for row in range(n):
-        if row > 0:
-            seq.append(Sep.ROW)
-        for col in range(m):
-            if col > 0:
-                seq.append(Sep.COL)
-            block = f"slice-{row * m + col}"
-            seq.extend([ContentToken(block)] * tokens_per_block)
+    for i in range(plan.grid.slice_count):
+        seq.append(Sep.ROW if i % m == 0 else Sep.COL)
+        seq += [ContentToken(f"slice-{i}")] * tokens_per_block
     return seq
 
 
@@ -69,41 +63,33 @@ def parse_layout(sequence: list) -> TokenLayout:
         raise SchemaParseError("missing overview block", 0)
 
     rows: list[list[int]] = [[]]
-    block_len = 0
-    block_start = 0
+    block_len = block_start = 0
     for pos, item in enumerate(sequence):
         if isinstance(item, ContentToken):
             block_len += 1
-        elif item is Sep.COL or item is Sep.ROW:
-            if block_len == 0:
-                raise SchemaParseError("empty content block before separator", pos)
-            rows[-1].append(block_len)
-            block_len = 0
-            block_start = pos + 1
-            if item is Sep.ROW:
-                rows.append([])
-        else:
+            continue
+        if not isinstance(item, Sep):
             raise SchemaParseError(f"unknown sequence item {item!r}", pos)
+        if block_len == 0:
+            raise SchemaParseError("empty content block before separator", pos)
+        rows[-1].append(block_len)
+        block_len, block_start = 0, pos + 1
+        if item is Sep.ROW:
+            rows.append([])
     if block_len == 0:
         raise SchemaParseError("sequence ends with a separator", len(sequence) - 1)
     rows[-1].append(block_len)
 
-    if len(rows) < 2:
+    overview, *slice_rows = rows
+    if not slice_rows:
         raise SchemaParseError("missing slice rows after overview", block_start)
-    overview_row, slice_rows = rows[0], rows[1:]
-    if len(overview_row) != 1:
+    if len(overview) != 1:
         raise SchemaParseError("overview row must be a single block", 0)
-
     m = len(slice_rows[0])
-    for i, row in enumerate(slice_rows):
+    for i, row in enumerate(slice_rows, 1):
         if len(row) != m:
-            raise SchemaParseError(f"ragged rows at row {i + 1}", 0)
-    return TokenLayout(
-        cols_m=m,
-        rows_n=len(slice_rows),
-        overview_len=overview_row[0],
-        slice_lens=tuple(tuple(r) for r in slice_rows),
-    )
+            raise SchemaParseError(f"ragged rows at row {i}", 0)
+    return TokenLayout(m, len(slice_rows), overview[0], tuple(map(tuple, slice_rows)))
 
 
 def token_count(plan: PartitionPlan, tokens_per_block: int) -> int:
@@ -112,40 +98,22 @@ def token_count(plan: PartitionPlan, tokens_per_block: int) -> int:
 
 
 def render_layout(sequence: list) -> str:
-    """Human-readable rendering with literal ',' and newline separators."""
-    parts: list[str] = []
-    run_block = None
-    run_len = 0
-
-    def flush():
-        nonlocal run_block, run_len
-        if run_len:
-            parts.append(f"[{run_block}x{run_len}]")
-        run_block, run_len = None, 0
-
-    for item in sequence:
-        if isinstance(item, ContentToken):
-            if item.block_id != run_block:
-                flush()
-                run_block = item.block_id
-            run_len += 1
-        else:
-            flush()
-            parts.append("," if item is Sep.COL else "\n")
-    flush()
+    """Human-readable rendering: each run of one block as [<block>x<run length>], each separator as its value."""
+    parts = []
+    for item, run in groupby(sequence):
+        count = len(list(run))
+        parts.append(item.value * count if isinstance(item, Sep) else f"[{item.block_id}x{count}]")
     return "".join(parts)
 
 
 def summary(sequence: list) -> dict:
+    """Counts from the parsed layout: n rows of m blocks hold n*(m-1) COL and n ROW, one joining the overview."""
     layout = parse_layout(sequence)
-    content = layout.overview_len + sum(sum(r) for r in layout.slice_lens)
-    col_seps = sum(1 for x in sequence if x is Sep.COL)
-    # the overview/slice joiner reuses the ROW symbol but is not a row joiner
-    row_seps = sum(1 for x in sequence if x is Sep.ROW) - 1
+    m, n = layout.cols_m, layout.rows_n
     return {
-        "grid": {"m": layout.cols_m, "n": layout.rows_n},
-        "content_tokens": content,
-        "col_seps": col_seps,
-        "row_seps": row_seps,
+        "grid": {"m": m, "n": n},
+        "content_tokens": layout.overview_len + sum(map(sum, layout.slice_lens)),
+        "col_seps": n * (m - 1),
+        "row_seps": n - 1,
         "total_items": len(sequence),
     }

@@ -17,7 +17,7 @@ aspect.  The aspect-ratio statistic is orientation-folded (always >= 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,13 +62,7 @@ class StatReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "expectation": self.expectation,
-            "variance": self.variance,
-            "samples": self.samples,
-            "std_error": self.std_error,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -275,7 +275,7 @@ class TestGradCheck:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
-    @pytest.mark.parametrize("option, value", [("--dim", "0"), ("--dim", "-3"), ("--queries", "0")])
+    @pytest.mark.parametrize("option, value", [("--dim", "0"), ("--dim", "-3"), ("--dim", "-3000"), ("--queries", "0")])
     def test_size_below_one_is_a_one_line_error(self, capsys, option, value):
         code, out, err = run(capsys, "grad-check", option, value)
         assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
@@ -303,6 +303,18 @@ class TestGradCheck:
         assert (code, out) == (1, "") and len(err.splitlines()) == 1
         assert err.startswith("error: grad_check at K=4, T=8, d=1024 needs about 1.6e+14 multiply-adds")
 
+    def test_dim_6000_refused_before_any_weight_is_drawn(self, capsys, monkeypatch):
+        from slicekit import resampler
+
+        def no_weights(*a):
+            raise AssertionError("drew the resampler's weights")
+        monkeypatch.setattr(resampler, "init_resampler", no_weights)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "grad-check", "--dim", "6000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "") and len(err.splitlines()) == 1
+        assert err.startswith("error: grad_check at K=4, T=8, d=6000 needs about ")
+
     @pytest.mark.parametrize("message, expect", [
         ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
          "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64\n"),
@@ -314,7 +326,7 @@ class TestGradCheck:
         def no_memory(*a, **k):
             raise MemoryError(message)
         monkeypatch.setattr(resampler, "init_resampler", no_memory)
-        assert run(capsys, "grad-check", "--dim", "100000") == (1, "", expect)
+        assert run(capsys, "grad-check") == (1, "", expect)
 
 
 class TestCompress:
@@ -476,6 +488,28 @@ class TestProbe:
         assert code == 1 and out == ""
         assert err == f"error: heatmap grid step must be >= 1 px, got {step}\n"
 
+    @pytest.mark.parametrize("kind", ["phases", "heatmap"])
+    def test_canvas_side_beyond_float_range_is_a_one_line_error(self, capsys, tmp_path, kind):
+        path = write_scene(tmp_path, {**SMALL_SCENE, "canvas": {"w": 10**400, "h": 80}})
+        ppm = tmp_path / "o.ppm"
+        code, out, err = run(capsys, "probe", kind, "--scene", str(path), "--ppm", str(ppm))
+        assert (code, out) == (1, "") and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not ppm.exists()
+
+    @pytest.mark.parametrize("kind, canvas, options, message", [
+        ("heatmap", 100_000, ["--grid-step", "1"],
+         f"heatmap of 99930 x 99960 placements is more than the limit of {probes.MAX_CELLS}"),
+        ("phases", 10_000, [], f"scene of 10000 x 10000 pixels is more than the limit of {probes.MAX_CELLS} pixels"),
+    ])
+    def test_over_the_cell_limit_refused_before_writing(self, capsys, tmp_path, kind, canvas, options, message):
+        path = write_scene(tmp_path, {**SMALL_SCENE, "canvas": {"w": canvas, "h": canvas}})
+        ppm = tmp_path / "o.ppm"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "probe", kind, "--scene", str(path), *options, "--ppm", str(ppm))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not ppm.exists()
+
     def test_phases_with_ppm(self, capsys, tmp_path):
         scene = {
             "canvas": {"w": 768, "h": 768},
@@ -581,7 +615,7 @@ def option_values(finite):
 
 NOT_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
 SCENE_DEFECTS = {
-    "side": ("600.5", "600.0", "true", "false", '"600"', "0", "-1", "null", *NOT_FINITE),
+    "side": ("600.5", "600.0", "true", "false", '"600"', "0", "-1", "null", *NOT_FINITE, str(10**400)),
     "shape": ('"hexagon"', "3", '["circle"]', "null"),
     "color": ('"pink"', "null", '["red"]'),
     "center": ("[]", "[5]", "[5, 5, 5]", "[-5, 5]", "[5, 3000]", '["5", 5]', "[true, 5]", "5", "null",

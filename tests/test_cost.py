@@ -1,10 +1,14 @@
 import json
+import re
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slicekit.cost import (
     STRATEGIES,
+    CostReport,
     ModelDims,
     StackDims,
     compare_strategies,
@@ -15,7 +19,7 @@ from slicekit.cost import (
     transformer_stack_flops,
     vit_token_count,
 )
-from slicekit.partition import ImageSize
+from slicekit.partition import ImageSize, VitSpec, select_partition
 
 IMAGE = ImageSize(672, 1008)
 
@@ -135,6 +139,30 @@ class TestEstimates:
 
     def test_strategy_list_stable(self):
         assert STRATEGIES == ("uhd", "llava15", "uhd-mlp", "fixed2x2-mlp")
+
+    @given(st.integers(14, 4000), st.integers(14, 4000), st.sampled_from(STRATEGIES), st.integers(0, 1000),
+           st.sampled_from((None, 6)))
+    def test_estimate_equals_the_formula(self, dims, w, h, strategy, text_tokens, max_slices):
+        """Encoder passes: the plan's patch grids (uhd, uhd-mlp), one 576-token square (llava15) or five
+        (fixed2x2-mlp); the resampler projects each pass to K tokens under uhd, the MLP keeps every token."""
+        image = ImageSize(w, h)
+        try:
+            if strategy in ("uhd", "uhd-mlp"):
+                passes = [g.tokens for g in select_partition(image, VitSpec(), max_slices).patch_grids]
+            else:
+                passes = [576] if strategy == "llava15" else [576] * 5
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                estimate_flops(dims, image, strategy, text_tokens, None, max_slices)
+            return
+        encoder = sum(transformer_stack_flops(dims.encoder, t) for t in passes)
+        if strategy == "uhd":
+            projector, visual = sum(resampler_flops(dims, t) for t in passes), 64 * len(passes)
+        else:
+            projector, visual = mlp_projector_flops(dims, sum(passes)), sum(passes)
+        expected = CostReport(strategy, encoder, projector, transformer_stack_flops(dims.llm, visual + text_tokens),
+                              visual)
+        assert estimate_flops(dims, image, strategy, text_tokens, None, max_slices) == expected
 
 
 class TestRatios:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slicekit import probes
 from slicekit.partition import ImageSize
 from slicekit.probes import (
     COLORS,
+    MAX_CELLS,
     SHAPES,
     TILE_PX,
     SceneObject,
@@ -143,6 +145,21 @@ class TestCounting:
         with pytest.raises(ValueError, match=f"grid step must be >= 1 px, got {step}$"):
             heatmap_probe(ImageSize(768, 768), CLUSTER, step)
 
+    @pytest.mark.parametrize("canvas, template, shape", [
+        (ImageSize(100_000, 100_000), CLUSTER, "99968 x 99968"),
+        (ImageSize(10, 10**8), (SceneObject("circle", "red", (20.0, -5.0), 24.0),), "0 x 100000005"),  # empty rows
+    ])
+    def test_heatmap_over_max_cells_refused_before_allocating(self, canvas, template, shape):
+        tracemalloc.start()
+        try:
+            message = f"^heatmap of {shape} placements is more than the limit of {MAX_CELLS}$"
+            with pytest.raises(ValueError, match=message):
+                heatmap_probe(canvas, template, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestPhases:
     def test_phase_one_at_low_resolution(self):
@@ -239,6 +256,20 @@ class TestRendering:
         assert render_scene(empty) == render_by_rows(empty) == f"P6\n{w} {h}\n255\n".encode() + b"\x80" * (3 * w * h)
         assert render_scene(dot) == render_by_rows(dot)
         assert render_scene(dot)[-3 * w * h :][:3] == bytes(COLORS["red"])
+
+    def test_render_over_max_cells_refused_before_allocating(self, monkeypatch):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^scene of {MAX_CELLS + 1} x 1 pixels is more than the limit of "):
+                render_scene(SyntheticScene(ImageSize(MAX_CELLS + 1, 1), ()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        monkeypatch.setattr(probes, "MAX_CELLS", 12)
+        assert len(render_scene(SyntheticScene(ImageSize(4, 3), ()))) == len(b"P6\n4 3\n255\n") + 36
+        with pytest.raises(ValueError, match="^scene of 13 x 1 pixels is more than the limit of 12 pixels$"):
+            render_scene(SyntheticScene(ImageSize(13, 1), ()))
 
     def test_ppm_header_and_size(self):
         scene = SyntheticScene(canvas=ImageSize(20, 10), objects=())

@@ -15,6 +15,45 @@ from slicekit.schema import (
 )
 
 
+def nested_serialize(plan, k):
+    """The nested row/column serializer that serialize_layout replaced: the reference for its item order."""
+    m, n = plan.grid.cols_m, plan.grid.rows_n
+    seq = [ContentToken("overview")] * k + [Sep.ROW]
+    for row in range(n):
+        if row > 0:
+            seq.append(Sep.ROW)
+        for col in range(m):
+            if col > 0:
+                seq.append(Sep.COL)
+            seq.extend([ContentToken(f"slice-{row * m + col}")] * k)
+    return seq
+
+
+def run_length_render(sequence):
+    """The run-length renderer that render_layout replaced: one run per block, each separator written alone."""
+    parts = []
+    run_block = None
+    run_len = 0
+
+    def flush():
+        nonlocal run_block, run_len
+        if run_len:
+            parts.append(f"[{run_block}x{run_len}]")
+        run_block, run_len = None, 0
+
+    for item in sequence:
+        if isinstance(item, ContentToken):
+            if item.block_id != run_block:
+                flush()
+                run_block = item.block_id
+            run_len += 1
+        else:
+            flush()
+            parts.append("," if item is Sep.COL else "\n")
+    flush()
+    return "".join(parts)
+
+
 def make_plan(m, n):
     return PartitionPlan(
         image=ImageSize(336 * m, 336 * n),
@@ -46,6 +85,19 @@ class TestRoundTrip:
         assert s["row_seps"] == n - 1
         assert s["content_tokens"] == 5 * (m * n + 1)
         assert s["total_items"] == 5 * (m * n + 1) + n * (m - 1) + (n - 1) + 1
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_serialize_render_and_summary_equal_the_references(self, m, n, k):
+        seq = serialize_layout(make_plan(m, n), k)
+        assert seq == nested_serialize(make_plan(m, n), k)
+        assert render_layout(seq) == run_length_render(seq)
+        s = summary(seq)
+        assert (s["col_seps"], s["row_seps"], s["total_items"]) == (
+            sum(x is Sep.COL for x in seq), sum(x is Sep.ROW for x in seq) - 1, len(seq))
 
     def test_block_order_row_major(self):
         seq = serialize_layout(make_plan(2, 2), 1)
