@@ -121,8 +121,11 @@ def _load_scene(path: str) -> probes.SyntheticScene:
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scene must be a JSON object")
     try:
+        canvas = ImageSize(raw["canvas"]["w"], raw["canvas"]["h"])
+        if max(canvas.width_px, canvas.height_px) > sys.float_info.max:  # the probes scale and place in floats
+            raise ValueError(f"{path}: canvas side beyond float range (over {sys.float_info.max:.6g})")
         return probes.SyntheticScene(
-            canvas=ImageSize(raw["canvas"]["w"], raw["canvas"]["h"]),
+            canvas=canvas,
             objects=tuple(
                 probes.SceneObject(o["shape"], o["color"], tuple(o["center"]), o["size"])
                 for o in raw["objects"]

@@ -55,10 +55,16 @@ def interpolate_pos_embed(src: PosEmbedGrid, target: PatchGrid) -> PosEmbedGrid:
     Tests pin the identity, constants, one-row/one-column sources and targets
     of 1 bit for bit, repeated calls as bit-equal, and every grid within 1e-12
     of a per-cell oracle; a slice of the channels may differ in the last bit.
+    An axis whose size already matches has the identity as its weights, so it
+    is not multiplied (a zero keeps its sign), and the source's own shape
+    returns src itself.
     """
-    out = _interp_axis(src.values, target.rows, axis=0)
-    out = _interp_axis(out, target.cols, axis=1)
-    return PosEmbedGrid(values=out)
+    out = src.values
+    if target.rows != src.rows:
+        out = _interp_axis(out, target.rows, axis=0)
+    if target.cols != src.cols:
+        out = _interp_axis(out, target.cols, axis=1)
+    return src if out is src.values else PosEmbedGrid(values=out)
 
 
 def _axis_weights(old: int, new: int) -> np.ndarray:

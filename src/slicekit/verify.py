@@ -16,7 +16,10 @@ aspect.  The aspect-ratio statistic is orientation-folded (always >= 1).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ from .partition import grid_index, grid_table
 TWO_LOG2 = 2.0 * math.log(2.0)
 MC_SHARD_SIZE = 1_000_000  # samples per independently seeded Monte Carlo shard; changing it changes the draws
 MIN_GRID_DENSITY = 1000  # points per axis of the bounds sweep
+MIN_PART_SIZE = 2**17  # samples per threaded part; below it a thread's start costs about what it saves
 MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; minutes at about 10^7 samples/s, at most 1000 shards
 
 
@@ -96,13 +100,66 @@ def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple
     return cols[index], rows[index]
 
 
-def slice_statistics(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Folded slice aspect ratio and normalized slice area per sample."""
-    cols, rows = select_grids_vectorized(area_ratio, aspect)
-    ratio = aspect * rows / cols
-    ratio = np.maximum(ratio, 1.0 / ratio)
-    area = area_ratio / (cols * rows)
+def slice_statistics(
+    area_ratio: np.ndarray, aspect: np.ndarray, *, _parts: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Folded slice aspect ratio and normalized slice area per sample.
+
+    _parts (for tests) sets the number of contiguous parts in place of one per core; no value changes with it.
+    """
+    ratio, area = np.array(aspect, dtype=np.float64), np.array(area_ratio, dtype=np.float64)
+    _in_parts(_slice_statistics_in_place, area, ratio, _parts)
     return ratio, area
+
+
+def _slice_statistics_in_place(area: np.ndarray, ratio: np.ndarray) -> None:
+    """Overwrite area ratios with normalized slice areas and aspects with folded slice ratios."""
+    cols, rows = select_grids_vectorized(area, ratio)
+    ratio *= rows
+    ratio /= cols
+    cols *= rows
+    del rows
+    area /= cols
+    del cols
+    np.maximum(ratio, 1.0 / ratio, out=ratio)
+
+
+def _draws_to_statistics(area: np.ndarray, log_aspect: np.ndarray) -> None:
+    np.exp(log_aspect, out=log_aspect)
+    _slice_statistics_in_place(area, log_aspect)
+
+
+def _in_parts(kernel, x: np.ndarray, y: np.ndarray, parts: int | None) -> None:
+    """kernel(x[lo:hi], y[lo:hi]) over contiguous parts, the first in this thread and each other on its own.
+
+    numpy releases the GIL in the elementwise loops, sorts and gathers, so the parts run on separate cores;
+    each sample's arithmetic is the same in any part.  Each thread runs in a copy of the caller's context
+    (np.errstate carries over), and the error of the lowest part that raised is re-raised after all have ended.
+    """
+    if parts is None:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        parts = min(cores, x.size // MIN_PART_SIZE)
+    parts = max(1, min(parts, x.size))
+    edges = [x.size * i // parts for i in range(parts + 1)]
+    errors: list[BaseException | None] = [None] * parts
+
+    def run(i: int) -> None:
+        try:
+            kernel(x[edges[i]:edges[i + 1]], y[edges[i]:edges[i + 1]])
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i)) for i in range(1, parts)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
@@ -148,12 +205,16 @@ def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, f
 
 
 def monte_carlo_expectations(
-    dist: DistributionSpec, samples: int = 10_000_000, seed: int = 42
+    dist: DistributionSpec, samples: int = 10_000_000, seed: int = 42, *, _parts: int | None = None
 ) -> tuple[StatReport, StatReport]:
     """Seeded Monte Carlo estimates of E/Var for slice ratio and area.
 
     Shards of MC_SHARD_SIZE samples have independently derived seeds and a
     fixed reduction order, so results are bit-reproducible for a given seed.
+    Each shard's statistics overwrite its draws in place, over contiguous
+    parts on threads (one per core; _parts, for tests, sets the count), and
+    are summed over the whole shard, so the results are the same for any
+    number of parts.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} samples, got {samples}")
@@ -164,11 +225,12 @@ def monte_carlo_expectations(
         k = min(MC_SHARD_SIZE, remaining)
         remaining -= k
         rng = np.random.default_rng(ss)
-        n_area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, k)
-        # uniform over the (W, H) plane <=> log-uniform aspect
-        aspect = np.exp(rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), k))
-        ratio, area = slice_statistics(n_area, aspect)
-        acc += np.array([ratio.sum(), (ratio**2).sum(), area.sum(), (area**2).sum(), k])
+        area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, k)
+        # uniform over the (W, H) plane <=> log-uniform aspect; the kernel turns the log aspect into the ratio
+        ratio = rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), k)
+        _in_parts(_draws_to_statistics, area, ratio, _parts)
+        # summed over the whole shard in this thread, so no sum depends on the parts; squared in place after each
+        acc += [ratio.sum(), np.square(ratio, out=ratio).sum(), area.sum(), np.square(area, out=area).sum(), k]
 
     def report(total: float, total_sq: float) -> StatReport:
         count = acc[4]

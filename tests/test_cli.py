@@ -464,6 +464,15 @@ class TestProbe:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not ppm.exists()
 
+    @pytest.mark.parametrize("kind", ["heatmap", "phases"])
+    def test_canvas_side_beyond_float_range_names_file_and_field(self, capsys, tmp_path, kind):
+        path = tmp_path / "scene.json"
+        path.write_text(f'{{"canvas": {{"w": {10**400}, "h": 500}}, "objects": '
+                        '[{"shape": "circle", "color": "red", "center": [300, 300], "size": 40}]}')
+        code, out, err = run(capsys, "probe", kind, "--scene", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: canvas side beyond float range (over {sys.float_info.max:.6g})\n"
+
     @pytest.mark.parametrize("scale, phase", [("1.0", 2), ("0.4", 1)])
     def test_phases_on_a_scene_without_objects(self, capsys, tmp_path, scale, phase):
         path = write_scene(tmp_path, {"canvas": {"w": 1100, "h": 800}, "objects": []})

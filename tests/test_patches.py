@@ -100,6 +100,19 @@ class TestInterpolation:
         out = interpolate_pos_embed(src, PatchGrid(cols=24, rows=24))
         assert np.array_equal(out.values, src.values)
 
+    def test_own_shape_returns_the_source(self):
+        src = self.make_grid(24, 24)
+        assert interpolate_pos_embed(src, PatchGrid(cols=24, rows=24)) is src
+
+    @pytest.mark.parametrize("rows, cols", [(24, 30), (24, 1), (17, 24), (1, 24)])
+    def test_matching_axis_is_skipped_bit_for_bit(self, rows, cols):
+        """Equal to both axis products, the matching axis's being the identity."""
+        from slicekit.patches import _interp_axis
+
+        src = self.make_grid(24, 24, dim=8)
+        out = interpolate_pos_embed(src, PatchGrid(cols=cols, rows=rows)).values
+        assert out.tobytes() == _interp_axis(_interp_axis(src.values, rows, axis=0), cols, axis=1).tobytes()
+
     def test_constant_preserved_exactly(self):
         src = PosEmbedGrid(values=np.full((5, 7, 2), 3.25))
         out = interpolate_pos_embed(src, PatchGrid(cols=11, rows=3))

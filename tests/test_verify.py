@@ -1,18 +1,25 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import slicekit.verify
 from slicekit.partition import ImageSize, VitSpec, grid_index, grid_table, select_partition
 from slicekit.verify import (
     ALTERNATE_SPEC,
     MAX_SAMPLES,
     MIN_GRID_DENSITY,
+    MIN_PART_SIZE,
     TWO_LOG2,
     DistributionSpec,
     enumerate_ratio_bound,
@@ -198,6 +205,72 @@ class TestMonteCarlo:
     def test_sample_count_past_the_bound_raises_before_any_shard_is_seeded(self, samples):
         with pytest.raises(ValueError, match=f"^need between 1 and {MAX_SAMPLES} samples, got {samples}$"):
             monte_carlo_expectations(DistributionSpec(), samples=samples)
+
+
+class TestParts:
+    """Each shard's statistics run over contiguous parts on threads; no value may depend on the part count."""
+
+    @pytest.mark.parametrize("size", [1, MIN_PART_SIZE - 1, MIN_PART_SIZE + 1, 10**6 + 1])
+    def test_monte_carlo_bitwise_equal_for_any_part_count(self, size):
+        for dist in (DistributionSpec(), ALTERNATE_SPEC):
+            serial = repr(monte_carlo_expectations(dist, size, 3, _parts=1))
+            for parts in (None, 2, 3):
+                assert repr(monte_carlo_expectations(dist, size, 3, _parts=parts)) == serial, parts
+
+    @pytest.mark.parametrize("size", [1, MIN_PART_SIZE - 1, MIN_PART_SIZE + 1, 10**6 + 1])
+    def test_slice_statistics_bitwise_equal_for_any_part_count(self, size):
+        rng = np.random.default_rng(size)
+        area, aspect = rng.uniform(1, 20, size), np.exp(rng.uniform(-math.log(6), math.log(6), size))
+        given_area, given_aspect = area.copy(), aspect.copy()
+        ratio, s_area = slice_statistics(area, aspect, _parts=1)
+        for parts in (None, 2, 3):
+            r, a = slice_statistics(area, aspect, _parts=parts)
+            assert r.tobytes() == ratio.tobytes() and a.tobytes() == s_area.tobytes(), parts
+        assert np.array_equal(area, given_area) and np.array_equal(aspect, given_aspect)  # inputs are copied
+
+    def test_pinned_values_at_one_shard(self):
+        # recorded before the statistics ran in parts: 10^6 samples split across every core
+        assert repr(monte_carlo_expectations(DistributionSpec(), 10**6, 1)) == (
+            "(StatReport(expectation=1.2535457869993558, variance=0.04296374195618302, samples=1000000, "
+            "std_error=0.00020727696918901295, seed=1), StatReport(expectation=0.9410464412305471, "
+            "variance=0.02057569054819164, samples=1000000, std_error=0.00014344228995729133, seed=1))")
+        assert repr(monte_carlo_expectations(ALTERNATE_SPEC, 10**6, 1)) == (
+            "(StatReport(expectation=1.3192433814593167, variance=0.06384017169880285, samples=1000000, "
+            "std_error=0.0002526661269319709, seed=1), StatReport(expectation=0.843169043910614, "
+            "variance=0.07441845534057523, samples=1000000, std_error=0.00027279746212268037, seed=1))")
+
+    @pytest.mark.parametrize("parts", [None, 1, 2, 3])
+    def test_nan_area_raises_the_serial_error_and_leaves_no_thread(self, parts):
+        rng = np.random.default_rng(0)
+        area, aspect = rng.uniform(1, 20, 2**18), np.exp(rng.uniform(0, math.log(6), 2**18))
+        area[2**18 - 5] = np.nan  # in the last part
+        threads = threading.active_count()
+        # the caller's errstate holds in every part: the NaN band's cast to int64 stays silent
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^slice count must be >= 1$"):
+            slice_statistics(area, aspect, _parts=parts)
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_call(self):
+        threads = threading.active_count()
+        monte_carlo_expectations(DistributionSpec(), 2 * 10**5 + 7, 1, _parts=3)
+        assert threading.active_count() == threads
+
+    def test_peak_memory_below_six_sample_arrays(self):
+        tracemalloc.start()
+        try:
+            monte_carlo_expectations(DistributionSpec(), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * 10**6, peak  # the two draws take 2 of them; the statistics overwrite them
+
+    def test_import_loads_no_executor(self):
+        # concurrent.futures takes about 11 ms to import, paid by every CLI start; the parts use threading
+        code = "import sys, slicekit.verify, slicekit.cli; print('concurrent.futures' in sys.modules)"
+        src = str(Path(slicekit.verify.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestExact:
