@@ -144,13 +144,16 @@ def cmd_probe(args, cfg: AppConfig) -> int:
         scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h) if args.ppm else None
     else:
         scene = _load_scene(args.scene)
-        if args.kind == "heatmap":
-            matrix = probes.heatmap_probe(scene.canvas, scene.objects, args.grid_step)
-            payload = {"canvas": {"w": scene.canvas.width_px, "h": scene.canvas.height_px},
-                       "grid_step": args.grid_step, "counts": matrix}
-        else:  # phases
-            phase, answers = probes.phase_classify(scene, args.scale)
-            payload = {"phase": phase, "predicted_answers": sorted(answers), "scale": args.scale}
+        try:
+            if args.kind == "heatmap":
+                matrix = probes.heatmap_probe(scene.canvas, scene.objects, args.grid_step)
+                payload = {"canvas": {"w": scene.canvas.width_px, "h": scene.canvas.height_px},
+                           "grid_step": args.grid_step, "counts": matrix}
+            else:  # phases
+                phase, answers = probes.phase_classify(scene, args.scale)
+                payload = {"phase": phase, "predicted_answers": sorted(answers), "scale": args.scale}
+        except probes.CanvasLimitError as e:
+            raise ValueError(f"{args.scene}: {e}") from None
     if args.ppm:
         ppm = probes.render_scene(scene)
         with open(args.ppm, "wb") as f:

@@ -24,7 +24,11 @@ COLORS = {
 SHAPES = ("circle", "triangle", "square")
 TILE_PX = 512  # the fixed tile of the modelled high-resolution mode
 PROBE_SIDE_PX = 336  # canvas side of the padding probe: one square encoder input
-MAX_CELLS = 2**25  # most heatmap placements or rendered pixels; bounds memory (render_scene: 3 bytes per pixel)
+MAX_CELLS = 2**25  # most heatmap placements, tile starts or rendered pixels; bounds memory (a pixel is 3 bytes)
+
+
+class CanvasLimitError(ValueError):
+    """A canvas whose tile cover or heatmap would hold more than MAX_CELLS entries; the message names the canvas."""
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,10 @@ class SliceCover:
         return len(self.xs), len(self.ys)
 
 
-def _axis_positions(length: int) -> tuple[int, ...]:
-    """Tile start offsets along one axis: equal-overlap placement."""
-    if length <= TILE_PX:
+def _axis_positions(length: int, k: int) -> tuple[int, ...]:
+    """Start offsets of the k tiles along one axis of ``length`` px: equal-overlap placement."""
+    if k == 1:
         return (0,)
-    k = math.ceil(length / TILE_PX)
     stride = (length - TILE_PX) / (k - 1)
     return tuple(round(i * stride) for i in range(k))
 
@@ -98,9 +101,15 @@ def overlap_tile_cover(canvas: ImageSize) -> SliceCover:
 
     Images at or below the tile size are padded into a single tile.  When an
     axis is not tile-divisible the tiles overlap: they are spread at stride
-    (dim - tile)/(k - 1), rounded to integer pixels.
+    (dim - tile)/(k - 1), rounded to integer pixels.  The tile counts are
+    refused over MAX_CELLS axis starts before any start is built.
     """
-    return SliceCover(xs=_axis_positions(canvas.width_px), ys=_axis_positions(canvas.height_px))
+    w, h = canvas.width_px, canvas.height_px
+    nx, ny = -(-w // TILE_PX), -(-h // TILE_PX)
+    if nx + ny > MAX_CELLS:
+        raise CanvasLimitError(f"canvas {w} x {h} needs {nx} x {ny} tiles of {TILE_PX} px, more than the limit of "
+                               f"{MAX_CELLS} tile starts")
+    return SliceCover(xs=_axis_positions(w, nx), ys=_axis_positions(h, ny))
 
 
 def _tiles_holding(starts: tuple[int, ...], v: float) -> int:
@@ -142,12 +151,14 @@ def heatmap_probe(
         raise ValueError("object template must contain at least one object")
     if grid_step_px < 1:
         raise ValueError(f"heatmap grid step must be >= 1 px, got {grid_step_px}")
-    max_dx = max(o.center[0] for o in object_template)
-    max_dy = max(o.center[1] for o in object_template)
-    oxs = range(0, canvas.width_px - math.ceil(max_dx), grid_step_px)
-    oys = range(0, canvas.height_px - math.ceil(max_dy), grid_step_px)
-    if len(oys) * max(len(oxs), 1) > MAX_CELLS:  # a row without placements is still one list
-        raise ValueError(f"heatmap of {len(oxs)} x {len(oys)} placements is more than the limit of {MAX_CELLS}")
+    # origins 0, step, ... below each far edge less the template's reach: ceil(stop / step) of them, if stop > 0
+    stop_x = canvas.width_px - math.ceil(max(o.center[0] for o in object_template))
+    stop_y = canvas.height_px - math.ceil(max(o.center[1] for o in object_template))
+    cols, rows = max(0, -(-stop_x // grid_step_px)), max(0, -(-stop_y // grid_step_px))
+    if rows * max(cols, 1) > MAX_CELLS:  # a row without placements is still one list
+        raise CanvasLimitError(f"heatmap of {cols} x {rows} placements on the {canvas.width_px} x {canvas.height_px} "
+                               f"canvas is more than the limit of {MAX_CELLS}")
+    oxs, oys = range(0, stop_x, grid_step_px), range(0, stop_y, grid_step_px)
     if not (oxs and oys):
         return [[] for _ in oys]
     # offsets only grow from the origin and every placement fits below the far edges, so the template

@@ -8,6 +8,7 @@ gradient check used to verify it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,25 @@ class TokenMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is read-only and owns its memory, else a read-only copy: no one can write into it.
+
+    The copy keeps the memory layout (``order="K"``), so products over it round as they would over ``a``.
+    """
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy(order="K")
+        a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class QuerySet:
-    """K learnable query vectors of width dim."""
+    """K learnable query vectors of width dim; ``values`` is read-only, and the set hashes by identity."""
 
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "values", _read_only(self.values))
         if self.values.ndim != 2 or self.values.shape[0] < 1:
             raise ValueError("queries must be a non-empty 2D (K, dim) array")
         if not np.isfinite(self.values).all():
@@ -58,8 +71,10 @@ class QuerySet:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionParams:
+    """Square projections Wq, Wk and Wv; the arrays are read-only, and the parameters hash by identity."""
+
     w_q: np.ndarray
     w_k: np.ndarray
     w_v: np.ndarray
@@ -67,7 +82,8 @@ class AttentionParams:
     def __post_init__(self):
         d = self.w_q.shape[0]
         for name in ("w_q", "w_k", "w_v"):
-            w = getattr(self, name)
+            w = _read_only(getattr(self, name))
+            object.__setattr__(self, name, w)
             if w.shape != (d, d):
                 raise ValueError(f"{name} must be square with matching dim")
             if not np.isfinite(w).all():
@@ -88,12 +104,14 @@ def init_resampler(count_k: int, dim: int, seed: int) -> tuple[QuerySet, Attenti
         raise ValueError(f"the resampler needs K >= 1 queries of dim >= 1, got K={count_k}, dim={dim}")
     rng = np.random.default_rng(seed)
     std = 1.0 / np.sqrt(dim)
-    queries = QuerySet(values=rng.normal(0.0, std, size=(count_k, dim)))
-    params = AttentionParams(
-        w_q=rng.normal(0.0, std, size=(dim, dim)),
-        w_k=rng.normal(0.0, std, size=(dim, dim)),
-        w_v=rng.normal(0.0, std, size=(dim, dim)),
-    )
+
+    def draw(rows: int) -> np.ndarray:  # read-only from the start, so the wrappers keep it without a copy
+        a = rng.normal(0.0, std, size=(rows, dim))
+        a.flags.writeable = False
+        return a
+
+    queries = QuerySet(values=draw(count_k))
+    params = AttentionParams(w_q=draw(dim), w_k=draw(dim), w_v=draw(dim))
     return queries, params
 
 
@@ -109,6 +127,17 @@ def _projected_queries(queries: QuerySet, params: AttentionParams) -> np.ndarray
     if queries.dim != params.dim:
         raise ValueError("query/token/parameter dims do not match")
     return queries.values @ params.w_q
+
+
+@functools.lru_cache(maxsize=1)
+def _query_keys(queries: QuerySet, params: AttentionParams) -> np.ndarray:
+    """Read-only qk = (Q Wq) Wk^T of the last pair asked for.
+
+    Both arguments hash by identity and their arrays are read-only, so a cached ``qk`` cannot be stale.
+    """
+    qk = _projected_queries(queries, params) @ params.w_k.T
+    qk.flags.writeable = False
+    return qk
 
 
 def _block_weights(qk: np.ndarray, x: np.ndarray, params: AttentionParams) -> np.ndarray:
@@ -138,7 +167,7 @@ def _canonical_order(x: np.ndarray) -> np.ndarray:
 
 def attention_weights(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> np.ndarray:
     """Row-stochastic (K, T) attention matrix, columns in the tokens' order."""
-    return _block_weights(_projected_queries(queries, params) @ params.w_k.T, tokens.values, params)
+    return _block_weights(_query_keys(queries, params), tokens.values, params)
 
 
 def cross_attention_forward(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> TokenMatrix:
@@ -154,16 +183,23 @@ def compress_slices(
 ) -> list[TokenMatrix]:
     """Compress every slice with the shared queries/parameters.
 
-    ``qk = (Q Wq) Wk^T`` is formed once per call.  Each block's T rows are
-    brought into ``_canonical_order`` (so permuting its key/value pairs yields
-    bitwise identical output), then weighted as A = softmax(qk X^T / sqrt(d))
-    and reduced to (A X) Wv: two K*T*d products and one K*d*d product, with
-    no (T, d) projection of the tokens.
+    ``qk = (Q Wq) Wk^T`` comes from ``_query_keys``, which keeps it for the
+    last parameter pair.  Each block's T rows are gathered in
+    ``_canonical_order`` (so permuting its key/value pairs yields bitwise
+    identical output) into the leading bytes of one buffer per call, then
+    weighted as A = softmax(qk X^T / sqrt(d)) and reduced to (A X) Wv: two
+    K*T*d products and one K*d*d product, with no (T, d) projection of the
+    tokens.  Blocks are multiplied one at a time: a product of several
+    stacked blocks rounds a block's rows differently from the block alone.
     """
-    qk = _projected_queries(queries, params) @ params.w_k.T
+    qk = _query_keys(queries, params)
+    gathered = np.empty(max((t.values.nbytes for t in slice_tokens), default=0), np.uint8)
     out = []
     for tokens in slice_tokens:
-        x = tokens.values[_canonical_order(tokens.values)]
+        values = tokens.values
+        x = gathered[:values.nbytes].view(values.dtype).reshape(values.shape)
+        # mode="raise" would gather into a temporary and copy it into x
+        np.take(values, _canonical_order(values), axis=0, out=x, mode="clip")
         attn = _block_weights(qk, x, params)
         out.append(TokenMatrix(values=(attn @ x) @ params.w_v))
     return out

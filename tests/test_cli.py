@@ -506,8 +506,8 @@ class TestProbe:
         assert not ppm.exists()
 
     @pytest.mark.parametrize("kind, canvas, options, message", [
-        ("heatmap", 100_000, ["--grid-step", "1"],
-         f"heatmap of 99930 x 99960 placements is more than the limit of {probes.MAX_CELLS}"),
+        ("heatmap", 100_000, ["--grid-step", "1"], "{path}: heatmap of 99930 x 99960 placements on the "
+         f"100000 x 100000 canvas is more than the limit of {probes.MAX_CELLS}"),
         ("phases", 10_000, [], f"scene of 10000 x 10000 pixels is more than the limit of {probes.MAX_CELLS} pixels"),
     ])
     def test_over_the_cell_limit_refused_before_writing(self, capsys, tmp_path, kind, canvas, options, message):
@@ -516,8 +516,26 @@ class TestProbe:
         start = time.perf_counter()
         code, out, err = run(capsys, "probe", kind, "--scene", str(path), *options, "--ppm", str(ppm))
         assert time.perf_counter() - start < 1.0
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
         assert not ppm.exists()
+
+    @pytest.mark.parametrize("kind, exponent", [("heatmap", 30), ("heatmap", 308), ("phases", 19), ("phases", 308)])
+    def test_canvas_side_past_the_cell_limit_names_file_and_canvas(self, capsys, tmp_path, kind, exponent):
+        """Sides past 2^63 grid steps (heatmap) or 10^16 tiles (phases) are counted, not enumerated."""
+        side = 10**exponent
+        path = write_scene(tmp_path, {**SMALL_SCENE, "canvas": {"w": side, "h": 80}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "probe", kind, "--scene", str(path), "--grid-step", "1")
+        assert time.perf_counter() - start < 1.0
+        limit = probes.MAX_CELLS
+        if kind == "heatmap":
+            message = (f"heatmap of {side - 70} x 40 placements on the {side} x 80 canvas is more than the limit "
+                       f"of {limit}")
+        else:  # the tiled canvas is the one scaled by --scale 1.0, through a float
+            tiled = round(side * 1.0)
+            message = (f"canvas {tiled} x 80 needs {-(-tiled // 512)} x 1 tiles of 512 px, more than the limit of "
+                       f"{limit} tile starts")
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
     def test_phases_with_ppm(self, capsys, tmp_path):
         scene = {

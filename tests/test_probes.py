@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ from slicekit.probes import (
     MAX_CELLS,
     SHAPES,
     TILE_PX,
+    CanvasLimitError,
     SceneObject,
     SyntheticScene,
     _covers,
@@ -70,6 +72,21 @@ class TestTileCover:
         scene = SyntheticScene(canvas=ImageSize(w, h), objects=(obj,))
         assert _fragment_count(scene, cover) == sum(
             x - half < tx + t and tx < x + half and y - half < ty + t and ty < y + half for tx, ty in tiles)
+
+    @pytest.mark.parametrize("side", [10**19, 10**308])
+    def test_cover_over_max_cells_refused_before_building_starts(self, side):
+        start = time.perf_counter()
+        with pytest.raises(CanvasLimitError, match=f"^canvas {side} x 80 needs {-(-side // TILE_PX)} x 1 tiles of "
+                                                   f"{TILE_PX} px, more than the limit of {MAX_CELLS} tile starts$"):
+            overlap_tile_cover(ImageSize(side, 80))
+        assert time.perf_counter() - start < 1.0
+
+    def test_cover_at_max_cells_axis_starts_is_built(self, monkeypatch):
+        monkeypatch.setattr(probes, "MAX_CELLS", 4)
+        assert overlap_tile_cover(ImageSize(1024, 1024)).grid == (2, 2)
+        with pytest.raises(CanvasLimitError, match="^canvas 1025 x 1024 needs 3 x 2 tiles of 512 px, more than the "
+                                                   "limit of 4 tile starts$"):
+            overlap_tile_cover(ImageSize(1025, 1024))
 
     def test_cover_of_a_huge_canvas_holds_only_the_axis_starts(self):
         """probe phases --scale 1e5 on a 100x80 scene: a 10^7 x 8*10^6 px canvas, about 3*10^8 tiles."""
@@ -148,12 +165,15 @@ class TestCounting:
     @pytest.mark.parametrize("canvas, template, shape", [
         (ImageSize(100_000, 100_000), CLUSTER, "99968 x 99968"),
         (ImageSize(10, 10**8), (SceneObject("circle", "red", (20.0, -5.0), 24.0),), "0 x 100000005"),  # empty rows
+        # past 2^63 placements: counted, not taken as len(range)
+        *(pytest.param(ImageSize(10**e, 80), CLUSTER, f"{10**e - 32} x 48", id=f"side-1e{e}") for e in (30, 308)),
     ])
     def test_heatmap_over_max_cells_refused_before_allocating(self, canvas, template, shape):
         tracemalloc.start()
         try:
-            message = f"^heatmap of {shape} placements is more than the limit of {MAX_CELLS}$"
-            with pytest.raises(ValueError, match=message):
+            message = (f"^heatmap of {shape} placements on the {canvas.width_px} x {canvas.height_px} canvas "
+                       f"is more than the limit of {MAX_CELLS}$")
+            with pytest.raises(CanvasLimitError, match=message):
                 heatmap_probe(canvas, template, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import slicekit
 from slicekit import resampler
 from slicekit.resampler import (
     FD_BATCH_ENTRIES,
@@ -14,6 +20,7 @@ from slicekit.resampler import (
     _canonical_order,
     _gradients,
     _numeric_gradients,
+    _query_keys,
     _softmax_rows,
     attention_weights,
     compress_slices,
@@ -24,6 +31,8 @@ from slicekit.resampler import (
 
 DIM = 16
 TOLERANCE = 1e-4  # grad-check's default --tolerance
+ENCODE_T = (576, 551, 575, 540, 300, 48, 1)  # token counts of encode blocks at K=64, d=1024
+CROSS_THREAD_BOUND = 4e-15  # largest |difference| between BLAS thread counts, relative to the block's largest |entry|
 
 # the backward's two known mistakes, applied to its output: dWk transposed, and 1/sqrt(d) dropped from d_qk,
 # which scales every gradient upstream of d_qk by sqrt(d)
@@ -37,6 +46,36 @@ def setup_case(tokens, dim=DIM, k=4, seed_=0):
     queries, params = init_resampler(k, dim, seed_)
     rng = np.random.default_rng(seed_ + 1)
     return queries, params, TokenMatrix(values=rng.normal(size=(tokens, dim)))
+
+
+def encode_blocks(tie: bool):
+    """Blocks of the ENCODE_T token counts at d=1024; with ``tie``, column 0 of the 48-token block holds a tie."""
+    rng = np.random.default_rng(1)
+    values = [rng.normal(size=(t, 1024)) for t in ENCODE_T]
+    if tie:
+        values[5][1, 0] = values[5][0, 0]
+    return [TokenMatrix(values=v) for v in values]
+
+
+def reference_compress(slice_tokens, queries, params):
+    """The loop compress_slices replaced: qk formed in the call, each block gathered by a fresh fancy index."""
+    qk = (queries.values @ params.w_q) @ params.w_k.T
+    out = []
+    for tokens in slice_tokens:
+        x = tokens.values[np.lexsort(tokens.values.T[::-1])]
+        out.append((_softmax_rows((qk @ x.T) * params.scale) @ x) @ params.w_v)
+    return out
+
+
+def reference_attention_weights(queries, tokens, params):
+    qk = (queries.values @ params.w_q) @ params.w_k.T
+    return _softmax_rows((qk @ tokens.values.T) * params.scale)
+
+
+@pytest.fixture(scope="module")
+def encode_case():
+    queries, params = init_resampler(64, 1024, 0)
+    return queries, params, encode_blocks(tie=True)
 
 
 class TestForward:
@@ -171,6 +210,133 @@ class TestCompressSlices:
         # each slice compressed independently with the same module
         solo = cross_attention_forward(queries, mats[1], params)
         assert np.array_equal(outs[1].values, solo.values)
+
+
+class TestHotPath:
+    """compress_slices keeps qk for the last parameter pair and gathers every block into one buffer per call."""
+
+    def test_bitwise_equal_to_the_reference_loop_in_both_orders(self, encode_case):
+        queries, params, blocks = encode_case
+        for order in (blocks, blocks[::-1]):
+            outs = compress_slices(order, queries, params)
+            for out, ref in zip(outs, reference_compress(order, queries, params)):
+                assert out.values.tobytes() == ref.tobytes()
+        for tokens in blocks:
+            expected = reference_attention_weights(queries, tokens, params)
+            assert attention_weights(queries, tokens, params).tobytes() == expected.tobytes()
+
+    def test_parameter_arrays_are_read_only_and_owned(self):
+        rng = np.random.default_rng(3)
+        q, w_q, w_v = rng.normal(size=(4, 8)), rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+        w_k = np.asfortranarray(rng.normal(size=(8, 8)))  # the copy keeps the layout, so products round alike
+        queries, params = QuerySet(values=q), AttentionParams(w_q=w_q, w_k=w_k, w_v=w_v)
+        tokens = TokenMatrix(values=rng.normal(size=(5, 8)))
+        before = compress_slices([tokens], queries, params)[0].values
+        callers = (SimpleNamespace(values=q), SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v, scale=params.scale))
+        assert before.tobytes() == reference_compress([tokens], *callers)[0].tobytes()
+        for a in (queries.values, params.w_q, params.w_k, params.w_v):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+        for a in (q, w_q, w_k, w_v):  # the caller's writable arrays were copied
+            a[:] = 0.0
+        assert np.array_equal(compress_slices([tokens], queries, params)[0].values, before)
+        assert _query_keys(queries, params).flags.writeable is False
+
+    def test_read_only_owned_array_kept_and_read_only_view_copied(self):
+        owned = np.random.default_rng(4).normal(size=(3, 6))
+        owned.flags.writeable = False
+        assert QuerySet(values=owned).values is owned
+        base = np.random.default_rng(5).normal(size=(3, 6))
+        view = base[:]
+        view.flags.writeable = False  # still writable through base
+        kept = QuerySet(values=view).values
+        assert kept is not view and not np.shares_memory(kept, base)
+        queries, params = init_resampler(4, 8, 0)  # fresh draws are wrapped without a copy
+        assert all(a.flags.owndata and not a.flags.writeable
+                   for a in (queries.values, params.w_q, params.w_k, params.w_v))
+
+    def test_pairs_hash_by_identity(self):
+        (q1, p1), (q2, p2) = init_resampler(4, 8, 0), init_resampler(4, 8, 0)
+        assert q1 != q2 and p1 != p2 and q1 == q1
+        assert len({q1, q2, p1, p2}) == 4
+
+    def test_a_second_pair_is_never_served_the_first_pairs_qk(self):
+        rng = np.random.default_rng(6)
+        blocks = [TokenMatrix(values=rng.normal(size=(t, DIM))) for t in (7, 3, 12)]
+        first, second = init_resampler(4, DIM, 0), init_resampler(4, DIM, 1)
+        mixed = (first[0], second[1])  # shares the first pair's queries
+        for queries, params in (first, second, first, mixed, second, mixed, first):
+            outs = compress_slices(blocks, queries, params)
+            for out, ref in zip(outs, reference_compress(blocks, queries, params)):
+                assert out.values.tobytes() == ref.tobytes()
+        for seed_ in range(3):  # a pair dropped by the caller and one built in its place
+            queries, params = init_resampler(4, DIM, 10 + seed_)
+            expected = reference_compress(blocks, queries, params)
+            assert all(np.array_equal(o.values, e) for o, e in zip(compress_slices(blocks, queries, params), expected))
+
+    def test_one_gather_buffer_per_call(self, encode_case):
+        """The traced peak stays below 1.5 largest blocks plus the outputs: a fresh gather per block holds two blocks.
+
+        The blocks hold no tie: a tie's full lexsort adds about 2.8 KB per column whatever the block's length.
+        """
+        queries, params, _ = encode_case
+        blocks = encode_blocks(tie=False)
+        tracemalloc.start()
+        try:
+            outs = compress_slices(blocks, queries, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * max(b.values.nbytes for b in blocks) + sum(o.values.nbytes for o in outs)
+
+    def test_blocks_of_other_dtypes_and_widths_share_the_buffer(self):
+        queries, params = init_resampler(3, 4, 0)
+        rng = np.random.default_rng(8)
+        small = TokenMatrix(values=rng.integers(-3, 4, size=(2, 4)))
+        wide = TokenMatrix(values=rng.normal(size=(9, 4)).astype(np.float32))
+        outs = compress_slices([wide, small], queries, params)
+        for out, ref in zip(outs, reference_compress([wide, small], queries, params)):
+            assert out.values.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError, match="^query/token/parameter dims do not match$"):
+            compress_slices([wide, TokenMatrix(values=np.ones((2, 5)))], queries, params)
+
+
+# runs the encode blocks once in a list, once shuffled (rows within each block and the blocks' order) and once
+# block by block, and saves the three (7, 64, 1024) stacks
+THREADS_CHILD = """
+import sys
+import numpy as np
+from slicekit.resampler import TokenMatrix, compress_slices, init_resampler
+rng = np.random.default_rng(2)
+queries, params = init_resampler(64, 1024, 0)
+blocks = [TokenMatrix(values=rng.normal(size=(t, 1024))) for t in {t}]
+shuffled = [TokenMatrix(values=b.values[rng.permutation(b.count)]) for b in blocks[::-1]]
+runs = (compress_slices(blocks, queries, params), compress_slices(shuffled, queries, params)[::-1],
+        [compress_slices([b], queries, params)[0] for b in blocks])
+np.save(sys.argv[1], np.array([[o.values for o in outs] for outs in runs]))
+""".format(t=ENCODE_T)
+
+
+class TestBlasThreads:
+    def test_bitwise_per_thread_count_and_bounded_across_counts(self, tmp_path):
+        src = str(Path(slicekit.__file__).parents[1])
+        results = {}
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            runs = []
+            for attempt in range(2):
+                path = tmp_path / f"threads{threads}_{attempt}.npy"
+                proc = subprocess.run([sys.executable, "-c", THREADS_CHILD, str(path)],
+                                      capture_output=True, text=True, env=env, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                runs.append(np.load(path))
+            assert runs[0].tobytes() == runs[1].tobytes(), threads  # the same count twice: the same bits
+            listed, shuffled, solo = runs[0]
+            assert listed.tobytes() == shuffled.tobytes() == solo.tobytes(), threads
+            results[threads] = listed
+        for one, two in zip(results[1], results[2]):
+            assert np.abs(one - two).max() <= CROSS_THREAD_BOUND * np.abs(one).max()
 
 
 class TestGradCheck:
