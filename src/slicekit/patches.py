@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import read_only
 from .partition import PatchGrid, fit_patch_grid, overview_grid  # noqa: F401  (re-exported)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosEmbedGrid:
-    """2D position-embedding table, shape (rows, cols, dim)."""
+    """2D position-embedding table, shape (rows, cols, dim); ``values`` is read-only, and it hashes by identity."""
 
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "values", read_only(self.values))
         if self.values.ndim != 3:
             raise ValueError("position embedding grid must be rank 3 (rows, cols, dim)")
         if 0 in self.values.shape:
@@ -50,21 +53,34 @@ def interpolate_pos_embed(src: PosEmbedGrid, target: PatchGrid) -> PosEmbedGrid:
     """Align-corners bilinear interpolation to the target grid shape.
 
     Corner cells of the source map exactly onto corner cells of the target,
-    so interpolating to the source's own shape is the identity.  Bilinear is
-    separable: each axis is one product with its (new, old) weight matrix.
+    so interpolating to the source's own shape is the identity, and src
+    itself is returned.  Any other shape comes from ``_interpolated``, which
+    keeps the table of the last (src, rows, cols) asked for: the slices of
+    one image mostly share a grid, so a repeated grid is not recomputed.
     Tests pin the identity, constants, one-row/one-column sources and targets
     of 1 bit for bit, repeated calls as bit-equal, and every grid within 1e-12
     of a per-cell oracle; a slice of the channels may differ in the last bit.
+    """
+    if (target.rows, target.cols) == (src.rows, src.cols):
+        return src
+    return _interpolated(src, target.rows, target.cols)
+
+
+@functools.lru_cache(maxsize=1)
+def _interpolated(src: PosEmbedGrid, rows: int, cols: int) -> PosEmbedGrid:
+    """The (rows, cols) table of src: one product with its (new, old) weight matrix per axis that changes size.
+
     An axis whose size already matches has the identity as its weights, so it
-    is not multiplied (a zero keeps its sign), and the source's own shape
-    returns src itself.
+    is not multiplied (a zero keeps its sign).  src hashes by identity and its
+    values are read-only, so a kept table cannot be stale.
     """
     out = src.values
-    if target.rows != src.rows:
-        out = _interp_axis(out, target.rows, axis=0)
-    if target.cols != src.cols:
-        out = _interp_axis(out, target.cols, axis=1)
-    return src if out is src.values else PosEmbedGrid(values=out)
+    if rows != src.rows:
+        out = _interp_axis(out, rows, axis=0)
+    if cols != src.cols:
+        out = _interp_axis(out, cols, axis=1)
+    out.flags.writeable = False  # the fresh product is the table's own: no copy
+    return PosEmbedGrid(values=out)
 
 
 def _axis_weights(old: int, new: int) -> np.ndarray:
@@ -82,7 +98,10 @@ def _axis_weights(old: int, new: int) -> np.ndarray:
 
 
 def _interp_axis(values: np.ndarray, new_size: int, axis: int) -> np.ndarray:
+    """A new array, owning its memory, with ``axis`` resized to new_size."""
     weights = _axis_weights(values.shape[axis], new_size)
-    if axis == 0:
-        return (weights @ values.reshape(values.shape[0], -1)).reshape(new_size, *values.shape[1:])
+    if axis == 0:  # one (new, old) x (old, cols*dim) product, written into the table's own (new, cols, dim) memory
+        out = np.empty((new_size, *values.shape[1:]), np.result_type(weights, values))
+        np.matmul(weights, values.reshape(values.shape[0], -1), out=out.reshape(new_size, -1))
+        return out
     return np.matmul(weights, values)

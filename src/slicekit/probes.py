@@ -9,7 +9,9 @@ Scenes are synthetic shape arrangements rendered to portable pixmaps.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .partition import ImageSize
@@ -66,8 +68,11 @@ class SyntheticScene:
     def scaled(self, factor: float) -> "SyntheticScene":
         if not 0 < factor < math.inf:
             raise ValueError(f"scene scale must be finite and > 0, got {factor}")
-        w = max(1, round(self.canvas.width_px * factor))
-        h = max(1, round(self.canvas.height_px * factor))
+        from fractions import Fraction  # only scaling needs it; the CLI's other commands skip its import
+
+        # exact: a side beyond 2**53 px keeps its own digits, not the nearest float's
+        w = max(1, round(Fraction(self.canvas.width_px) * Fraction(factor)))
+        h = max(1, round(Fraction(self.canvas.height_px) * Fraction(factor)))
         objs = tuple(
             SceneObject(o.shape, o.color, (o.center[0] * factor, o.center[1] * factor), o.size * factor)
             for o in self.objects
@@ -76,24 +81,39 @@ class SyntheticScene:
 
 
 @dataclass(frozen=True)
+class TileStarts(Sequence):
+    """Start offsets of ``k`` TILE_PX tiles along one axis of ``length`` px, ascending: equal-overlap placement.
+
+    Start i is round(i * stride) for stride (length - TILE_PX) / (k - 1), computed when asked for, so an axis of
+    any number of tiles takes constant memory.
+    """
+
+    length: int
+    k: int
+
+    def __len__(self) -> int:
+        return self.k
+
+    def __getitem__(self, i: int) -> int:
+        if not -self.k <= i < self.k:
+            raise IndexError(f"tile {i} of {self.k}")
+        if self.k == 1:
+            return 0
+        stride = (self.length - TILE_PX) / (self.k - 1)
+        return round((i % self.k) * stride)
+
+
+@dataclass(frozen=True)
 class SliceCover:
     """One TILE_PX square tile at every (x, y) with x in xs and y in ys: the tile starts per axis, ascending."""
 
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
+    xs: TileStarts
+    ys: TileStarts
 
     @property
     def grid(self) -> tuple[int, int]:
         """Tiles along (x, y)."""
         return len(self.xs), len(self.ys)
-
-
-def _axis_positions(length: int, k: int) -> tuple[int, ...]:
-    """Start offsets of the k tiles along one axis of ``length`` px: equal-overlap placement."""
-    if k == 1:
-        return (0,)
-    stride = (length - TILE_PX) / (k - 1)
-    return tuple(round(i * stride) for i in range(k))
 
 
 def overlap_tile_cover(canvas: ImageSize) -> SliceCover:
@@ -109,17 +129,23 @@ def overlap_tile_cover(canvas: ImageSize) -> SliceCover:
     if nx + ny > MAX_CELLS:
         raise CanvasLimitError(f"canvas {w} x {h} needs {nx} x {ny} tiles of {TILE_PX} px, more than the limit of "
                                f"{MAX_CELLS} tile starts")
-    return SliceCover(xs=_axis_positions(w, nx), ys=_axis_positions(h, ny))
+    return SliceCover(xs=TileStarts(w, nx), ys=TileStarts(h, ny))
 
 
-def _tiles_holding(starts: tuple[int, ...], v: float) -> int:
+def _tile_end(start: int) -> int:
+    return start + TILE_PX
+
+
+# The starts ascend, so each count is the difference of two bisections; each compares the int starts (or ends)
+# with the float point exactly, as ``s <= v < s + TILE_PX`` does.
+def _tiles_holding(starts: TileStarts, v: float) -> int:
     """Tiles along one axis whose half-open span [s, s + TILE_PX) holds v."""
-    return sum(s <= v < s + TILE_PX for s in starts)
+    return bisect.bisect_right(starts, v) - bisect.bisect_right(starts, v, key=_tile_end)
 
 
-def _tiles_meeting(starts: tuple[int, ...], lo: float, hi: float) -> int:
+def _tiles_meeting(starts: TileStarts, lo: float, hi: float) -> int:
     """Tiles along one axis whose span meets the open interval (lo, hi)."""
-    return sum(lo < s + TILE_PX and s < hi for s in starts)
+    return bisect.bisect_left(starts, hi) - bisect.bisect_right(starts, lo, key=_tile_end)  # lo <= hi: a subset
 
 
 def object_multiplicity(obj: SceneObject, cover: SliceCover) -> int:

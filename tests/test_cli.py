@@ -531,9 +531,8 @@ class TestProbe:
         if kind == "heatmap":
             message = (f"heatmap of {side - 70} x 40 placements on the {side} x 80 canvas is more than the limit "
                        f"of {limit}")
-        else:  # the tiled canvas is the one scaled by --scale 1.0, through a float
-            tiled = round(side * 1.0)
-            message = (f"canvas {tiled} x 80 needs {-(-tiled // 512)} x 1 tiles of 512 px, more than the limit of "
+        else:  # --scale 1.0 scales exactly, so the refusal names the file's own side, not the nearest float's
+            message = (f"canvas {side} x 80 needs {-(-side // 512)} x 1 tiles of 512 px, more than the limit of "
                        f"{limit} tile starts")
         assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 

@@ -10,6 +10,8 @@ from slicekit.partition import ImageSize, VitSpec
 from slicekit.patches import (
     PatchGrid,
     PosEmbedGrid,
+    _interp_axis,
+    _interpolated,
     fit_patch_grid,
     interpolate_pos_embed,
     overview_grid,
@@ -107,8 +109,6 @@ class TestInterpolation:
     @pytest.mark.parametrize("rows, cols", [(24, 30), (24, 1), (17, 24), (1, 24)])
     def test_matching_axis_is_skipped_bit_for_bit(self, rows, cols):
         """Equal to both axis products, the matching axis's being the identity."""
-        from slicekit.patches import _interp_axis
-
         src = self.make_grid(24, 24, dim=8)
         out = interpolate_pos_embed(src, PatchGrid(cols=cols, rows=rows)).values
         assert out.tobytes() == _interp_axis(_interp_axis(src.values, rows, axis=0), cols, axis=1).tobytes()
@@ -169,10 +169,14 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("rows, cols", [(17, 25), (29, 19)])
     def test_peak_allocation_below_three_outputs(self, rows, cols):
-        """One warm call from the 24x24x1024 table peaks below 3x the output's bytes."""
+        """One warm computed call from the 24x24x1024 table peaks below 3x the output's bytes.
+
+        Another grid is asked for in between, so the measured call computes its table, not a memo hit.
+        """
         src = self.make_grid(24, 24, dim=1024)
         target = PatchGrid(cols=cols, rows=rows)
         interpolate_pos_embed(src, target)
+        interpolate_pos_embed(src, PatchGrid(cols=rows, rows=cols))
         tracemalloc.start()
         try:
             out = interpolate_pos_embed(src, target)
@@ -182,8 +186,6 @@ class TestInterpolation:
         assert peak < 3 * out.values.nbytes
 
     def test_separable_axis_order(self):
-        from slicekit.patches import _interp_axis
-
         src = self.make_grid(6, 10)
         a = _interp_axis(_interp_axis(src.values, 13, axis=0), 4, axis=1)
         b = _interp_axis(_interp_axis(src.values, 4, axis=1), 13, axis=0)
@@ -205,3 +207,82 @@ class TestInterpolation:
         message = rf"^position embedding grid has an empty axis: \(rows, cols, dim\) = {re.escape(str(shape))}$"
         with pytest.raises(ValueError, match=message):
             PosEmbedGrid(values=np.zeros(shape))
+
+
+# The 18 distinct (rows, cols) patch grids of the 78 blocks of the benchmark's encode-hires catalogue
+# (the ROADMAP's 336x336, 672x1008, 1008x672, 1344x336 and two common sizes for each N in 1..6).
+ENCODE_GRIDS = [(12, 48), (17, 22), (17, 25), (18, 18), (18, 31), (18, 32), (19, 29), (20, 24), (20, 27), (21, 19),
+                (22, 19), (24, 22), (24, 24), (25, 17), (29, 19), (30, 19), (32, 16), (32, 18)]
+
+
+def uncached(values, rows, cols):
+    """The table of the two axis products, each axis multiplied only when its size changes."""
+    if rows != values.shape[0]:
+        values = _interp_axis(values, rows, axis=0)
+    return values if cols == values.shape[1] else _interp_axis(values, cols, axis=1)
+
+
+class TestInterpolationMemo:
+    def make_grid(self, dim=64, seed=0):
+        return PosEmbedGrid(values=np.random.default_rng(seed).normal(size=(24, 24, dim)))
+
+    def test_memo_equals_an_uncached_product_on_miss_hit_and_after_another_grid(self):
+        src, other = self.make_grid(), PatchGrid(cols=23, rows=23)
+        for rows, cols in ENCODE_GRIDS:
+            target = PatchGrid(cols=cols, rows=rows)
+            expected = uncached(src.values, rows, cols).tobytes()
+            interpolate_pos_embed(src, other)
+            misses = _interpolated.cache_info().misses
+            first = interpolate_pos_embed(src, target)
+            second = interpolate_pos_embed(src, target)
+            interpolate_pos_embed(src, other)
+            third = interpolate_pos_embed(src, target)
+            if (rows, cols) == (24, 24):  # the source's own grid is the source, never a memo entry
+                assert first is second is third is src
+                assert _interpolated.cache_info().misses == misses  # `other` was kept
+                continue
+            assert second is first and third is not first
+            assert _interpolated.cache_info().misses == misses + 3  # first, other, third
+            for out in (first, second, third):
+                assert out.values.tobytes() == expected
+
+    def test_an_equal_valued_new_table_is_recomputed(self):
+        src = self.make_grid()
+        target = PatchGrid(cols=25, rows=17)
+        first = interpolate_pos_embed(src, target)
+        twin = PosEmbedGrid(values=src.values.copy())
+        assert twin != src
+        again = interpolate_pos_embed(twin, target)
+        assert again is not first and again.values.tobytes() == first.values.tobytes()
+        assert interpolate_pos_embed(src, target) is not first  # the twin took the one entry
+
+    def test_own_grid_between_two_equal_grids_keeps_the_entry(self):
+        src = self.make_grid()
+        target = PatchGrid(cols=19, rows=29)
+        first = interpolate_pos_embed(src, target)
+        assert interpolate_pos_embed(src, PatchGrid(cols=24, rows=24)) is src
+        assert interpolate_pos_embed(src, target) is first
+
+    def test_tables_are_read_only_and_callers_arrays_are_copied(self):
+        caller = np.random.default_rng(3).normal(size=(24, 24, 8))
+        src = PosEmbedGrid(values=caller)
+        target = PatchGrid(cols=22, rows=17)
+        out = interpolate_pos_embed(src, target)
+        expected = out.values.copy()
+        for a in (out.values, src.values):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0] = 1.0
+        caller[:] = 0.0
+        assert np.array_equal(interpolate_pos_embed(src, target).values, expected)
+        interpolate_pos_embed(src, PatchGrid(cols=5, rows=5))
+        assert np.array_equal(interpolate_pos_embed(src, target).values, expected)  # recomputed from src
+
+    @pytest.mark.parametrize("rows, cols", [(17, 24), (24, 17), (17, 25)])
+    def test_computed_table_owns_its_product(self, rows, cols):
+        """The fresh product is the table's values, not a copy of it nor a view into another array."""
+        out = interpolate_pos_embed(self.make_grid(), PatchGrid(cols=cols, rows=rows))
+        assert out.values.flags.owndata and not out.values.flags.writeable
+
+    def test_tables_hash_by_identity(self):
+        a, b = self.make_grid(dim=2), self.make_grid(dim=2)
+        assert a != b and a == a and len({a, b}) == 2

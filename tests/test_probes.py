@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 import time
 import tracemalloc
 
@@ -17,8 +18,11 @@ from slicekit.probes import (
     CanvasLimitError,
     SceneObject,
     SyntheticScene,
+    TileStarts,
     _covers,
     _fragment_count,
+    _tiles_holding,
+    _tiles_meeting,
     heatmap_probe,
     object_multiplicity,
     overlap_tile_cover,
@@ -38,17 +42,17 @@ CLUSTER = tuple(
 class TestTileCover:
     def test_small_image_single_padded_tile(self):
         cover = overlap_tile_cover(ImageSize(300, 400))
-        assert (cover.xs, cover.ys) == ((0,), (0,))
+        assert (tuple(cover.xs), tuple(cover.ys)) == ((0,), (0,))
 
     def test_exact_multiple_disjoint(self):
         cover = overlap_tile_cover(ImageSize(1024, 512))
         assert cover.grid == (2, 1)
-        assert (cover.xs, cover.ys) == ((0, 512), (0,))
+        assert (tuple(cover.xs), tuple(cover.ys)) == ((0, 512), (0,))
 
     def test_overlapping_positions(self):
         cover = overlap_tile_cover(ImageSize(768, 768))
         assert cover.grid == (2, 2)
-        assert cover.xs == cover.ys == (0, 256)
+        assert tuple(cover.xs) == tuple(cover.ys) == (0, 256)
 
     @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000))
     def test_cover_reaches_both_edges(self, w, h):
@@ -101,6 +105,49 @@ class TestTileCover:
         assert overlap_tile_cover(scene.scaled(1e5).canvas).grid == (19532, 15625)
         assert (phase, answers) == (2, {2, 6263039})
         assert peak < 8e6
+
+    @given(st.integers(min_value=TILE_PX, max_value=10**22), st.integers(min_value=1, max_value=300))
+    def test_starts_equal_the_tuple_of_rounded_strides(self, length, k):
+        stride = (length - TILE_PX) / max(1, k - 1)
+        starts = TileStarts(length, k)
+        assert tuple(starts) == tuple(0 if k == 1 else round(i * stride) for i in range(k))
+        assert len(starts) == k and starts[-1] == starts[k - 1]
+        with pytest.raises(IndexError):
+            starts[k]
+
+    def test_starts_of_every_cover_up_to_64_tiles_equal_the_tuple(self):
+        for length in range(1, 64 * TILE_PX + 1, 5):
+            k = -(-length // TILE_PX)
+            stride = (length - TILE_PX) / max(1, k - 1)
+            expected = (0,) if k == 1 else tuple(round(i * stride) for i in range(k))
+            assert tuple(overlap_tile_cover(ImageSize(length, 1)).xs) == expected, length
+
+    @given(st.integers(min_value=TILE_PX, max_value=10**22), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=39), st.sampled_from([-TILE_PX, -1, -0.5, 0, 0.5, 1, TILE_PX - 1]),
+           st.floats(min_value=0, max_value=2000))
+    def test_bisected_counts_equal_counting_every_start(self, length, k, i, offset, width):
+        """Points near a start compare with the int starts exactly, also where floats are coarser than 1 px."""
+        starts = TileStarts(length, k)
+        v = float(starts[i % k] + offset)
+        assert _tiles_holding(starts, v) == sum(s <= v < s + TILE_PX for s in starts)
+        lo, hi = v - width, v + width
+        assert _tiles_meeting(starts, lo, hi) == sum(lo < s + TILE_PX and s < hi for s in starts)
+
+    def test_cover_of_two_to_the_twenty_starts_takes_constant_memory(self):
+        """A 512 * 2^20 px side: the starts are computed when counted, not held (a tuple took 42 MB)."""
+        side = TILE_PX * 2**20
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            cover = overlap_tile_cover(ImageSize(side, 80))
+            counts = [_tiles_holding(cover.xs, v) for v in (0.0, 511.5, 512.0, side / 3, side - 1.0)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cover.grid == (2**20, 1) and cover.xs[-1] == side - TILE_PX
+        assert counts == [1, 1, 1, 1, 1]
+        assert peak < 64 * 1024
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCounting:
@@ -324,6 +371,16 @@ class TestRendering:
         assert small.canvas == ImageSize(50, 100)
         assert small.objects[0].center == (25.0, 50.0)
         assert small.objects[0].size == 10.0
+
+    @pytest.mark.parametrize("side, factor", [(10**30, 1.0), (10**30, 1.5), (10**30, 0.4), (2**53 + 1, 1.0),
+                                              (1100, 0.4), (800, 1.5), (5, 0.1)])
+    def test_scaled_sides_are_exact(self, side, factor):
+        """Each side is round(side * factor) of the exact values: 10^30 at scale 1.0 stays 10^30."""
+        scene = SyntheticScene(canvas=ImageSize(side, side), objects=())
+        expected = max(1, round(Fraction(side) * Fraction(factor)))
+        assert scene.scaled(factor).canvas == ImageSize(expected, expected)
+        if factor == 1.0:
+            assert expected == side
 
     @pytest.mark.parametrize("factor", [math.inf, math.nan, 0.0, -1.0])
     def test_scaled_rejects_scale_not_finite_and_positive(self, factor):

@@ -185,6 +185,32 @@ class TestCanonicalOrder:
     def test_equals_full_lexsort(self, values):
         assert np.array_equal(_canonical_order(values), np.lexsort(values.T[::-1]))
 
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=10**6), st.booleans(), st.booleans())
+    def test_tie_breaking_equals_full_lexsort(self, t, d, seed, column_0_tied, duplicates):
+        """Small integers with signed zeros tie often; optionally column 0 is one value and rows repeat."""
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-2, 3, size=(t, d)).astype(np.float64)
+        values[rng.random((t, d)) < 0.3] *= -1.0  # a zero becomes -0.0, which ties with 0.0
+        if column_0_tied:
+            values[:, 0] = np.where(rng.random(t) < 0.5, 0.0, -0.0)
+        if duplicates:
+            values = values[rng.integers(0, t, size=t)]
+        assert np.array_equal(_canonical_order(values), np.lexsort(values.T[::-1]))
+
+    def test_a_tie_costs_memory_of_the_tied_rows_not_of_the_block(self):
+        """T = 48, d = 1024 with one tie in column 0 peaks below the block's own bytes (a full lexsort: 2.8 MB)."""
+        values = np.random.default_rng(6).normal(size=(48, 1024))
+        values[7, 0] = values[30, 0]
+        tracemalloc.start()
+        try:
+            order = _canonical_order(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(order, np.lexsort(values.T[::-1]))
+        assert peak < values.nbytes
+
 
 class TestSoftmax:
     @given(st.integers(min_value=0, max_value=10**6), st.floats(min_value=-50, max_value=50))
@@ -275,10 +301,7 @@ class TestHotPath:
             assert all(np.array_equal(o.values, e) for o, e in zip(compress_slices(blocks, queries, params), expected))
 
     def test_one_gather_buffer_per_call(self, encode_case):
-        """The traced peak stays below 1.5 largest blocks plus the outputs: a fresh gather per block holds two blocks.
-
-        The blocks hold no tie: a tie's full lexsort adds about 2.8 KB per column whatever the block's length.
-        """
+        """The traced peak stays below 1.5 largest blocks plus the outputs: a fresh gather per block holds two blocks."""
         queries, params, _ = encode_case
         blocks = encode_blocks(tie=False)
         tracemalloc.start()
