@@ -27,6 +27,7 @@ SHAPES = ("circle", "triangle", "square")
 TILE_PX = 512  # the fixed tile of the modelled high-resolution mode
 PROBE_SIDE_PX = 336  # canvas side of the padding probe: one square encoder input
 MAX_CELLS = 2**25  # most heatmap placements, tile starts or rendered pixels; bounds memory (a pixel is 3 bytes)
+RENDER_BLOCK_BYTES = 2**16  # whole rows per rendered block, about this many bytes: a render joins at most ~3000 blocks
 
 
 class CanvasLimitError(ValueError):
@@ -238,11 +239,20 @@ def padding_waste(aspect_w: float, aspect_h: float) -> float:
 
 
 def render_scene(scene: SyntheticScene) -> bytes:
-    """Deterministic P6 portable-pixmap rasterization (no anti-aliasing)."""
+    """Deterministic P6 portable-pixmap rasterization (no anti-aliasing).
+
+    Every shape is convex and its cover test at pixel centre (x, y) is monotone in |x - cx| as rounded, so each row's
+    covered pixels form one run through the pixel nearest cx (none if that one is not covered).  Its ends start from
+    the shape's half-width in the row and move pixel by pixel until the cover test flips, so every pixel gets the
+    same answer as a test of each centre would give.
+    """
     w, h = scene.canvas.width_px, scene.canvas.height_px
     if w * h > MAX_CELLS:
         raise ValueError(f"scene of {w} x {h} pixels is more than the limit of {MAX_CELLS} pixels")
-    pixels = bytearray(COLORS[scene.background]) * (w * h)
+    # blocks of whole rows, about RENDER_BLOCK_BYTES each, made when first written; the untouched share a background
+    per_block = max(1, RENDER_BLOCK_BYTES // (3 * w))
+    pattern = bytes(COLORS[scene.background])
+    blocks: list[bytearray | None] = [None] * -(-h // per_block)
     for obj in scene.objects:
         color = bytes(COLORS[obj.color])
         cx, cy = obj.center
@@ -251,12 +261,49 @@ def render_scene(scene: SyntheticScene) -> bytes:
         y1 = min(h - 1, math.ceil(cy + half))
         x0 = max(0, math.floor(cx - half))
         x1 = min(w - 1, math.ceil(cx + half))
+        mid = math.floor(cx)  # the centre nearest cx; within [x0, x1], as the scene holds cx in [0, w)
         for py in range(y0, y1 + 1):
-            for px in range(x0, x1 + 1):
-                if _covers(obj, px + 0.5, py + 0.5):
-                    i = 3 * (py * w + px)
-                    pixels[i : i + 3] = color
-    return f"P6\n{w} {h}\n255\n".encode() + pixels
+            y = py + 0.5
+            if not _covers(obj, mid + 0.5, y):
+                continue
+            reach = _half_width(obj, y)
+            # guesses clamped before rounding, as the reach of a huge object may be inf
+            lo = _run_end(obj, y, math.ceil(min(max(cx - reach - 0.5, x0), mid)), -1, x0)
+            hi = _run_end(obj, y, math.floor(max(min(cx + reach - 0.5, x1), mid)), 1, x1)
+            b, row = divmod(py, per_block)
+            if blocks[b] is None:
+                blocks[b] = bytearray(pattern) * (w * min(per_block, h - b * per_block))
+            i = 3 * (row * w)
+            blocks[b][i + 3 * lo : i + 3 * (hi + 1)] = color * (hi - lo + 1)
+    parts, background = [f"P6\n{w} {h}\n255\n".encode()], None
+    for b, block in enumerate(blocks):
+        if block is None:
+            background = background or pattern * (w * per_block)
+            block = background[: 3 * w * (h - b * per_block)]  # all of it but in a short last block
+        parts.append(block)
+    return b"".join(parts)
+
+
+def _half_width(obj: SceneObject, y: float) -> float:
+    """About how far from cx the shape reaches in the row at y; _run_end makes it exact."""
+    half = obj.size / 2
+    if obj.shape == "square":
+        return half
+    if obj.shape == "circle":
+        return math.sqrt(max(0.0, half * half - (y - obj.center[1]) ** 2))
+    return half * (y - (obj.center[1] - half)) / obj.size
+
+
+def _run_end(obj: SceneObject, y: float, px: int, step: int, limit: int) -> int:
+    """The last pixel of the row's covered run in direction step, from a guess px between the run's covered middle
+    pixel and limit."""
+    if _covers(obj, px + 0.5, y):
+        while px != limit and _covers(obj, px + step + 0.5, y):
+            px += step
+    else:
+        while not _covers(obj, px + 0.5, y):
+            px -= step
+    return px
 
 
 def _covers(obj: SceneObject, x: float, y: float) -> bool:

@@ -21,6 +21,7 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,11 @@ TWO_LOG2 = 2.0 * math.log(2.0)
 MC_SHARD_SIZE = 1_000_000  # samples per independently seeded Monte Carlo shard; changing it changes the draws
 MIN_GRID_DENSITY = 1000  # points per axis of the bounds sweep
 MIN_PART_SIZE = 2**17  # samples per threaded part; below it a thread's start costs about what it saves
-MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; minutes at about 10^7 samples/s, at most 1000 shards
+MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; about 50 s at 2*10^7 samples/s on 2 cores, at most 1000 shards
+CHUNK_SIZE = 2**15  # samples per chunk of grid selection, so that its temporaries stay in L2
+MAX_TABLE_BANDS = 2**10  # widest band range tabulated in full; a wider one tabulates only the bands present
+SWITCHES_PER_BIN = 2  # most thresholds of one band in an aspect^2 bin of a selection table: comparisons per sample
+SWITCH_ULPS = 4  # floats either side of num/den within which each switch's threshold is searched
 
 
 @dataclass(frozen=True)
@@ -69,35 +74,135 @@ class StatReport:
         return asdict(self)
 
 
+@lru_cache(maxsize=None)
+def _switch_thresholds(n: int) -> np.ndarray:
+    """The smallest float64 aspect^2 at which grid_index(n, ., 1) passes each switch of grid_table(n), ascending.
+
+    grid_index is monotone in a float64 aspect^2 and passes switch j within a few ulps of the float nearest its
+    num/den, so each threshold is read off grid_index itself on the floats around that one: the rule is not restated.
+    """
+    switches = grid_table(n)[1]
+    nearest = np.array([num / den for num, den, _ in switches]).view(np.int64)
+    near = (nearest[:, None] + np.arange(-SWITCH_ULPS, SWITCH_ULPS + 1)).view(np.float64)
+    j = np.arange(len(switches))[:, None]
+    passed = grid_index(n, near, 1) > j
+    assert not passed[:, 0].any() and passed[:, -1].all(), f"a switch of band {n} flips outside its window"
+    thresholds = near[j[:, 0], passed.argmax(axis=1)]
+    assert (np.diff(thresholds) > 0).all(), f"the thresholds of band {n} do not strictly increase"
+    thresholds.flags.writeable = False
+    return thresholds
+
+
+@dataclass(frozen=True, eq=False)
+class _SelectionTable:
+    """grid_index for every band of ``bands`` at once, as a look-up keyed on the bits of aspect^2.
+
+    A positive double's int64 bits are monotone in its value, so ``bits >> shift`` bins aspect^2 with at most
+    SWITCHES_PER_BIN thresholds of one band in any bin.  Grids are numbered across the bands, band by band.  At
+    ``cell = row * bins + bin - low_bin``, ``first[cell]`` is the grid below the bin's thresholds (the band's first
+    grid plus the thresholds in lower bins) and ``above[i][cell]`` is the i-th threshold from there up (NaN past the
+    band's last, which no aspect^2 passes), so a sample's grid is ``first[cell] + sum_i(x >= above[i][cell])``.
+    """
+
+    bands: range | tuple[int, ...]
+    shift: int
+    low_bin: int
+    bins: int
+    first: np.ndarray
+    above: tuple[np.ndarray, ...]
+    cols: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def edges(self) -> tuple[float, float]:
+        """The smallest float in the lowest bin and the largest in the highest."""
+        low, high = np.array([self.low_bin, self.low_bin + self.bins]) << self.shift
+        return float(np.int64(low).view(np.float64)), float(np.int64(high - 1).view(np.float64))
+
+
+@lru_cache(maxsize=8)
+def _selection_table(bands: range | tuple[int, ...]) -> _SelectionTable:
+    thresholds = [_switch_thresholds(n) for n in bands]
+    row = np.repeat(np.arange(len(bands)), [t.size for t in thresholds])
+    bits = np.concatenate(thresholds).view(np.int64)
+    k = SWITCHES_PER_BIN
+    # the coarsest bins with at most k thresholds of one band in any of them (the thresholds ascend within a band)
+    same_row = row[k:] == row[:-k]
+    shift = next(s for s in range(52, -1, -1) if not (same_row & (bits[k:] >> s == bits[:-k] >> s)).any())
+    keys = bits >> shift
+    low_bin, bins = int(keys.min()), int(keys.max() - keys.min()) + 1
+    # thresholds below each (row, bin) in row-major order, plus one grid more than thresholds per row before it
+    first = np.searchsorted(row * bins + keys - low_bin, np.arange(len(bands) * bins))
+    cell_row = np.repeat(np.arange(len(bands)), bins)
+    padded = np.concatenate([np.concatenate([t, np.full(k, np.nan)]) for t in thresholds])
+    above = tuple(padded[first + k * cell_row + i] for i in range(k))
+    first += cell_row
+    grids = [g for n in bands for g in grid_table(n)[0]]
+    cols, rows = (np.array(v, dtype=np.float64) for v in zip(*((g.cols_m, g.rows_n) for g in grids)))
+    for a in (first, *above, cols, rows):
+        a.flags.writeable = False
+    return _SelectionTable(bands, shift, low_bin, bins, first, above, cols, rows)
+
+
+def _table_for(area_ratio: np.ndarray) -> _SelectionTable:
+    """The selection table for the bands (ideal counts max(ceil(n), 1)) of these samples."""
+    low, high = np.maximum(np.ceil([area_ratio.min(), area_ratio.max()]), 1)
+    if not high < 2.0**63:  # NaN, inf or past int64, whose int64 band grid_table refused
+        raise ValueError("slice count must be >= 1")
+    if high - low < MAX_TABLE_BANDS:
+        return _selection_table(range(int(low), int(high) + 1))
+    # a wide range of bands: tabulate only those present
+    return _selection_table(tuple(int(n) for n in np.unique(np.maximum(np.ceil(area_ratio), 1))))
+
+
+def _grid_chunks(area_ratio: np.ndarray, aspect: np.ndarray):
+    """Yield (chunk, table, grid) per CHUNK_SIZE samples: grid[i] numbers in table the grid that
+    grid_index(band, aspect^2, 1) chooses for sample chunk.start + i.  No sort, gather into band order or scatter:
+    a bin look-up and SWITCHES_PER_BIN comparisons per sample, in buffers that stay in L2."""
+    if not area_ratio.size:
+        return
+    table = _table_for(area_ratio)
+    low_edge, high_edge = table.edges
+    size = min(CHUNK_SIZE, area_ratio.size)
+    buffers = np.empty(size), np.empty(size), np.empty(size, np.int64), np.empty(size, np.intp), np.empty(size, bool)
+    for start in range(0, area_ratio.size, CHUNK_SIZE):
+        chunk = slice(start, start + CHUNK_SIZE)
+        area, a = area_ratio[chunk], aspect[chunk]
+        x, band, cell, grid, passed = (b[:area.size] for b in buffers)
+        np.multiply(a, a, out=x, dtype=np.float64)  # as grid_index squares a float64 aspect, overflow included
+        # clipped into the table's bins; NaN, negatives, zeros and subnormals go to the lowest, where none passes
+        clipped = cell.view(np.float64)
+        np.fmax(x, low_edge, out=clipped)
+        np.minimum(clipped, high_edge, out=clipped)
+        np.right_shift(cell, table.shift, out=cell)
+        np.ceil(area, out=band)
+        np.maximum(band, table.bands[0], out=band)
+        if isinstance(table.bands, range):
+            band -= table.bands.start
+        else:
+            band[:] = np.searchsorted(table.bands, band)
+        band *= table.bins
+        band -= table.low_bin
+        np.copyto(grid, band, casting="unsafe")
+        cell += grid
+        np.take(table.first, cell, out=grid, mode="clip")
+        for above in table.above:
+            np.take(above, cell, out=band, mode="clip")
+            np.greater_equal(x, band, out=passed)
+            grid += passed
+        yield chunk, table, grid
+
+
 def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best (cols, rows) per sample for a square-pretrained encoder, from the same
-    switch table and tie-breaks as select_partition (partition.grid_table).
-
-    One stable sort groups the samples by band (ideal count ceil(area_ratio)); grid_index runs on each band's
-    contiguous slice of aspect^2, and a small per-sample index into all bands' grids is scattered back.
+    switch table and tie-breaks as select_partition (partition.grid_table): the grid
+    grid_index(max(ceil(area_ratio), 1), aspect^2, 1) chooses for the float64 aspect, bit for bit, chunk by chunk.
     """
-    band = np.maximum(np.ceil(area_ratio), 1)
-    band = band.astype(np.uint8 if (band <= 255).all() else np.int64)  # numpy radix-sorts uint8
-    order = np.argsort(band, kind="stable")
-    band = band[order]
-    bounds = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), band.size]
-    bands = band[bounds[:-1]].tolist() if band.size else []
-    del band  # the dels keep the peak below the two int64 outputs plus about two sample arrays
-    tables = [grid_table(n)[0] for n in bands]
-    offsets = np.cumsum([0, *map(len, tables)])
-    aspect_sq = aspect[order]
-    aspect_sq *= aspect_sq
-    chosen = np.empty(aspect_sq.shape, dtype=np.min_scalar_type(offsets[-1]))
-    for lo, hi, n, offset in zip(bounds, bounds[1:], bands, offsets):
-        chosen[lo:hi] = offset + grid_index(n, aspect_sq[lo:hi], 1)
-    del aspect_sq
-    index = np.empty_like(chosen)
-    index[order] = chosen
-    del order, chosen
-    grids = [g for table in tables for g in table]
-    cols = np.array([g.cols_m for g in grids], dtype=np.int64)
-    rows = np.array([g.rows_n for g in grids], dtype=np.int64)
-    return cols[index], rows[index]
+    cols, rows = np.empty(area_ratio.size, dtype=np.int64), np.empty(area_ratio.size, dtype=np.int64)
+    for chunk, table, grid in _grid_chunks(area_ratio, aspect):
+        cols[chunk] = table.cols[grid]
+        rows[chunk] = table.rows[grid]
+    return cols, rows
 
 
 def slice_statistics(
@@ -113,15 +218,19 @@ def slice_statistics(
 
 
 def _slice_statistics_in_place(area: np.ndarray, ratio: np.ndarray) -> None:
-    """Overwrite area ratios with normalized slice areas and aspects with folded slice ratios."""
-    cols, rows = select_grids_vectorized(area, ratio)
-    ratio *= rows
-    ratio /= cols
-    cols *= rows
-    del rows
-    area /= cols
-    del cols
-    np.maximum(ratio, 1.0 / ratio, out=ratio)
+    """Overwrite area ratios with normalized slice areas and aspects with folded slice ratios, chunk by chunk."""
+    size = min(CHUNK_SIZE, area.size)
+    rows_buf, cols_buf = np.empty(size), np.empty(size)
+    for chunk, table, grid in _grid_chunks(area, ratio):
+        r, a, rows, cols = ratio[chunk], area[chunk], rows_buf[:grid.size], cols_buf[:grid.size]
+        np.take(table.rows, grid, out=rows, mode="clip")
+        np.take(table.cols, grid, out=cols, mode="clip")
+        r *= rows
+        r /= cols
+        rows *= cols  # the cell count, exact
+        a /= rows
+        np.divide(1.0, r, out=rows)
+        np.maximum(r, rows, out=r)
 
 
 def _draws_to_statistics(area: np.ndarray, log_aspect: np.ndarray) -> None:

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 import time
@@ -289,7 +290,7 @@ class TestPadding:
 
 
 def render_by_rows(scene):
-    """The row-wise renderer that the flat buffer replaced: one bytearray per row, joined; the reference."""
+    """The per-pixel reference: _covers at every pixel centre of each object's bounding box, one bytearray per row."""
     w, h = scene.canvas.width_px, scene.canvas.height_px
     rows = [bytearray(COLORS[scene.background] * w) for _ in range(h)]
     for obj in scene.objects:
@@ -323,6 +324,51 @@ class TestRendering:
         assert render_scene(empty) == render_by_rows(empty) == f"P6\n{w} {h}\n255\n".encode() + b"\x80" * (3 * w * h)
         assert render_scene(dot) == render_by_rows(dot)
         assert render_scene(dot)[-3 * w * h :][:3] == bytes(COLORS["red"])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_row_runs_equal_per_pixel_reference_at_every_edge(self, shape):
+        # centres within a pixel of each edge and corner, objects under 1 px, and objects past the canvas or float range
+        w, h = 37, 23
+        centres = [(x, y) for x in (0.0, 0.4, 18.5, 36.6, w - 1e-9) for y in (0.0, 0.7, 11.5, 22.3, h - 1e-9)]
+        for size in (0.01, 0.6, 0.999, 1.0, 1.5, 7.3, 30.0, 80.0, 1e308):
+            objects = tuple(SceneObject(shape, "red", c, size) for c in centres)
+            scene = SyntheticScene(ImageSize(w, h), objects)
+            assert render_scene(scene) == render_by_rows(scene), size
+
+    @pytest.mark.parametrize("block_bytes", [probes.RENDER_BLOCK_BYTES, 1, 200])  # one row or a few per block
+    def test_row_runs_equal_per_pixel_reference_on_seeded_scenes(self, block_bytes, monkeypatch):
+        monkeypatch.setattr(probes, "RENDER_BLOCK_BYTES", block_bytes)
+        rng = random.Random(block_bytes)
+
+        def through_a_centre(shape, cx, cy, w, h):
+            """A size whose edge passes within 2 ulps of some pixel centre, where a run's end is decided by rounding."""
+            dx, dy = rng.randrange(w) + 0.5 - cx, rng.randrange(h) + 0.5 - cy
+            size = {"square": 2 * abs(dx), "circle": 2 * math.hypot(dx, dy), "triangle": 2 * (2 * abs(dx) - dy)}[shape]
+            for _ in range(rng.randint(0, 2)):
+                size = math.nextafter(size, rng.choice([0, math.inf]))
+            return size if 0 < size < math.inf else 1.0
+
+        for _ in range(150):
+            w, h = rng.randint(1, 90), rng.randint(1, 90)
+            objects = []
+            for shape in rng.sample(SHAPES * 2, rng.randint(1, 6)):
+                cx, cy = rng.uniform(0, w) % w, rng.uniform(0, h) % h
+                size = rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 2.5 * max(w, h)), float(rng.randint(1, 40)),
+                                   through_a_centre(shape, cx, cy, w, h), through_a_centre(shape, cx, cy, w, h)])
+                objects.append(SceneObject(shape, rng.choice(sorted(COLORS)), (cx, cy), size))
+            scene = SyntheticScene(ImageSize(w, h), tuple(objects), rng.choice(sorted(COLORS)))
+            assert render_scene(scene) == render_by_rows(scene), scene
+
+    @pytest.mark.parametrize("w, h", [(1, 2**20), (3, 2**18), (1100, 800), (2**20, 1)])
+    def test_render_peaks_below_two_images(self, w, h):
+        scene = SyntheticScene(ImageSize(w, h), (SceneObject("circle", "red", (w / 2, h / 2), 9.0),))
+        tracemalloc.start()
+        try:
+            render_scene(scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 3 * w * h + 2 * probes.RENDER_BLOCK_BYTES, peak  # the returned file is one image
 
     def test_render_over_max_cells_refused_before_allocating(self, monkeypatch):
         tracemalloc.start()

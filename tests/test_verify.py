@@ -17,7 +17,9 @@ import slicekit.verify
 from slicekit.partition import ImageSize, VitSpec, grid_index, grid_table, select_partition
 from slicekit.verify import (
     ALTERNATE_SPEC,
+    CHUNK_SIZE,
     MAX_SAMPLES,
+    MAX_TABLE_BANDS,
     MIN_GRID_DENSITY,
     MIN_PART_SIZE,
     TWO_LOG2,
@@ -114,6 +116,134 @@ def switch_aspects(n: int) -> list[float]:
                 math.nextafter(math.nextafter(a, math.inf), math.inf)]
         out += [x for x in near if x * x * den == num] + near[1:4]
     return out
+
+
+def chosen_by_grid_index(area, aspect):
+    """(cols, rows) of grid_table(n)[0][grid_index(n, aspect^2, 1)] per sample, n = max(ceil(area), 1)."""
+    band = np.maximum(np.ceil(area), 1)
+    cols, rows = np.zeros(area.size, dtype=np.int64), np.zeros(area.size, dtype=np.int64)
+    for n in np.unique(band).astype(int).tolist():
+        where = np.flatnonzero(band == n)
+        x = aspect[where]
+        index = np.asarray(grid_index(n, x * x, 1))
+        cols[where] = np.array([g.cols_m for g in grid_table(n)[0]])[index]
+        rows[where] = np.array([g.rows_n for g in grid_table(n)[0]])[index]
+    return cols, rows
+
+
+def ulps_around(values, ulps):
+    """Every float within ulps of each of the positive values."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).view(np.float64).ravel()
+
+
+def band_areas(n):
+    """Area ratios in band n: its top, the open low end and, for n = 1, ratios at or below 0."""
+    return [float(n), math.nextafter(n - 1, n)] if n > 1 else [1.0, 0.25, 0.0, -3.0]
+
+
+SWITCH_BANDS = [*range(1, 65), 255, 256, 300]
+
+
+class TestThresholdSelection:
+    """Selection without a sort: per-band switch thresholds, looked up by the bits of aspect^2 in chunks."""
+
+    def test_thresholds_strictly_increase_and_count_what_grid_index_counts(self):
+        for n in SWITCH_BANDS:
+            thresholds = slicekit.verify._switch_thresholds(n)
+            assert thresholds.size == len(grid_table(n)[1]) and (np.diff(thresholds) > 0).all(), n
+            ratios = [num / den for num, den, _ in grid_table(n)[1]]
+            near = np.concatenate([ulps_around(thresholds, 4), ulps_around(ratios, 4)])
+            assert np.array_equal(grid_index(n, near, 1), np.searchsorted(thresholds, near, side="right")), n
+
+    @pytest.mark.parametrize("bands", [SWITCH_BANDS, [1, 2, 3], [7], [1, 2000, 5000]],
+                             ids=["1-64,255,256,300", "1-3", "7", "wide"])
+    def test_equals_grid_index_within_four_ulps_of_every_switch(self, bands):
+        area, aspect = [], []
+        for n in bands:
+            thresholds = slicekit.verify._switch_thresholds(n)
+            ratios = [num / den for num, den, _ in grid_table(n)[1]]
+            near = np.concatenate([ulps_around(np.sqrt(thresholds), 4), ulps_around(np.sqrt(ratios), 4)])
+            for a in band_areas(n):
+                area += [a] * near.size
+                aspect += near.tolist()
+        area, aspect = np.array(area), np.array(aspect)
+        cols, rows = select_grids_vectorized(area, aspect)
+        ref_cols, ref_rows = chosen_by_grid_index(area, aspect)
+        assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 64, 300])
+    def test_special_aspects_equal_grid_index(self, n):
+        # NaN passes no switch and inf every one; negatives square to positives; 2**-537 squares to 5e-324 and 1e200
+        # overflows to inf
+        specials = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.0**-537, -2.5, 1e200, -1e200]
+        for a in band_areas(n):
+            area, aspect = np.full(len(specials), a), np.array(specials)
+            with np.errstate(over="ignore"):
+                cols, rows = select_grids_vectorized(area, aspect)
+                assert (cols.tolist(), rows.tolist()) == tuple(x.tolist() for x in chosen_by_grid_index(area, aspect))
+
+    def test_float32_aspects_select_as_their_float64_values(self):
+        rng = np.random.default_rng(32)
+        area, aspect = rng.uniform(1, 20, 10**5), np.exp(rng.uniform(-2, 2, 10**5)).astype(np.float32)
+        cols, rows = select_grids_vectorized(area, aspect)
+        ref_cols, ref_rows = chosen_by_grid_index(area, aspect.astype(np.float64))
+        assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
+
+    @pytest.mark.parametrize("dist", [DistributionSpec(), ALTERNATE_SPEC])
+    def test_equals_grid_index_on_ten_million_draws(self, dist):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, 10**6)
+            aspect = np.exp(rng.uniform(-math.log(dist.aspect_hi), math.log(dist.aspect_hi), 10**6))
+            cols, rows = select_grids_vectorized(area, aspect)
+            ref_cols, ref_rows = chosen_by_grid_index(area, aspect)
+            assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
+
+    @pytest.mark.parametrize("size", [CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 3])
+    def test_chunk_edges(self, size):
+        rng = np.random.default_rng(size)
+        area, aspect = rng.uniform(-1, 30, size), np.exp(rng.uniform(-2, 2, size))
+        cols, rows = select_grids_vectorized(area, aspect)
+        ref_cols, ref_rows = chosen_by_grid_index(area, aspect)
+        assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
+
+    def test_a_wide_band_range_tabulates_only_the_bands_present(self):
+        area = np.array([1.0, 0.5 + MAX_TABLE_BANDS, 9000.5, 70_000.0])
+        aspect = np.array([1.0, 3.0, 0.1, 250.0])
+        cols, rows = select_grids_vectorized(area, aspect)
+        assert slicekit.verify._table_for(area).bands == (1, MAX_TABLE_BANDS + 1, 9001, 70_000)
+        # MAX_TABLE_BANDS bands at most are tabulated in full
+        assert slicekit.verify._table_for(area[:2] - 1).bands == range(1, MAX_TABLE_BANDS + 1)
+        assert (cols.tolist(), rows.tolist()) == tuple(x.tolist() for x in chosen_by_grid_index(area, aspect))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e19])
+    def test_band_past_int64_raises_the_grid_table_error(self, bad):
+        with pytest.raises(ValueError, match="^slice count must be >= 1$"):
+            select_grids_vectorized(np.array([2.0, bad]), np.ones(2))
+
+    def test_table_for_three_hundred_bands_under_a_megabyte(self):
+        table = slicekit.verify._selection_table(range(1, 301))
+        assert sum(a.nbytes for a in (table.first, *table.above, table.cols, table.rows)) <= 2**20
+
+    def test_specs_and_sweep_build_each_table_once(self):
+        def run():
+            monte_carlo_expectations(DistributionSpec(), 10**6, 5)
+            monte_carlo_expectations(ALTERNATE_SPEC, 10**6, 5)
+            sweep_slice_bounds(1000)
+
+        run()
+        misses = slicekit.verify._selection_table.cache_info().misses
+        run()
+        assert slicekit.verify._selection_table.cache_info().misses == misses
+
+    def test_import_builds_no_table(self):
+        code = ("import slicekit.verify as v; "
+                "print(v._selection_table.cache_info().misses, v._switch_thresholds.cache_info().misses)")
+        src = str(Path(slicekit.verify.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "0 0\n"), proc.stderr
 
 
 class TestEnumerationBound:
