@@ -166,6 +166,8 @@ def cmd_probe(args, cfg: AppConfig) -> int:
 def cmd_verify(args, cfg: AppConfig) -> int:
     if not 1 <= args.samples < math.inf:
         raise ValueError(f"--samples must be a finite number >= 1, got {args.samples}")
+    if args.samples != int(args.samples):
+        raise ValueError(f"--samples must be a whole number, got {args.samples}")
 
     from . import verify
 

@@ -21,7 +21,7 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,7 +31,7 @@ TWO_LOG2 = 2.0 * math.log(2.0)
 MC_SHARD_SIZE = 1_000_000  # samples per independently seeded Monte Carlo shard; changing it changes the draws
 MIN_GRID_DENSITY = 1000  # points per axis of the bounds sweep
 MIN_PART_SIZE = 2**17  # samples per threaded part; below it a thread's start costs about what it saves
-MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; about 50 s at 2*10^7 samples/s on 2 cores, at most 1000 shards
+MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; about 30 s at 3*10^7 samples/s on 2 cores, at most 1000 shards
 CHUNK_SIZE = 2**15  # samples per chunk of grid selection, so that its temporaries stay in L2
 MAX_TABLE_BANDS = 2**10  # widest band range tabulated in full; a wider one tabulates only the bands present
 SWITCHES_PER_BIN = 2  # most thresholds of one band in an aspect^2 bin of a selection table: comparisons per sample
@@ -53,6 +53,9 @@ class DistributionSpec:
     aspect_hi: float = 6.0
 
     def __post_init__(self):
+        for name in ("area_ratio_lo", "area_ratio_hi", "aspect_lo", "aspect_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 < self.area_ratio_lo < self.area_ratio_hi):
             raise ValueError("area ratio range must be positive and non-empty")
         if not (1.0 <= self.aspect_lo < self.aspect_hi):
@@ -213,7 +216,7 @@ def slice_statistics(
     _parts (for tests) sets the number of contiguous parts in place of one per core; no value changes with it.
     """
     ratio, area = np.array(aspect, dtype=np.float64), np.array(area_ratio, dtype=np.float64)
-    _in_parts(_slice_statistics_in_place, area, ratio, _parts)
+    _in_parts(lambda lo, hi: _slice_statistics_in_place(area[lo:hi], ratio[lo:hi]), area.size, _parts)
     return ratio, area
 
 
@@ -233,32 +236,51 @@ def _slice_statistics_in_place(area: np.ndarray, ratio: np.ndarray) -> None:
         np.maximum(r, rows, out=r)
 
 
-def _draws_to_statistics(area: np.ndarray, log_aspect: np.ndarray) -> None:
-    np.exp(log_aspect, out=log_aspect)
-    _slice_statistics_in_place(area, log_aspect)
+def _uniform_from(ss: np.random.SeedSequence, start: int, low: float, high: float, out: np.ndarray) -> None:
+    """Outputs start.. of ss's PCG64 stream into out, as default_rng(ss).uniform(low, high) turns them into
+    doubles: low + (high - low) * u, one 64-bit output per double, rounded in the same two steps."""
+    np.random.Generator(np.random.PCG64(ss).advance(start)).random(out=out)
+    out *= high - low
+    out += low
 
 
-def _in_parts(kernel, x: np.ndarray, y: np.ndarray, parts: int | None) -> None:
-    """kernel(x[lo:hi], y[lo:hi]) over contiguous parts, the first in this thread and each other on its own.
+def _shard_part(dist: DistributionSpec, ss: np.random.SeedSequence, area: np.ndarray, log_aspect: np.ndarray,
+                lo: int, hi: int) -> None:
+    """Samples [lo, hi) of a shard of area.size samples: drawn, then overwritten with their statistics.
 
-    numpy releases the GIL in the elementwise loops, sorts and gathers, so the parts run on separate cores;
-    each sample's arithmetic is the same in any part.  Each thread runs in a copy of the caller's context
-    (np.errstate carries over), and the error of the lowest part that raised is re-raised after all have ended.
+    The shard's draws are area = default_rng(ss).uniform(area range, k), then log_aspect = .uniform(log aspect
+    range, k) on the same generator: outputs 0..k-1 of the stream, then k..2k-1.  A part jumps to its own.
     """
-    if parts is None:
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        parts = min(cores, x.size // MIN_PART_SIZE)
-    parts = max(1, min(parts, x.size))
-    edges = [x.size * i // parts for i in range(parts + 1)]
-    errors: list[BaseException | None] = [None] * parts
+    a, x = area[lo:hi], log_aspect[lo:hi]
+    _uniform_from(ss, lo, dist.area_ratio_lo, dist.area_ratio_hi, a)
+    # uniform over the (W, H) plane <=> log-uniform aspect
+    _uniform_from(ss, area.size + lo, math.log(dist.aspect_lo), math.log(dist.aspect_hi), x)
+    np.exp(x, out=x)
+    _slice_statistics_in_place(a, x)
+
+
+def _sum_and_square_sum(x: np.ndarray) -> tuple[float, float]:
+    """x.sum() and the sum of its squares, both over the whole array in order; x is squared in place."""
+    return x.sum(), np.square(x, out=x).sum()
+
+
+def _on_threads(calls: list) -> list:
+    """[call() for call in calls], calls[0] in this thread and each other on its own.
+
+    numpy releases the GIL in its elementwise loops, gathers and reductions, so the calls run on separate cores.
+    Each thread runs in a copy of the caller's context (np.errstate carries over).  The error of the first call
+    that raised is re-raised after every thread has ended.
+    """
+    results: list = [None] * len(calls)
+    errors: list[BaseException | None] = [None] * len(calls)
 
     def run(i: int) -> None:
         try:
-            kernel(x[edges[i]:edges[i + 1]], y[edges[i]:edges[i + 1]])
+            results[i] = calls[i]()
         except BaseException as exc:  # re-raised in the calling thread below
             errors[i] = exc
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i)) for i in range(1, parts)]
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i)) for i in range(1, len(calls))]
     for t in threads:
         t.start()
     try:
@@ -269,6 +291,22 @@ def _in_parts(kernel, x: np.ndarray, y: np.ndarray, parts: int | None) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+    return results
+
+
+def _in_parts(kernel, size: int, parts: int | None) -> int:
+    """kernel(lo, hi) over contiguous parts [lo, hi) of range(size), on threads; returns the number of parts.
+
+    parts=None takes one part per core, but none of fewer than MIN_PART_SIZE samples (one part at least); each
+    sample's arithmetic is the same in any part.
+    """
+    if parts is None:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        parts = min(cores, size // MIN_PART_SIZE)
+    parts = max(1, min(parts, size))
+    edges = [size * i // parts for i in range(parts + 1)]
+    _on_threads([partial(kernel, lo, hi) for lo, hi in zip(edges, edges[1:])])
+    return parts
 
 
 def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
@@ -320,26 +358,28 @@ def monte_carlo_expectations(
 
     Shards of MC_SHARD_SIZE samples have independently derived seeds and a
     fixed reduction order, so results are bit-reproducible for a given seed.
-    Each shard's statistics overwrite its draws in place, over contiguous
-    parts on threads (one per core; _parts, for tests, sets the count), and
-    are summed over the whole shard, so the results are the same for any
-    number of parts.
+    Each shard runs over contiguous parts on threads (one per core; _parts,
+    for tests, sets the count): a part draws its own samples of the shard's
+    PCG64 stream and overwrites them with their statistics in place.  The
+    four sums run two per thread, each over the whole shard, so the results
+    are the same for any number of parts.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} samples, got {samples}")
     shard_seeds = np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE))
+    size = min(MC_SHARD_SIZE, samples)
+    area_buf, ratio_buf = np.empty(size), np.empty(size)  # made once, sliced to each shard's k
     acc = np.zeros(5)  # sum_r, sum_r2, sum_s, sum_s2, count
     remaining = samples
     for ss in shard_seeds:
         k = min(MC_SHARD_SIZE, remaining)
         remaining -= k
-        rng = np.random.default_rng(ss)
-        area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, k)
-        # uniform over the (W, H) plane <=> log-uniform aspect; the kernel turns the log aspect into the ratio
-        ratio = rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), k)
-        _in_parts(_draws_to_statistics, area, ratio, _parts)
-        # summed over the whole shard in this thread, so no sum depends on the parts; squared in place after each
-        acc += [ratio.sum(), np.square(ratio, out=ratio).sum(), area.sum(), np.square(area, out=area).sum(), k]
+        area, ratio = area_buf[:k], ratio_buf[:k]
+        parts = _in_parts(partial(_shard_part, dist, ss, area, ratio), k, _parts)
+        # each pair summed over the whole shard, so no sum depends on the parts; squared in place after its sum
+        sums = [partial(_sum_and_square_sum, ratio), partial(_sum_and_square_sum, area)]
+        (r, r2), (s, s2) = _on_threads(sums) if parts > 1 else [f() for f in sums]
+        acc += [r, r2, s, s2, k]
 
     def report(total: float, total_sq: float) -> StatReport:
         count = acc[4]

@@ -566,6 +566,7 @@ class TestVerify:
         (["--samples", "nan"], "--samples must be a finite number >= 1, got nan"),
         (["--samples", "0"], "--samples must be a finite number >= 1, got 0.0"),
         (["--samples", "-1"], "--samples must be a finite number >= 1, got -1.0"),
+        (["--samples", "20000.7"], "--samples must be a whole number, got 20000.7"),
         (["--samples", "2e4", "--grid-density", "10"], "--grid-density must be >= 1000, got 10"),
         (["--samples", "1e18"], "--samples must be <= 1000000000, got 1e+18"),
         (["--samples", "1000000001"], "--samples must be <= 1000000000, got 1000000001.0"),

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +22,15 @@ from slicekit.verify import (
     CHUNK_SIZE,
     MAX_SAMPLES,
     MAX_TABLE_BANDS,
+    MC_SHARD_SIZE,
     MIN_GRID_DENSITY,
     MIN_PART_SIZE,
     TWO_LOG2,
     DistributionSpec,
+    StatReport,
+    _in_parts,
+    _on_threads,
+    _shard_part,
     enumerate_ratio_bound,
     exact_expectations,
     monte_carlo_expectations,
@@ -47,6 +54,12 @@ class TestDistributionSpec:
             DistributionSpec(area_ratio_lo=5.0, area_ratio_hi=2.0)
         with pytest.raises(ValueError):
             DistributionSpec(aspect_lo=0.5)
+
+    @pytest.mark.parametrize("field", ["area_ratio_lo", "area_ratio_hi", "aspect_lo", "aspect_hi"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bound_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            DistributionSpec(**{field: value})
 
 
 class TestVectorizedSelection:
@@ -104,6 +117,28 @@ class TestVectorizedSelection:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * area.nbytes, peak  # the two int64 outputs take 2 of them
+
+
+def serial_shard_loop(dist: DistributionSpec, samples: int, seed: int) -> tuple[StatReport, StatReport]:
+    """monte_carlo_expectations in one thread: each shard drawn by two uniform calls on default_rng(its seed),
+    its statistics taken in one part, and its four sums taken in turn over the whole shard."""
+    acc = np.zeros(5)
+    remaining = samples
+    for ss in np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE)):
+        k = min(MC_SHARD_SIZE, remaining)
+        remaining -= k
+        rng = np.random.default_rng(ss)
+        area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, k)
+        aspect = np.exp(rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), k))
+        ratio, area = slice_statistics(area, aspect, _parts=1)
+        acc += [ratio.sum(), np.square(ratio).sum(), area.sum(), np.square(area).sum(), k]
+
+    def report(total: float, total_sq: float) -> StatReport:
+        mean = total / acc[4]
+        var = max(0.0, total_sq / acc[4] - mean * mean)
+        return StatReport(float(mean), float(var), int(acc[4]), float(math.sqrt(var / acc[4])), seed)
+
+    return report(acc[0], acc[1]), report(acc[2], acc[3])
 
 
 def switch_aspects(n: int) -> list[float]:
@@ -393,6 +428,71 @@ class TestParts:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 8 * 10**6, peak  # the two draws take 2 of them; the statistics overwrite them
+
+    def test_peak_memory_over_two_shards_holds_one_pair_of_shard_arrays(self):
+        tracemalloc.start()
+        try:
+            monte_carlo_expectations(DistributionSpec(), 2 * MC_SHARD_SIZE + 1, _parts=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two shard arrays are made once per call; a fresh pair per shard reads 3 arrays
+        assert peak < 2.75 * 8 * MC_SHARD_SIZE, peak
+
+    @pytest.mark.parametrize("size", [2 * MIN_PART_SIZE + 1, MC_SHARD_SIZE + 1])
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_in_part_draws_are_the_shard_streams_two_uniform_calls(self, monkeypatch, size, parts):
+        monkeypatch.setattr(slicekit.verify, "_slice_statistics_in_place", lambda area, ratio: None)
+        ss = np.random.SeedSequence(11).spawn(2)[1]
+        for dist in (DistributionSpec(), ALTERNATE_SPEC):
+            rng = np.random.default_rng(ss)
+            area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, size)
+            aspect = np.exp(rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), size))
+            got_area, got_aspect = np.full(size, np.nan), np.full(size, np.nan)
+            assert _in_parts(partial(_shard_part, dist, ss, got_area, got_aspect), size, parts) == parts
+            assert got_area.tobytes() == area.tobytes() and got_aspect.tobytes() == aspect.tobytes()
+
+    @pytest.mark.parametrize("parts", [None, 1, 2, 3])
+    def test_two_shards_with_a_one_sample_last_equal_the_serial_shard_loop(self, parts):
+        for dist in (DistributionSpec(), ALTERNATE_SPEC):
+            assert monte_carlo_expectations(dist, MC_SHARD_SIZE + 1, 4, _parts=parts) == serial_shard_loop(
+                dist, MC_SHARD_SIZE + 1, 4)
+
+    def test_more_parts_than_cores_under_a_short_switch_interval(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = monte_carlo_expectations(DistributionSpec(), MC_SHARD_SIZE + 1, 4, _parts=(os.cpu_count() or 1) + 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial_shard_loop(DistributionSpec(), MC_SHARD_SIZE + 1, 4)
+
+    def test_on_threads_returns_in_order_in_the_callers_context(self):
+        threads = threading.active_count()
+        with np.errstate(invalid="ignore"):
+            got = _on_threads([lambda: (0, np.geterr()["invalid"]), lambda: (1, np.geterr()["invalid"]),
+                               lambda: (2, np.geterr()["invalid"])])
+        assert got == [(0, "ignore"), (1, "ignore"), (2, "ignore")]
+        assert threading.active_count() == threads
+
+    def test_on_threads_reraises_the_first_calls_error_after_every_call_ended(self):
+        ended = threading.Event()
+
+        def fail(message: str, delay: float = 0.0):
+            time.sleep(delay)
+            raise ValueError(message)
+
+        def slow():
+            time.sleep(0.2)
+            ended.set()
+
+        threads = threading.active_count()
+        # call 3 raises first in time and both errors are in by the time call 0 returns here; call 1's error is
+        # re-raised, and only after call 2 has ended
+        with pytest.raises(ValueError, match="^call 1$"):
+            _on_threads([partial(time.sleep, 0.1), partial(fail, "call 1", 0.05), slow, partial(fail, "call 3")])
+        assert ended.is_set()
+        assert threading.active_count() == threads
 
     def test_import_loads_no_executor(self):
         # concurrent.futures takes about 11 ms to import, paid by every CLI start; the parts use threading
