@@ -175,6 +175,8 @@ def cmd_verify(args, cfg: AppConfig) -> int:
         raise ValueError(f"--samples must be <= {verify.MAX_SAMPLES}, got {args.samples}")
     if args.grid_density < verify.MIN_GRID_DENSITY:
         raise ValueError(f"--grid-density must be >= {verify.MIN_GRID_DENSITY}, got {args.grid_density}")
+    if args.grid_density > verify.MAX_GRID_DENSITY:
+        raise ValueError(f"--grid-density must be <= {verify.MAX_GRID_DENSITY}, got {args.grid_density}")
     report = verify.run_proof_checks(samples=int(args.samples), seed=cfg.seed, grid_density=args.grid_density)
     _emit(report, cfg, args.out)
     return 0 if report["pass"] else 1

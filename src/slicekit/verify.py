@@ -28,8 +28,10 @@ import numpy as np
 from .partition import grid_index, grid_table
 
 TWO_LOG2 = 2.0 * math.log(2.0)
-MC_SHARD_SIZE = 1_000_000  # samples per independently seeded Monte Carlo shard; changing it changes the draws
+# samples per independently seeded Monte Carlo shard, the run of numpy's pairwise sums; changing it changes the draws
+MC_SHARD_SIZE = 1_000_000
 MIN_GRID_DENSITY = 1000  # points per axis of the bounds sweep
+MAX_GRID_DENSITY = 100_000  # at most: the sweep holds about 1.27 KB per point, 127 MB and 0.1-0.25 s at 2 cores
 MIN_PART_SIZE = 2**17  # samples per threaded part; below it a thread's start costs about what it saves
 MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; about 30 s at 3*10^7 samples/s on 2 cores, at most 1000 shards
 CHUNK_SIZE = 2**15  # samples per chunk of grid selection, so that its temporaries stay in L2
@@ -158,20 +160,27 @@ def _table_for(area_ratio: np.ndarray) -> _SelectionTable:
     return _selection_table(tuple(int(n) for n in np.unique(np.maximum(np.ceil(area_ratio), 1))))
 
 
-def _grid_chunks(area_ratio: np.ndarray, aspect: np.ndarray):
+def _chunk_buffers(size: int) -> tuple[np.ndarray, ...]:
+    """Scratch for chunks of min(size, CHUNK_SIZE) samples at most, which stays in L2: five buffers for
+    _grid_chunks, then two for _slice_statistics_in_place.  Made once per call or part: made per leaf, they cost
+    about 15,000 page faults per 10^6 samples of two specs."""
+    size = min(size, CHUNK_SIZE)
+    return (np.empty(size), np.empty(size), np.empty(size, np.int64), np.empty(size, np.intp), np.empty(size, bool),
+            np.empty(size), np.empty(size))
+
+
+def _grid_chunks(area_ratio: np.ndarray, aspect: np.ndarray, buffers: tuple[np.ndarray, ...]):
     """Yield (chunk, table, grid) per CHUNK_SIZE samples: grid[i] numbers in table the grid that
     grid_index(band, aspect^2, 1) chooses for sample chunk.start + i.  No sort, gather into band order or scatter:
-    a bin look-up and SWITCHES_PER_BIN comparisons per sample, in buffers that stay in L2."""
+    a bin look-up and SWITCHES_PER_BIN comparisons per sample, in the first five of _chunk_buffers."""
     if not area_ratio.size:
         return
     table = _table_for(area_ratio)
     low_edge, high_edge = table.edges
-    size = min(CHUNK_SIZE, area_ratio.size)
-    buffers = np.empty(size), np.empty(size), np.empty(size, np.int64), np.empty(size, np.intp), np.empty(size, bool)
     for start in range(0, area_ratio.size, CHUNK_SIZE):
         chunk = slice(start, start + CHUNK_SIZE)
         area, a = area_ratio[chunk], aspect[chunk]
-        x, band, cell, grid, passed = (b[:area.size] for b in buffers)
+        x, band, cell, grid, passed = (b[:area.size] for b in buffers[:5])
         np.multiply(a, a, out=x, dtype=np.float64)  # as grid_index squares a float64 aspect, overflow included
         # clipped into the table's bins; NaN, negatives, zeros and subnormals go to the lowest, where none passes
         clipped = cell.view(np.float64)
@@ -202,7 +211,7 @@ def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple
     grid_index(max(ceil(area_ratio), 1), aspect^2, 1) chooses for the float64 aspect, bit for bit, chunk by chunk.
     """
     cols, rows = np.empty(area_ratio.size, dtype=np.int64), np.empty(area_ratio.size, dtype=np.int64)
-    for chunk, table, grid in _grid_chunks(area_ratio, aspect):
+    for chunk, table, grid in _grid_chunks(area_ratio, aspect, _chunk_buffers(area_ratio.size)):
         cols[chunk] = table.cols[grid]
         rows[chunk] = table.rows[grid]
     return cols, rows
@@ -216,15 +225,16 @@ def slice_statistics(
     _parts (for tests) sets the number of contiguous parts in place of one per core; no value changes with it.
     """
     ratio, area = np.array(aspect, dtype=np.float64), np.array(area_ratio, dtype=np.float64)
-    _in_parts(lambda lo, hi: _slice_statistics_in_place(area[lo:hi], ratio[lo:hi]), area.size, _parts)
+    _in_parts(lambda lo, hi: _slice_statistics_in_place(area[lo:hi], ratio[lo:hi], _chunk_buffers(hi - lo)),
+              area.size, _part_count(area.size, _parts))
     return ratio, area
 
 
-def _slice_statistics_in_place(area: np.ndarray, ratio: np.ndarray) -> None:
-    """Overwrite area ratios with normalized slice areas and aspects with folded slice ratios, chunk by chunk."""
-    size = min(CHUNK_SIZE, area.size)
-    rows_buf, cols_buf = np.empty(size), np.empty(size)
-    for chunk, table, grid in _grid_chunks(area, ratio):
+def _slice_statistics_in_place(area: np.ndarray, ratio: np.ndarray, buffers: tuple[np.ndarray, ...]) -> None:
+    """Overwrite area ratios with normalized slice areas and aspects with folded slice ratios, chunk by chunk, in
+    _chunk_buffers."""
+    rows_buf, cols_buf = buffers[5:]
+    for chunk, table, grid in _grid_chunks(area, ratio, buffers):
         r, a, rows, cols = ratio[chunk], area[chunk], rows_buf[:grid.size], cols_buf[:grid.size]
         np.take(table.rows, grid, out=rows, mode="clip")
         np.take(table.cols, grid, out=cols, mode="clip")
@@ -236,32 +246,53 @@ def _slice_statistics_in_place(area: np.ndarray, ratio: np.ndarray) -> None:
         np.maximum(r, rows, out=r)
 
 
-def _uniform_from(ss: np.random.SeedSequence, start: int, low: float, high: float, out: np.ndarray) -> None:
-    """Outputs start.. of ss's PCG64 stream into out, as default_rng(ss).uniform(low, high) turns them into
-    doubles: low + (high - low) * u, one 64-bit output per double, rounded in the same two steps."""
-    np.random.Generator(np.random.PCG64(ss).advance(start)).random(out=out)
-    out *= high - low
+def _pairwise(n: int, leaf):
+    """leaf(size) at each node of numpy's pairwise summation over n doubles that first holds at most CHUNK_SIZE of
+    them, in order, added up the tree: ``_pairwise(n, lambda m: [m])`` lists the leaf sizes, and over the leaves'
+    own sums it is the sum of the whole run, bit for bit.
+
+    numpy's pairwise_sum adds a run of at most 128 with 8 accumulators and splits a longer one at
+    n2 = n/2 - (n/2) % 8, a multiple of 8, returning pairwise_sum(first n2) + pairwise_sum(the rest).
+    """
+    if n <= CHUNK_SIZE:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, leaf) + _pairwise(n - half, leaf)
+
+
+def _uniform(u: np.ndarray, low: float, high: float, out: np.ndarray) -> np.ndarray:
+    """low + (high - low) * u into out, rounded in the same two steps as Generator.uniform."""
+    np.multiply(u, high - low, out=out)
     out += low
+    return out
 
 
-def _shard_part(dist: DistributionSpec, ss: np.random.SeedSequence, area: np.ndarray, log_aspect: np.ndarray,
-                lo: int, hi: int) -> None:
-    """Samples [lo, hi) of a shard of area.size samples: drawn, then overwritten with their statistics.
+def _leaf_sums(dists: tuple[DistributionSpec, ...], ss: np.random.SeedSequence, k: int, leaves: list[int],
+               first: int, last: int) -> np.ndarray:
+    """Leaves [first, last) of a shard of k samples cut into leaves of these sizes, in order: per leaf and spec,
+    the sum and the sum of squares of the folded slice ratio, then of the normalized slice area.
 
     The shard's draws are area = default_rng(ss).uniform(area range, k), then log_aspect = .uniform(log aspect
-    range, k) on the same generator: outputs 0..k-1 of the stream, then k..2k-1.  A part jumps to its own.
+    range, k) on the same generator: outputs 0..k-1 of the stream, then k..2k-1.  The part jumps to its own in
+    each and draws every leaf's uniforms once, into buffers that stay in L2; each spec scales its own copy.
     """
-    a, x = area[lo:hi], log_aspect[lo:hi]
-    _uniform_from(ss, lo, dist.area_ratio_lo, dist.area_ratio_hi, a)
-    # uniform over the (W, H) plane <=> log-uniform aspect
-    _uniform_from(ss, area.size + lo, math.log(dist.aspect_lo), math.log(dist.aspect_hi), x)
-    np.exp(x, out=x)
-    _slice_statistics_in_place(a, x)
-
-
-def _sum_and_square_sum(x: np.ndarray) -> tuple[float, float]:
-    """x.sum() and the sum of its squares, both over the whole array in order; x is squared in place."""
-    return x.sum(), np.square(x, out=x).sum()
+    lo, sizes = sum(leaves[:first]), leaves[first:last]
+    streams = [np.random.Generator(np.random.PCG64(ss).advance(start)) for start in (lo, k + lo)]
+    u_buf, v_buf, area_buf, ratio_buf = (np.empty(max(sizes)) for _ in range(4))
+    buffers = _chunk_buffers(max(sizes))
+    sums = np.empty((len(sizes), 4 * len(dists)))
+    for row, n in zip(sums, sizes):
+        u, v = streams[0].random(out=u_buf[:n]), streams[1].random(out=v_buf[:n])
+        area, ratio = area_buf[:n], ratio_buf[:n]
+        for i, dist in enumerate(dists):
+            _uniform(u, dist.area_ratio_lo, dist.area_ratio_hi, area)
+            # uniform over the (W, H) plane <=> log-uniform aspect
+            np.exp(_uniform(v, math.log(dist.aspect_lo), math.log(dist.aspect_hi), ratio), out=ratio)
+            _slice_statistics_in_place(area, ratio, buffers)
+            # each sum before its squares, which overwrite the leaf
+            row[4 * i:4 * i + 2] = ratio.sum(), np.square(ratio, out=ratio).sum()
+            row[4 * i + 2:4 * i + 4] = area.sum(), np.square(area, out=area).sum()
+    return sums
 
 
 def _on_threads(calls: list) -> list:
@@ -294,19 +325,20 @@ def _on_threads(calls: list) -> list:
     return results
 
 
-def _in_parts(kernel, size: int, parts: int | None) -> int:
-    """kernel(lo, hi) over contiguous parts [lo, hi) of range(size), on threads; returns the number of parts.
-
-    parts=None takes one part per core, but none of fewer than MIN_PART_SIZE samples (one part at least); each
-    sample's arithmetic is the same in any part.
-    """
+def _part_count(samples: int, parts: int | None) -> int:
+    """parts, or for None one part per core, but none of fewer than MIN_PART_SIZE samples (one part at least)."""
     if parts is None:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        parts = min(cores, size // MIN_PART_SIZE)
+        parts = min(cores, samples // MIN_PART_SIZE)
+    return parts
+
+
+def _in_parts(kernel, size: int, parts: int) -> list:
+    """[kernel(lo, hi)] over contiguous parts [lo, hi) of range(size), on threads: parts of them, at least 1 and at
+    most size.  Each item's arithmetic is the same in any part."""
     parts = max(1, min(parts, size))
     edges = [size * i // parts for i in range(parts + 1)]
-    _on_threads([partial(kernel, lo, hi) for lo, hi in zip(edges, edges[1:])])
-    return parts
+    return _on_threads([partial(kernel, lo, hi) for lo, hi in zip(edges, edges[1:])])
 
 
 def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
@@ -338,6 +370,8 @@ def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, f
     """
     if grid_density < MIN_GRID_DENSITY:
         raise ValueError(f"grid density must be >= {MIN_GRID_DENSITY} per axis")
+    if grid_density > MAX_GRID_DENSITY:
+        raise ValueError(f"grid density must be <= {MAX_GRID_DENSITY} per axis")
     d = DistributionSpec()
     # open at the low area ratio: start half a step in
     n_vals = d.area_ratio_lo + (np.arange(grid_density) + 0.5) * (d.area_ratio_hi - d.area_ratio_lo) / grid_density
@@ -351,49 +385,51 @@ def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, f
     return float(ratio.min()), float(ratio.max()), float(area.min()), float(area.max())
 
 
-def monte_carlo_expectations(
-    dist: DistributionSpec, samples: int = 10_000_000, seed: int = 42, *, _parts: int | None = None
-) -> tuple[StatReport, StatReport]:
-    """Seeded Monte Carlo estimates of E/Var for slice ratio and area.
+def monte_carlo_statistics(
+    dists: tuple[DistributionSpec, ...], samples: int = 10_000_000, seed: int = 42, *, _parts: int | None = None
+) -> list[tuple[StatReport, StatReport]]:
+    """Seeded Monte Carlo estimates of E/Var for slice ratio and area, one (ratio, area) pair per spec of dists.
 
     Shards of MC_SHARD_SIZE samples have independently derived seeds and a
     fixed reduction order, so results are bit-reproducible for a given seed.
-    Each shard runs over contiguous parts on threads (one per core; _parts,
-    for tests, sets the count): a part draws its own samples of the shard's
-    PCG64 stream and overwrites them with their statistics in place.  The
-    four sums run two per thread, each over the whole shard, so the results
-    are the same for any number of parts.
+    Every spec reads the same draws, each uniform drawn once.  A shard splits
+    at numpy's pairwise-sum points into leaves of at most CHUNK_SIZE samples,
+    runs as contiguous runs of whole leaves on threads (one per core; _parts,
+    for tests, sets the count), and adds the leaves' sums up numpy's tree: each
+    sum is bitwise np.sum over the whole shard, for any number of parts, and
+    no shard-sized array is made.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} samples, got {samples}")
-    shard_seeds = np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE))
-    size = min(MC_SHARD_SIZE, samples)
-    area_buf, ratio_buf = np.empty(size), np.empty(size)  # made once, sliced to each shard's k
-    acc = np.zeros(5)  # sum_r, sum_r2, sum_s, sum_s2, count
+    acc = np.zeros(4 * len(dists))  # per spec: sum_r, sum_r2, sum_s, sum_s2
     remaining = samples
-    for ss in shard_seeds:
+    for ss in np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE)):
         k = min(MC_SHARD_SIZE, remaining)
         remaining -= k
-        area, ratio = area_buf[:k], ratio_buf[:k]
-        parts = _in_parts(partial(_shard_part, dist, ss, area, ratio), k, _parts)
-        # each pair summed over the whole shard, so no sum depends on the parts; squared in place after its sum
-        sums = [partial(_sum_and_square_sum, ratio), partial(_sum_and_square_sum, area)]
-        (r, r2), (s, s2) = _on_threads(sums) if parts > 1 else [f() for f in sums]
-        acc += [r, r2, s, s2, k]
+        leaves = _pairwise(k, lambda n: [n])
+        sums = iter(np.concatenate(_in_parts(partial(_leaf_sums, dists, ss, k, leaves), len(leaves),
+                                             _part_count(k, _parts))))
+        acc += _pairwise(k, lambda n: next(sums))
 
     def report(total: float, total_sq: float) -> StatReport:
-        count = acc[4]
-        mean = total / count
-        var = max(0.0, total_sq / count - mean * mean)
+        mean = total / samples
+        var = max(0.0, total_sq / samples - mean * mean)
         return StatReport(
             expectation=float(mean),
             variance=float(var),
-            samples=int(count),
-            std_error=float(math.sqrt(var / count)),
+            samples=samples,
+            std_error=float(math.sqrt(var / samples)),
             seed=seed,
         )
 
-    return report(acc[0], acc[1]), report(acc[2], acc[3])
+    return [(report(*acc[i:i + 2]), report(*acc[i + 2:i + 4])) for i in range(0, acc.size, 4)]
+
+
+def monte_carlo_expectations(
+    dist: DistributionSpec, samples: int = 10_000_000, seed: int = 42, *, _parts: int | None = None
+) -> tuple[StatReport, StatReport]:
+    """monte_carlo_statistics for one spec: (ratio, area)."""
+    return monte_carlo_statistics((dist,), samples, seed, _parts=_parts)[0]
 
 
 def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -434,8 +470,8 @@ def run_proof_checks(samples: int = 10_000_000, seed: int = 42, grid_density: in
     """Full verification report for the CLI; JSON-serializable."""
     holds, worst_gap = enumerate_ratio_bound(20)
     min_r, max_r, min_s, max_s = sweep_slice_bounds(grid_density=grid_density)
-    ratio_stats, area_stats = monte_carlo_expectations(DistributionSpec(), samples=samples, seed=seed)
-    alt_ratio, _ = monte_carlo_expectations(ALTERNATE_SPEC, samples=samples, seed=seed)
+    (ratio_stats, area_stats), (alt_ratio, _) = monte_carlo_statistics(
+        (DistributionSpec(), ALTERNATE_SPEC), samples=samples, seed=seed)
     exact_ratio, exact_area = exact_expectations(DistributionSpec())
     exact_alt_ratio, _ = exact_expectations(ALTERNATE_SPEC)
 

@@ -568,6 +568,7 @@ class TestVerify:
         (["--samples", "-1"], "--samples must be a finite number >= 1, got -1.0"),
         (["--samples", "20000.7"], "--samples must be a whole number, got 20000.7"),
         (["--samples", "2e4", "--grid-density", "10"], "--grid-density must be >= 1000, got 10"),
+        (["--samples", "2e4", "--grid-density", "99999999999"], "--grid-density must be <= 100000, got 99999999999"),
         (["--samples", "1e18"], "--samples must be <= 1000000000, got 1e+18"),
         (["--samples", "1000000001"], "--samples must be <= 1000000000, got 1000000001.0"),
     ])
@@ -716,7 +717,7 @@ def cli_argv(draw, scene: str, pe: str) -> list[str]:
         return ["interp-pe", pe, str(Path(pe).with_name("out.bin")), f"--rows={draw(side)}", f"--cols={draw(side)}"]
     if command == "verify":
         samples = st.sampled_from(("-1", "0", "1", "20000", "inf", "nan", "1e400", "1e18"))
-        density = st.sampled_from(("-5", "999", "1000", "3000"))
+        density = st.sampled_from(("-5", "999", "1000", "3000", "100001"))
         return ["verify", "proofs", f"--samples={draw(samples)}", f"--grid-density={draw(density)}"]
     size = option_values(st.integers(-3, 8))
     step = option_values(st.floats(-1.0, 1.0) | st.floats(1e-9, 1e-3))

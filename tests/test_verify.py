@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from slicekit.partition import ImageSize, VitSpec, grid_index, grid_table, selec
 from slicekit.verify import (
     ALTERNATE_SPEC,
     CHUNK_SIZE,
+    MAX_GRID_DENSITY,
     MAX_SAMPLES,
     MAX_TABLE_BANDS,
     MC_SHARD_SIZE,
@@ -29,11 +31,14 @@ from slicekit.verify import (
     DistributionSpec,
     StatReport,
     _in_parts,
+    _leaf_sums,
     _on_threads,
-    _shard_part,
+    _pairwise,
+    _part_count,
     enumerate_ratio_bound,
     exact_expectations,
     monte_carlo_expectations,
+    monte_carlo_statistics,
     run_proof_checks,
     select_grids_vectorized,
     slice_statistics,
@@ -320,6 +325,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_slice_bounds(grid_density=MIN_GRID_DENSITY - 1)
 
+    @pytest.mark.parametrize("density", [MAX_GRID_DENSITY + 1, 99_999_999_999])
+    def test_density_ceiling_enforced_before_any_allocation(self, density):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^grid density must be <= {MAX_GRID_DENSITY} per axis$"):
+                sweep_slice_bounds(grid_density=density)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, peak
+
     @pytest.mark.parametrize("density", [1000, 1500, 1777, 2048])
     def test_equals_full_grid(self, density):
         # every (n, aspect) point of the grid, a chunk of n rows at a time
@@ -370,6 +386,28 @@ class TestMonteCarlo:
     def test_sample_count_past_the_bound_raises_before_any_shard_is_seeded(self, samples):
         with pytest.raises(ValueError, match=f"^need between 1 and {MAX_SAMPLES} samples, got {samples}$"):
             monte_carlo_expectations(DistributionSpec(), samples=samples)
+
+
+class TestPairwiseFold:
+    """numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src) adds a run of at most 128 doubles in 8
+    accumulators and splits a longer one at n2 = n/2 - (n/2) % 8.  The Monte Carlo's sums rest on that rule: if a
+    numpy release changes it, this fails here rather than letting the pinned values drift."""
+
+    SIZES = [*range(1, 601), CHUNK_SIZE - 1, CHUNK_SIZE + 1, 2**17 - 1, 2**17 + 1, 999_983, 10**6, 10**6 + 1]
+
+    @pytest.mark.parametrize("leaf", [128, CHUNK_SIZE])
+    def test_leaf_sums_folded_up_the_tree_equal_numpys_whole_array_sums(self, monkeypatch, leaf):
+        # leaves of at most 128 split every run above 128 as numpy does, down to its unrolled blocks
+        monkeypatch.setattr(slicekit.verify, "CHUNK_SIZE", leaf)
+        rng = np.random.default_rng(leaf)
+        for size in self.SIZES:
+            # signs and magnitudes that make a sum depend on its order
+            x = rng.standard_normal(size) * np.exp(rng.uniform(-20, 20, size))
+            edges = list(accumulate(_pairwise(size, lambda n: [n]), initial=0))
+            assert edges[-1] == size and max(np.diff(edges)) <= leaf, size
+            for f in (np.asarray, np.square):
+                sums = iter([f(x[a:b]).sum() for a, b in zip(edges, edges[1:])])
+                assert _pairwise(size, lambda n: next(sums)) == f(x).sum(), (size, f)
 
 
 class TestParts:
@@ -442,15 +480,57 @@ class TestParts:
     @pytest.mark.parametrize("size", [2 * MIN_PART_SIZE + 1, MC_SHARD_SIZE + 1])
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_in_part_draws_are_the_shard_streams_two_uniform_calls(self, monkeypatch, size, parts):
-        monkeypatch.setattr(slicekit.verify, "_slice_statistics_in_place", lambda area, ratio: None)
         ss = np.random.SeedSequence(11).spawn(2)[1]
-        for dist in (DistributionSpec(), ALTERNATE_SPEC):
+        dists = (DistributionSpec(), ALTERNATE_SPEC)
+        leaves = _pairwise(size, lambda n: [n])
+        edges = list(accumulate(leaves, initial=0))
+        expected = set()
+        for dist in dists:
             rng = np.random.default_rng(ss)
             area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, size)
             aspect = np.exp(rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), size))
-            got_area, got_aspect = np.full(size, np.nan), np.full(size, np.nan)
-            assert _in_parts(partial(_shard_part, dist, ss, got_area, got_aspect), size, parts) == parts
-            assert got_area.tobytes() == area.tobytes() and got_aspect.tobytes() == aspect.tobytes()
+            expected |= {(area[a:b].tobytes(), aspect[a:b].tobytes()) for a, b in zip(edges, edges[1:])}
+        seen, drawn = [], []
+
+        class CountingGenerator(np.random.Generator):
+            def random(self, *args, out=None, **kwargs):
+                drawn.append(out.size)
+                return super().random(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        monkeypatch.setattr(slicekit.verify, "_slice_statistics_in_place",
+                            lambda area, ratio, buffers: seen.append((area.tobytes(), ratio.tobytes())))
+        assert len(_in_parts(partial(_leaf_sums, dists, ss, size, leaves), len(leaves), parts)) == parts
+        # every leaf of both specs once, byte for byte, from one draw per sample of each of the two streams
+        assert len(seen) == len(expected) == 2 * len(leaves) and set(seen) == expected
+        assert sum(drawn) == 2 * size
+
+    def test_peak_memory_of_both_specs_below_one_shard_array(self):
+        tracemalloc.start()
+        try:
+            monte_carlo_statistics((DistributionSpec(), ALTERNATE_SPEC), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MC_SHARD_SIZE, peak  # leaf buffers in L2 per part, no shard-sized array
+
+    @pytest.mark.parametrize("parts", [None, 1, 3])
+    def test_both_specs_in_one_call_equal_the_serial_shard_loop(self, parts):
+        dists = (DistributionSpec(), ALTERNATE_SPEC)
+        assert monte_carlo_statistics(dists, MC_SHARD_SIZE + 1, 4, _parts=parts) == [
+            serial_shard_loop(dist, MC_SHARD_SIZE + 1, 4) for dist in dists]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_one_core_by_default_equals_the_in_process_report(self):
+        # parts=None on one core takes one part; bitwise the same report as with every core of this process
+        code = ("import json, os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "from slicekit.verify import _part_count, run_proof_checks; "
+                "print(_part_count(10**6, None)); print(json.dumps(run_proof_checks(10**6 + 1, 3)))")
+        src = str(Path(slicekit.verify.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"1\n{json.dumps(run_proof_checks(10**6 + 1, 3))}\n"
 
     @pytest.mark.parametrize("parts", [None, 1, 2, 3])
     def test_two_shards_with_a_one_sample_last_equal_the_serial_shard_loop(self, parts):
