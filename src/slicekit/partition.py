@@ -265,18 +265,20 @@ def select_partition(image: ImageSize, vit: VitSpec, max_slices: int | None = No
 
     An image with a side below one patch is rejected; a grid whose slices would be narrower or shorter than one
     patch is passed over for 1x1 (within 14..4032 px per side only at N=1, where the N+1 candidates 2x1 and 1x2
-    would cut slices of a few pixels).  So every block of every plan can be fitted a patch grid.  A chosen grid
-    of more than max_slices slices (the config's max_N) is refused before any slice is cut.
+    would cut slices of a few pixels; beyond it, very large images such as 25891x25891 at N=5938).  So every block
+    of every plan can be fitted a patch grid.  A grid of more than max_slices slices (the config's max_N) is refused before any slice is
+    cut: at N >= 2 the grid the score chose, so that the 1x1 fallback lets no large image through whole.
     """
     if min(image.width_px, image.height_px) < vit.patch_px:
         raise ValueError(f"image {image.width_px}x{image.height_px} has a side below one {vit.patch_px}px patch")
     n = ideal_slice_count(image, vit)
     p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
-    grid = grid_table(n)[0][grid_index(n, p * p, q * q)]
-    if image.width_px // grid.cols_m < vit.patch_px or image.height_px // grid.rows_n < vit.patch_px:
-        grid = SliceGrid(1, 1)
-    if max_slices is not None and grid.slice_count > max_slices:
-        raise ValueError(f"{image.width_px}x{image.height_px} would be cut into {grid.slice_count} slices, "
+    chosen = grid_table(n)[0][grid_index(n, p * p, q * q)]
+    thin = image.width_px // chosen.cols_m < vit.patch_px or image.height_px // chosen.rows_n < vit.patch_px
+    grid = SliceGrid(1, 1) if thin else chosen
+    capped = grid if n == 1 else chosen
+    if max_slices is not None and capped.slice_count > max_slices:
+        raise ValueError(f"{image.width_px}x{image.height_px} would be cut into {capped.slice_count} slices, "
                          f"which exceeds max_N={max_slices}")
     return PartitionPlan(
         image=image,

@@ -113,20 +113,15 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _projected_queries(queries: QuerySet, params: AttentionParams) -> np.ndarray:
-    """Q Wq; qk = (Q Wq) Wk^T is the (K, d) map from a raw token to its K logits, shared by every block."""
-    if queries.dim != params.dim:
-        raise ValueError("query/token/parameter dims do not match")
-    return queries.values @ params.w_q
-
-
 @functools.lru_cache(maxsize=1)
 def _query_keys(queries: QuerySet, params: AttentionParams) -> np.ndarray:
-    """Read-only qk = (Q Wq) Wk^T of the last pair asked for.
+    """Read-only qk = (Q Wq) Wk^T of the last pair asked for: the (K, d) map from a raw token to its K logits.
 
     Both arguments hash by identity and their arrays are read-only, so a cached ``qk`` cannot be stale.
     """
-    qk = _projected_queries(queries, params) @ params.w_k.T
+    if queries.dim != params.dim:
+        raise ValueError("query/token/parameter dims do not match")
+    qk = (queries.values @ params.w_q) @ params.w_k.T
     qk.flags.writeable = False
     return qk
 
@@ -215,8 +210,7 @@ def _gradients(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams,
     projection is formed.  The gradients do not depend on the token order, so the tokens are taken as given.
     """
     x = tokens.values
-    q = _projected_queries(queries, params)
-    attn = _block_weights(q @ params.w_k.T, x, params)
+    attn = _block_weights(_query_keys(queries, params), x, params)
     d_attn = (probe @ params.w_v.T) @ x.T
     d_logits = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
     d_qk = (d_logits @ x) * params.scale
@@ -224,7 +218,7 @@ def _gradients(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams,
     return {
         "queries": d_q @ params.w_q.T,
         "w_q": queries.values.T @ d_q,
-        "w_k": d_qk.T @ q,
+        "w_k": d_qk.T @ (queries.values @ params.w_q),
         "w_v": (attn @ x).T @ probe,
     }
 

@@ -31,7 +31,7 @@ TWO_LOG2 = 2.0 * math.log(2.0)
 # samples per independently seeded Monte Carlo shard, the run of numpy's pairwise sums; changing it changes the draws
 MC_SHARD_SIZE = 1_000_000
 MIN_GRID_DENSITY = 1000  # points per axis of the bounds sweep
-MAX_GRID_DENSITY = 100_000  # at most: the sweep holds about 1.27 KB per point, 127 MB and 0.1-0.25 s at 2 cores
+MAX_GRID_DENSITY = 100_000  # at most: the sweep holds about 1.27 KB per point, 127 MB and 0.13-0.16 s
 MIN_PART_SIZE = 2**17  # samples per threaded part; below it a thread's start costs about what it saves
 MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; about 30 s at 3*10^7 samples/s on 2 cores, at most 1000 shards
 CHUNK_SIZE = 2**15  # samples per chunk of grid selection, so that its temporaries stay in L2
@@ -217,16 +217,10 @@ def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple
     return cols, rows
 
 
-def slice_statistics(
-    area_ratio: np.ndarray, aspect: np.ndarray, *, _parts: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Folded slice aspect ratio and normalized slice area per sample.
-
-    _parts (for tests) sets the number of contiguous parts in place of one per core; no value changes with it.
-    """
+def slice_statistics(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Folded slice aspect ratio and normalized slice area per sample, in the calling thread."""
     ratio, area = np.array(aspect, dtype=np.float64), np.array(area_ratio, dtype=np.float64)
-    _in_parts(lambda lo, hi: _slice_statistics_in_place(area[lo:hi], ratio[lo:hi], _chunk_buffers(hi - lo)),
-              area.size, _part_count(area.size, _parts))
+    _slice_statistics_in_place(area, ratio, _chunk_buffers(area.size))
     return ratio, area
 
 
@@ -325,20 +319,11 @@ def _on_threads(calls: list) -> list:
     return results
 
 
-def _part_count(samples: int, parts: int | None) -> int:
-    """parts, or for None one part per core, but none of fewer than MIN_PART_SIZE samples (one part at least)."""
-    if parts is None:
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        parts = min(cores, samples // MIN_PART_SIZE)
-    return parts
-
-
-def _in_parts(kernel, size: int, parts: int) -> list:
-    """[kernel(lo, hi)] over contiguous parts [lo, hi) of range(size), on threads: parts of them, at least 1 and at
-    most size.  Each item's arithmetic is the same in any part."""
-    parts = max(1, min(parts, size))
-    edges = [size * i // parts for i in range(parts + 1)]
-    return _on_threads([partial(kernel, lo, hi) for lo, hi in zip(edges, edges[1:])])
+def _part_count(samples: int) -> int:
+    """Parts, each on its own thread, of a Monte Carlo shard of this many samples: one per core, but none of fewer
+    than MIN_PART_SIZE samples, and one at least."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cores, samples // MIN_PART_SIZE))
 
 
 def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
@@ -385,19 +370,17 @@ def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, f
     return float(ratio.min()), float(ratio.max()), float(area.min()), float(area.max())
 
 
-def monte_carlo_statistics(
-    dists: tuple[DistributionSpec, ...], samples: int = 10_000_000, seed: int = 42, *, _parts: int | None = None
-) -> list[tuple[StatReport, StatReport]]:
+def monte_carlo_statistics(dists: tuple[DistributionSpec, ...], samples: int = 10_000_000,
+                           seed: int = 42) -> list[tuple[StatReport, StatReport]]:
     """Seeded Monte Carlo estimates of E/Var for slice ratio and area, one (ratio, area) pair per spec of dists.
 
     Shards of MC_SHARD_SIZE samples have independently derived seeds and a
     fixed reduction order, so results are bit-reproducible for a given seed.
     Every spec reads the same draws, each uniform drawn once.  A shard splits
     at numpy's pairwise-sum points into leaves of at most CHUNK_SIZE samples,
-    runs as contiguous runs of whole leaves on threads (one per core; _parts,
-    for tests, sets the count), and adds the leaves' sums up numpy's tree: each
-    sum is bitwise np.sum over the whole shard, for any number of parts, and
-    no shard-sized array is made.
+    runs as _part_count contiguous runs of whole leaves on threads, and adds
+    the leaves' sums up numpy's tree: each sum is bitwise np.sum over the
+    whole shard, for any number of parts, and no shard-sized array is made.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} samples, got {samples}")
@@ -407,8 +390,10 @@ def monte_carlo_statistics(
         k = min(MC_SHARD_SIZE, remaining)
         remaining -= k
         leaves = _pairwise(k, lambda n: [n])
-        sums = iter(np.concatenate(_in_parts(partial(_leaf_sums, dists, ss, k, leaves), len(leaves),
-                                             _part_count(k, _parts))))
+        parts = min(_part_count(k), len(leaves))
+        edges = [len(leaves) * i // parts for i in range(parts + 1)]
+        sums = iter(np.concatenate(_on_threads([partial(_leaf_sums, dists, ss, k, leaves, first, last)
+                                                for first, last in zip(edges, edges[1:])])))
         acc += _pairwise(k, lambda n: next(sums))
 
     def report(total: float, total_sq: float) -> StatReport:
@@ -425,11 +410,10 @@ def monte_carlo_statistics(
     return [(report(*acc[i:i + 2]), report(*acc[i + 2:i + 4])) for i in range(0, acc.size, 4)]
 
 
-def monte_carlo_expectations(
-    dist: DistributionSpec, samples: int = 10_000_000, seed: int = 42, *, _parts: int | None = None
-) -> tuple[StatReport, StatReport]:
+def monte_carlo_expectations(dist: DistributionSpec, samples: int = 10_000_000,
+                             seed: int = 42) -> tuple[StatReport, StatReport]:
     """monte_carlo_statistics for one spec: (ratio, area)."""
-    return monte_carlo_statistics((dist,), samples, seed, _parts=_parts)[0]
+    return monte_carlo_statistics((dist,), samples, seed)[0]
 
 
 def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tuple[float, float]]:

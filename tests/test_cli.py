@@ -236,7 +236,7 @@ class TestCost:
         assert code == 1
         assert out == "" and err == "error: text_tokens must be >= 0, got -5000\n"
 
-    @pytest.mark.parametrize("size", ["2000x2000", "1000000x1000000", "100000000x100000000"])
+    @pytest.mark.parametrize("size", ["2000x2000", "25891x25891", "1000000x1000000", "100000000x100000000"])
     def test_plan_schema_and_slicing_cost_share_the_max_n_cap(self, capsys, size):
         errors = set()
         for argv in (("plan", size), ("schema", size), ("cost", "--image", size),

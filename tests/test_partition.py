@@ -291,6 +291,15 @@ class TestSelectPartition:
         plan = select_partition(ImageSize(672, 1008), VIT, 6)
         assert plan == select_partition(ImageSize(672, 1008), VIT) and plan.grid.slice_count == 6
 
+    @pytest.mark.parametrize("side", [25890, 25891])
+    def test_large_image_kept_whole_only_when_uncapped(self, side):
+        # at N = 5938 the score chooses 1979x3, whose slices are 13 px wide: uncapped, the image is kept whole;
+        # the cap reads the chosen grid, so under max_N the image is refused rather than passed as one slice
+        plan = select_partition(ImageSize(side, side), VIT)
+        assert (plan.ideal_n, plan.grid, plan.slice_rects) == (5938, SliceGrid(1, 1), (PixelRect(0, 0, side, side),))
+        with pytest.raises(ValueError, match=f"^{side}x{side} would be cut into 5937 slices, which exceeds max_N=6$"):
+            select_partition(ImageSize(side, side), VIT, 6)
+
     @pytest.mark.parametrize("w, h", [(5, 5), (13, 4000), (4000, 13), (13, 14)])
     def test_side_below_one_patch_rejected(self, w, h):
         with pytest.raises(ValueError, match=f"image {w}x{h} has a side below one 14px patch"):

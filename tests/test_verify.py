@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -30,8 +33,6 @@ from slicekit.verify import (
     TWO_LOG2,
     DistributionSpec,
     StatReport,
-    _in_parts,
-    _leaf_sums,
     _on_threads,
     _pairwise,
     _part_count,
@@ -126,7 +127,7 @@ class TestVectorizedSelection:
 
 def serial_shard_loop(dist: DistributionSpec, samples: int, seed: int) -> tuple[StatReport, StatReport]:
     """monte_carlo_expectations in one thread: each shard drawn by two uniform calls on default_rng(its seed),
-    its statistics taken in one part, and its four sums taken in turn over the whole shard."""
+    its statistics taken by slice_statistics, and its four sums taken in turn over the whole shard."""
     acc = np.zeros(5)
     remaining = samples
     for ss in np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE)):
@@ -135,7 +136,7 @@ def serial_shard_loop(dist: DistributionSpec, samples: int, seed: int) -> tuple[
         rng = np.random.default_rng(ss)
         area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, k)
         aspect = np.exp(rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), k))
-        ratio, area = slice_statistics(area, aspect, _parts=1)
+        ratio, area = slice_statistics(area, aspect)
         acc += [ratio.sum(), np.square(ratio).sum(), area.sum(), np.square(area).sum(), k]
 
     def report(total: float, total_sq: float) -> StatReport:
@@ -410,26 +411,63 @@ class TestPairwiseFold:
                 assert _pairwise(size, lambda n: next(sums)) == f(x).sum(), (size, f)
 
 
+@pytest.fixture
+def force_parts(monkeypatch):
+    """force_parts(n) runs every Monte Carlo shard in n parts from then on; None keeps _part_count's default."""
+    default = slicekit.verify._part_count
+
+    def force(parts: int | None) -> None:
+        monkeypatch.setattr(slicekit.verify, "_part_count", default if parts is None else lambda samples: parts)
+    return force
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The list of threads started from then on."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
 class TestParts:
-    """Each shard's statistics run over contiguous parts on threads; no value may depend on the part count."""
+    """Each Monte Carlo shard runs over contiguous parts on threads; no value may depend on the part count.  The
+    statistics of given samples (slice_statistics, the sweep) run in the calling thread."""
 
     @pytest.mark.parametrize("size", [1, MIN_PART_SIZE - 1, MIN_PART_SIZE + 1, 10**6 + 1])
-    def test_monte_carlo_bitwise_equal_for_any_part_count(self, size):
+    def test_monte_carlo_bitwise_equal_for_any_part_count(self, force_parts, size):
         for dist in (DistributionSpec(), ALTERNATE_SPEC):
-            serial = repr(monte_carlo_expectations(dist, size, 3, _parts=1))
+            force_parts(1)
+            serial = repr(monte_carlo_expectations(dist, size, 3))
             for parts in (None, 2, 3):
-                assert repr(monte_carlo_expectations(dist, size, 3, _parts=parts)) == serial, parts
+                force_parts(parts)
+                assert repr(monte_carlo_expectations(dist, size, 3)) == serial, parts
 
     @pytest.mark.parametrize("size", [1, MIN_PART_SIZE - 1, MIN_PART_SIZE + 1, 10**6 + 1])
-    def test_slice_statistics_bitwise_equal_for_any_part_count(self, size):
+    def test_slice_statistics_bitwise_equal_for_any_part_count(self, thread_starts, size):
+        # elementwise: the statistics of contiguous parts of the samples are those of the whole, byte for byte
         rng = np.random.default_rng(size)
         area, aspect = rng.uniform(1, 20, size), np.exp(rng.uniform(-math.log(6), math.log(6), size))
         given_area, given_aspect = area.copy(), aspect.copy()
-        ratio, s_area = slice_statistics(area, aspect, _parts=1)
-        for parts in (None, 2, 3):
-            r, a = slice_statistics(area, aspect, _parts=parts)
+        ratio, s_area = slice_statistics(area, aspect)
+        for parts in (2, 3):
+            pieces = map(slice_statistics, np.array_split(area, parts), np.array_split(aspect, parts))
+            r, a = (np.concatenate(x) for x in zip(*pieces))
             assert r.tobytes() == ratio.tobytes() and a.tobytes() == s_area.tobytes(), parts
         assert np.array_equal(area, given_area) and np.array_equal(aspect, given_aspect)  # inputs are copied
+        assert thread_starts == []
+
+    def test_statistics_of_given_samples_start_no_thread(self, thread_starts):
+        rng = np.random.default_rng(3)
+        size = 3 * MIN_PART_SIZE
+        slice_statistics(rng.uniform(1, 20, size), np.exp(rng.uniform(0, math.log(6), size)))
+        sweep_slice_bounds(7000)  # 38 rows of 7000 points, more than 2 * MIN_PART_SIZE
+        assert thread_starts == []
+        monte_carlo_expectations(DistributionSpec(), MC_SHARD_SIZE, 1)
+        assert len(thread_starts) == _part_count(MC_SHARD_SIZE) - 1  # the Monte Carlo shard still runs in parts
 
     def test_pinned_values_at_one_shard(self):
         # recorded before the statistics ran in parts: 10^6 samples split across every core
@@ -442,20 +480,20 @@ class TestParts:
             "std_error=0.0002526661269319709, seed=1), StatReport(expectation=0.843169043910614, "
             "variance=0.07441845534057523, samples=1000000, std_error=0.00027279746212268037, seed=1))")
 
-    @pytest.mark.parametrize("parts", [None, 1, 2, 3])
-    def test_nan_area_raises_the_serial_error_and_leaves_no_thread(self, parts):
+    def test_nan_area_raises_the_serial_error_and_leaves_no_thread(self):
         rng = np.random.default_rng(0)
         area, aspect = rng.uniform(1, 20, 2**18), np.exp(rng.uniform(0, math.log(6), 2**18))
-        area[2**18 - 5] = np.nan  # in the last part
+        area[2**18 - 5] = np.nan  # in the last chunk
         threads = threading.active_count()
-        # the caller's errstate holds in every part: the NaN band's cast to int64 stays silent
+        # the caller's errstate holds: the NaN band's cast to int64 stays silent
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^slice count must be >= 1$"):
-            slice_statistics(area, aspect, _parts=parts)
+            slice_statistics(area, aspect)
         assert threading.active_count() == threads
 
-    def test_no_thread_outlives_a_call(self):
+    def test_no_thread_outlives_a_call(self, force_parts):
         threads = threading.active_count()
-        monte_carlo_expectations(DistributionSpec(), 2 * 10**5 + 7, 1, _parts=3)
+        force_parts(3)
+        monte_carlo_expectations(DistributionSpec(), 2 * 10**5 + 7, 1)
         assert threading.active_count() == threads
 
     def test_peak_memory_below_six_sample_arrays(self):
@@ -467,10 +505,11 @@ class TestParts:
             tracemalloc.stop()
         assert peak < 6 * 8 * 10**6, peak  # the two draws take 2 of them; the statistics overwrite them
 
-    def test_peak_memory_over_two_shards_holds_one_pair_of_shard_arrays(self):
+    def test_peak_memory_over_two_shards_holds_one_pair_of_shard_arrays(self, force_parts):
+        force_parts(2)
         tracemalloc.start()
         try:
-            monte_carlo_expectations(DistributionSpec(), 2 * MC_SHARD_SIZE + 1, _parts=2)
+            monte_carlo_expectations(DistributionSpec(), 2 * MC_SHARD_SIZE + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -479,8 +518,8 @@ class TestParts:
 
     @pytest.mark.parametrize("size", [2 * MIN_PART_SIZE + 1, MC_SHARD_SIZE + 1])
     @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_in_part_draws_are_the_shard_streams_two_uniform_calls(self, monkeypatch, size, parts):
-        ss = np.random.SeedSequence(11).spawn(2)[1]
+    def test_in_part_draws_are_the_shard_streams_two_uniform_calls(self, monkeypatch, force_parts, size, parts):
+        ss = np.random.SeedSequence(11).spawn(1)[0]  # seed 11's one shard, of size samples
         dists = (DistributionSpec(), ALTERNATE_SPEC)
         leaves = _pairwise(size, lambda n: [n])
         edges = list(accumulate(leaves, initial=0))
@@ -490,7 +529,7 @@ class TestParts:
             area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, size)
             aspect = np.exp(rng.uniform(math.log(dist.aspect_lo), math.log(dist.aspect_hi), size))
             expected |= {(area[a:b].tobytes(), aspect[a:b].tobytes()) for a, b in zip(edges, edges[1:])}
-        seen, drawn = [], []
+        seen, drawn, counts = [], [], []
 
         class CountingGenerator(np.random.Generator):
             def random(self, *args, out=None, **kwargs):
@@ -500,7 +539,11 @@ class TestParts:
         monkeypatch.setattr(np.random, "Generator", CountingGenerator)
         monkeypatch.setattr(slicekit.verify, "_slice_statistics_in_place",
                             lambda area, ratio, buffers: seen.append((area.tobytes(), ratio.tobytes())))
-        assert len(_in_parts(partial(_leaf_sums, dists, ss, size, leaves), len(leaves), parts)) == parts
+        monkeypatch.setattr(slicekit.verify, "_on_threads", lambda fns: counts.append(len(fns)) or _on_threads(fns))
+        monkeypatch.setattr(slicekit.verify, "MC_SHARD_SIZE", size)
+        force_parts(parts)
+        monte_carlo_statistics(dists, size, 11)
+        assert counts == [parts]
         # every leaf of both specs once, byte for byte, from one draw per sample of each of the two streams
         assert len(seen) == len(expected) == 2 * len(leaves) and set(seen) == expected
         assert sum(drawn) == 2 * size
@@ -515,17 +558,18 @@ class TestParts:
         assert peak < 8 * MC_SHARD_SIZE, peak  # leaf buffers in L2 per part, no shard-sized array
 
     @pytest.mark.parametrize("parts", [None, 1, 3])
-    def test_both_specs_in_one_call_equal_the_serial_shard_loop(self, parts):
+    def test_both_specs_in_one_call_equal_the_serial_shard_loop(self, force_parts, parts):
         dists = (DistributionSpec(), ALTERNATE_SPEC)
-        assert monte_carlo_statistics(dists, MC_SHARD_SIZE + 1, 4, _parts=parts) == [
+        force_parts(parts)
+        assert monte_carlo_statistics(dists, MC_SHARD_SIZE + 1, 4) == [
             serial_shard_loop(dist, MC_SHARD_SIZE + 1, 4) for dist in dists]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_one_core_by_default_equals_the_in_process_report(self):
-        # parts=None on one core takes one part; bitwise the same report as with every core of this process
+        # a shard on one core takes one part; bitwise the same report as with every core of this process
         code = ("import json, os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
                 "from slicekit.verify import _part_count, run_proof_checks; "
-                "print(_part_count(10**6, None)); print(json.dumps(run_proof_checks(10**6 + 1, 3)))")
+                "print(_part_count(10**6)); print(json.dumps(run_proof_checks(10**6 + 1, 3)))")
         src = str(Path(slicekit.verify.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
@@ -533,16 +577,18 @@ class TestParts:
         assert proc.stdout == f"1\n{json.dumps(run_proof_checks(10**6 + 1, 3))}\n"
 
     @pytest.mark.parametrize("parts", [None, 1, 2, 3])
-    def test_two_shards_with_a_one_sample_last_equal_the_serial_shard_loop(self, parts):
+    def test_two_shards_with_a_one_sample_last_equal_the_serial_shard_loop(self, force_parts, parts):
+        force_parts(parts)
         for dist in (DistributionSpec(), ALTERNATE_SPEC):
-            assert monte_carlo_expectations(dist, MC_SHARD_SIZE + 1, 4, _parts=parts) == serial_shard_loop(
+            assert monte_carlo_expectations(dist, MC_SHARD_SIZE + 1, 4) == serial_shard_loop(
                 dist, MC_SHARD_SIZE + 1, 4)
 
-    def test_more_parts_than_cores_under_a_short_switch_interval(self):
+    def test_more_parts_than_cores_under_a_short_switch_interval(self, force_parts):
+        force_parts((os.cpu_count() or 1) + 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = monte_carlo_expectations(DistributionSpec(), MC_SHARD_SIZE + 1, 4, _parts=(os.cpu_count() or 1) + 2)
+            got = monte_carlo_expectations(DistributionSpec(), MC_SHARD_SIZE + 1, 4)
         finally:
             sys.setswitchinterval(interval)
         assert got == serial_shard_loop(DistributionSpec(), MC_SHARD_SIZE + 1, 4)
@@ -581,6 +627,30 @@ class TestParts:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def public_callables():
+    """(qualified name, callable) of every public function of each slicekit module, and of each public method and
+    __init__ of its public classes."""
+    for info in pkgutil.iter_modules(slicekit.__path__, "slicekit."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                yield from ((f"{info.name}.{name}.{m}", f) for m, f in vars(obj).items()
+                            if inspect.isfunction(f) and (m == "__init__" or not m.startswith("_")))
+            elif callable(obj):
+                yield f"{info.name}.{name}", obj
+
+
+def test_no_public_callable_takes_a_private_parameter():
+    # a test forces a private choice by patching the function that makes it, not through a public signature
+    found = dict(public_callables())
+    assert {"slicekit.verify.monte_carlo_statistics", "slicekit.cli.main", "slicekit.partition.ImageSize.__init__",
+            "slicekit.verify.StatReport.to_json_dict"} <= found.keys()
+    private = [(name, p) for name, obj in found.items() for p in inspect.signature(obj).parameters if p.startswith("_")]
+    assert private == []
 
 
 class TestExact:
