@@ -71,8 +71,11 @@ def cmd_compress(args, cfg: AppConfig) -> int:
         written.add(real)
     matrices = []
     for path in args.inputs:
-        with open(path, "rb") as f:
-            matrices.append(resampler.TokenMatrix(values=binio.tokens_from_bytes(f.read())))
+        try:
+            with open(path, "rb") as f:
+                matrices.append(resampler.TokenMatrix(values=binio.tokens_from_bytes(f.read())))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     dim = matrices[0].dim
     for path, tokens in zip(args.inputs, matrices):
         if tokens.dim != dim:
@@ -190,8 +193,11 @@ def cmd_interp_pe(args, cfg: AppConfig) -> int:
     if target.tokens > cfg.vit.token_budget:
         raise ValueError(f"--rows x --cols = {target.tokens} exceeds the encoder's "
                          f"token budget M={cfg.vit.token_budget}")
-    with open(args.input, "rb") as f:
-        grid = binio.grid_from_bytes(f.read())
+    try:
+        with open(args.input, "rb") as f:
+            grid = binio.grid_from_bytes(f.read())
+    except ValueError as e:
+        raise ValueError(f"{args.input}: {e}") from None
     out = interpolate_pos_embed(grid, target)
     with open(args.output, "wb") as f:
         f.write(binio.grid_to_bytes(out))
@@ -266,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ def _positive(value: int) -> bool:
 _KEYS = {
     "vit": ("vit", dict, "an object", None),
     "max_N": ("max_slices", int, "an integer >= 1", _positive),
-    "seed": ("seed", int, "an integer", None),
+    "seed": ("seed", int, "an integer >= 0", lambda v: v >= 0),
     "format": ("output_format", str, '"json" or "text"', lambda v: v in ("json", "text")),
     "model_dims": ("dims", (str, type(None)), "a string or null", None),
 }

@@ -46,9 +46,12 @@ class SceneObject:
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.color not in COLORS:
             raise ValueError(f"unknown color {self.color!r}")
+        if isinstance(self.size, bool):  # JSON true/false, refused as the canvas refuses them
+            raise ValueError(f"object size must be a number, got {self.size}")
         if not (math.isfinite(self.size) and self.size > 0):
             raise ValueError(f"object size must be finite and > 0, got {self.size}")
-        if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
+        if (len(self.center) != 2 or any(isinstance(v, bool) for v in self.center)
+                or not all(map(math.isfinite, self.center))):
             raise ValueError(f"object center must be two finite numbers, got {self.center}")
 
 

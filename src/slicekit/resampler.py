@@ -139,27 +139,15 @@ def _block_weights(qk: np.ndarray, x: np.ndarray, params: AttentionParams) -> np
 
 
 def _canonical_order(x: np.ndarray) -> np.ndarray:
-    """Row order of ``np.lexsort(x.T[::-1])``: by column 0, ties broken by the next columns.
+    """Row order of the (T, d) block ``x`` by each row's bytes, one opaque value per row.
 
-    A stable argsort of column 0 gives that order whenever column 0 has no
-    tie (``-0.0 == 0.0`` counts as one).  Otherwise each next column is
-    sorted, stably, only within the runs of rows still tied, and the first
-    column that leaves no tie ends it: each step holds a few arrays of T
-    entries, where a lexsort of all d columns holds about 2.8 KB per column.
+    Rows with equal bytes are equal, so any permutation of the block gathers
+    the same bytes in this order; rows that differ only in the sign of a zero
+    still sort apart.  The sort holds an index of T entries; a block that is
+    not C-contiguous is copied once.
     """
-    order = np.argsort(x[:, 0], kind="stable")
-    first = x[order, 0]
-    tied = first[1:] == first[:-1]  # tied[i]: the rows at positions i and i + 1 are equal so far
-    for col in range(1, x.shape[1]):
-        if not tied.any():
-            break
-        run = np.cumsum(np.concatenate(([True], ~tied)))  # run number of each position
-        pos = np.flatnonzero(np.concatenate((tied, [False])) | np.concatenate(([False], tied)))
-        rows = order[pos]
-        order[pos] = rows[np.lexsort((x[rows, col], run[pos]))]  # stable within each run
-        at = np.flatnonzero(tied)
-        tied[at] = x[order[at], col] == x[order[at + 1], col]
-    return order
+    rows = np.ascontiguousarray(x)
+    return np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(), kind="stable")
 
 
 def attention_weights(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> np.ndarray:
@@ -181,8 +169,8 @@ def compress_slices(
     """Compress every slice with the shared queries/parameters.
 
     ``qk = (Q Wq) Wk^T`` comes from ``_query_keys``, which keeps it for the
-    last parameter pair.  Each block's T rows are gathered in
-    ``_canonical_order`` (so permuting its key/value pairs yields bitwise
+    last parameter pair.  Each block's T rows are gathered in byte order
+    (``_canonical_order``, so permuting its key/value pairs yields bitwise
     identical output) into the leading bytes of one buffer per call, then
     weighted as A = softmax(qk X^T / sqrt(d)) and reduced to (A X) Wv: two
     K*T*d products and one K*d*d product, with no (T, d) projection of the
@@ -229,7 +217,7 @@ def _numeric_gradients(queries: QuerySet, tokens: TokenMatrix, params: Attention
 
     The copies of one array perturbed at one entry by -2h, -h, +h and +2h are stacked on a leading batch
     axis, at most FD_BATCH_ENTRIES array entries per batch, and evaluated at once through the forward's
-    grouping: (Q Wq) Wk^T, _block_weights on the tokens in _canonical_order, and (A X) Wv.
+    grouping: (Q Wq) Wk^T, _block_weights on the tokens sorted by their bytes (_canonical_order), and (A X) Wv.
     """
     x = tokens.values[_canonical_order(tokens.values)]
     arrays = {"queries": queries.values, "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v}

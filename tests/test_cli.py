@@ -137,7 +137,7 @@ class TestConfig:
          ({"vit": {"w": 336.0}}, "vit.w"), ({"vit": {"h": False}}, "vit.h"),
          # out of range: the error names the config key, not the AppConfig field
          ({"max_N": 0}, "max_N"), ({"vit": {"patch": -14}}, "vit.patch"), ({"vit": {"w": 0}}, "vit.w"),
-         ({"vit": {"w": 300}}, "vit")],
+         ({"vit": {"w": 300}}, "vit"), ({"seed": -5}, "seed"), ({"seed": -1}, "seed")],
     )
     def test_wrong_value_type_rejected(self, capsys, tmp_path, raw, key):
         cfg = tmp_path / "cfg.json"
@@ -146,6 +146,10 @@ class TestConfig:
         assert code == 1
         assert out == ""
         assert f"config key {key} " in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [("grad-check",), ("verify", "proofs"), ("plan", "672x1008")])
+    def test_negative_seed_names_the_option(self, capsys, argv):
+        assert run(capsys, "--seed", "-1", *argv) == (1, "", "error: --seed must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("kind", ["config", "dims", "scene"])
     def test_json_syntax_error_names_the_file(self, capsys, tmp_path, kind):
@@ -382,6 +386,23 @@ class TestCompress:
         assert "b.bin has token width 16" in err and "a.bin has 32" in err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("defect, message", [
+        ("header", "truncated grid file: missing header"),
+        ("magic", "bad magic b'PEG0', expected b'PEG1'"),
+        ("size", "grid file size 60 != expected 64"),
+        ("non-finite", "position embeddings must be finite"),
+    ])
+    @pytest.mark.parametrize("command", ["compress", "interp-pe"])
+    def test_bad_binary_input_names_the_file(self, capsys, tmp_path, command, defect, message):
+        data = token_file(1, 2, 3, fill=np.nan if defect == "non-finite" else 1.0)
+        data = {"header": data[:10], "magic": b"PEG0" + data[4:], "size": data[:-4]}.get(defect, data)
+        src, out_path = tmp_path / "bad.bin", tmp_path / "o.bin"
+        src.write_bytes(data)
+        argv = ["compress", str(src)] if command == "compress" else ["interp-pe", str(src), str(out_path),
+                                                                      "--rows", "3", "--cols", "3"]
+        assert run(capsys, *argv) == (1, "", f"error: {src}: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.bin"]
+
 
 class TestProbe:
     def test_padding(self, capsys):
@@ -454,6 +475,9 @@ class TestProbe:
                                                                        "got (30, 40, 5)"),
         ('{"w": 600, "h": 400}', '"center": [1e400, 40], "size": 10', "object center must be two finite numbers, "
                                                                         "got (inf, 40)"),
+        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": true', "object size must be a number, got True"),
+        ('{"w": 600, "h": 400}', '"center": [true, false], "size": 10', "object center must be two finite numbers, "
+                                                                          "got (True, False)"),
     ])
     @pytest.mark.parametrize("kind, ppm_option", [("heatmap", False), ("phases", True)])
     def test_scene_values_checked_on_load(self, capsys, tmp_path, canvas, obj, message, kind, ppm_option):
@@ -611,7 +635,8 @@ class TestInterpPe:
         src.write_bytes(token_file(rows, cols, dim))
         code, out, err = run(capsys, "interp-pe", str(src), str(tmp_path / "o.bin"), "--rows", "3", "--cols", "3")
         assert (code, out) == (1, "")
-        assert err == f"error: position embedding grid has an empty axis: (rows, cols, dim) = {(rows, cols, dim)}\n"
+        empty = f"position embedding grid has an empty axis: (rows, cols, dim) = {(rows, cols, dim)}"
+        assert err == f"error: {src}: {empty}\n"
         assert not (tmp_path / "o.bin").exists()
 
 
@@ -648,7 +673,7 @@ SCENE_DEFECTS = {
     "color": ('"pink"', "null", '["red"]'),
     "center": ("[]", "[5]", "[5, 5, 5]", "[-5, 5]", "[5, 3000]", '["5", 5]', "[true, 5]", "5", "null",
                *(f"[{v}, 5]" for v in NOT_FINITE)),
-    "size": ("0", "-1", '"8"', "null", *NOT_FINITE),
+    "size": ("0", "-1", '"8"', "null", "true", *NOT_FINITE),
 }
 
 
