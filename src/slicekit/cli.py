@@ -92,6 +92,8 @@ def cmd_compress(args, cfg: AppConfig) -> int:
 def cmd_grad_check(args, cfg: AppConfig) -> int:
     if not 0 < args.tolerance < math.inf:
         raise ValueError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
+    if args.tokens < 1:
+        raise ValueError(f"--tokens must be >= 1, got {args.tokens}")
 
     import numpy as np
 

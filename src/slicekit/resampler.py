@@ -15,8 +15,8 @@ import numpy as np
 
 from .arrays import read_only
 
-FD_BATCH_ENTRIES = 2**20  # array entries held by one batch of perturbed copies in grad_check; bounds its memory
-FD_MAX_MULTIPLY_ADDS = 10**11  # multiply-adds of grad_check's perturbed forwards; bounds its time (13 s on 2 cores)
+FD_BATCH_ENTRIES = 2**20  # logit-sized entries held by one batch of grad_check's differences; bounds its memory
+FD_MAX_MULTIPLY_ADDS = 10**11  # multiply-adds of grad_check's differences, counted by check_fd_work; bounds its time
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,7 @@ def _query_keys(queries: QuerySet, params: AttentionParams) -> np.ndarray:
 
 
 def _block_weights(qk: np.ndarray, x: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Row-stochastic (..., K, T) weights softmax((qk X^T) / sqrt(d)) of one block's raw tokens X.
-
-    ``qk`` may carry leading batch axes (the gradient check's perturbed copies); a (K, d) ``qk`` is the forward.
-    """
+    """Row-stochastic (K, T) weights softmax((qk X^T) / sqrt(d)) of one block's raw tokens X."""
     if x.shape[0] < 1:
         raise ValueError("empty slice: cross-attention needs at least one token")
     if x.shape[1] != params.dim:
@@ -215,26 +212,34 @@ def _numeric_gradients(queries: QuerySet, tokens: TokenMatrix, params: Attention
                        probe: np.ndarray, h: float) -> dict[str, np.ndarray]:
     """Four-point differences (f(-2h) - 8f(-h) + 8f(+h) - f(+2h)) / 12h of f = sum(compress_slices(...)[0] * probe).
 
-    The copies of one array perturbed at one entry by -2h, -h, +h and +2h are stacked on a leading batch
-    axis, at most FD_BATCH_ENTRIES array entries per batch, and evaluated at once through the forward's
-    grouping: (Q Wq) Wk^T, _block_weights on the tokens sorted by their bytes (_canonical_order), and (A X) Wv.
+    On the tokens X in byte order (_canonical_order), f = sum(softmax(L) G) = sum(O P) with logits L = ((Q Wq) Wk^T)
+    X^T / sqrt(d), G = (P Wv^T) X^T and output O = (A X) Wv.  A step at entry (i, j) adds step * outer(u, v) to L or
+    O: u, v = e_i, ((Wq Wk^T) X^T)[j] for Q; Q[:, i], (X Wk)[:, j] for Wq; (Q Wq)[:, j], X[:, i] for Wk (each over
+    sqrt(d)); (A X)[:, i], e_j for Wv.  So each perturbed f is one softmax and one weighted sum, in batches whose
+    moved arrays for the four steps, with the softmax's three temporaries, hold at most FD_BATCH_ENTRIES entries.
+    The softmax stays numeric: the check shares no step of _gradients' chain rule through it.
     """
     x = tokens.values[_canonical_order(tokens.values)]
-    arrays = {"queries": queries.values, "w_q": params.w_q, "w_k": params.w_k, "w_v": params.w_v}
-    steps = np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h
+    q, w_q, w_k, w_v, s = queries.values, params.w_q, params.w_k, params.w_v, params.scale
+    logits = (((q @ w_q) @ w_k.T) @ x.T) * s
+    ax, g = _softmax_rows(logits) @ x, (probe @ w_v.T) @ x.T
+    # per array: the moved base, f of it, and u and v indexed by the entry (a, b), which for Wk is (j, i)
+    moves = {"queries": (logits, g, _softmax_rows, np.eye(q.shape[0]) * s, (w_q @ w_k.T) @ x.T),
+             "w_q": (logits, g, _softmax_rows, q.T * s, (x @ w_k).T),
+             "w_k": (logits, g, _softmax_rows, (q @ w_q).T * s, x.T),
+             "w_v": (ax @ w_v, probe, np.asarray, ax.T, np.eye(w_v.shape[1]))}
+    steps = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None, None] * h
     numeric = {}
-    for name, arr in arrays.items():
-        grad = np.empty(arr.size)
-        chunk = max(1, FD_BATCH_ENTRIES // (4 * arr.size))
-        for start in range(0, arr.size, chunk):
-            entries = np.arange(start, min(start + chunk, arr.size))
-            copies = np.broadcast_to(arr.ravel(), (4, entries.size, arr.size)).copy()
-            copies[:, np.arange(entries.size), entries] += steps
-            b = dict(arrays, **{name: copies.reshape(-1, *arr.shape)})
-            attn = _block_weights((b["queries"] @ b["w_q"]) @ np.swapaxes(b["w_k"], -1, -2), x, params)
-            f = (((attn @ x) @ b["w_v"]) * probe).sum(axis=(-2, -1)).reshape(4, -1)
-            grad[entries] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-        numeric[name] = grad.reshape(arr.shape)
+    for name, (base, weights, transform, u, v) in moves.items():
+        grad = np.empty(u.shape[0] * v.shape[0])
+        chunk = max(1, FD_BATCH_ENTRIES // (16 * base.size))
+        for start in range(0, grad.size, chunk):
+            a, b = np.divmod(np.arange(start, min(start + chunk, grad.size)), v.shape[0])
+            moved = steps * (u[a][:, :, None] * v[b][:, None, :]) + base
+            f = transform(moved).reshape(4, a.size, -1) @ weights.ravel()
+            grad[start:start + a.size] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        numeric[name] = grad.reshape(u.shape[0], v.shape[0])
+    numeric["w_k"] = numeric["w_k"].T
     return numeric
 
 
@@ -243,7 +248,8 @@ def check_fd_work(k: int, t: int, d: int) -> None:
 
     Sizes below 1 are left to the checks of the resampler's own types.
     """
-    # four forwards per perturbed entry of Q, Wq, Wk and Wv, each (Q Wq) Wk^T, qk X^T, A X and (A X) Wv
+    # four whole forwards per perturbed entry of Q, Wq, Wk and Wv, each (Q Wq) Wk^T, qk X^T, A X and (A X) Wv: the
+    # differences' former work, kept so that no refusal moves; it over-counts the rank-1 differences run now
     work = 4 * (k * d + 3 * d * d) * k * d * (3 * d + 2 * t)
     if min(k, d) >= 1 and work > FD_MAX_MULTIPLY_ADDS:
         raise ValueError(f"grad_check at K={k}, T={t}, d={d} needs about {work:.1e} multiply-adds of finite "

@@ -102,27 +102,20 @@ def _switch_thresholds(n: int) -> np.ndarray:
 class _SelectionTable:
     """grid_index for every band of ``bands`` at once, as a look-up keyed on the bits of aspect^2.
 
-    A positive double's int64 bits are monotone in its value, so ``bits >> shift`` bins aspect^2 with at most
-    SWITCHES_PER_BIN thresholds of one band in any bin.  Grids are numbered across the bands, band by band.  At
-    ``cell = row * bins + bin - low_bin``, ``first[cell]`` is the grid below the bin's thresholds (the band's first
-    grid plus the thresholds in lower bins) and ``above[i][cell]`` is the i-th threshold from there up (NaN past the
-    band's last, which no aspect^2 passes), so a sample's grid is ``first[cell] + sum_i(x >= above[i][cell])``.
-    """
+    A positive double's int64 bits are monotone in its value, so ``bits >> shift`` bins aspect^2 (``edges``: the
+    lowest bin's least float, the highest's greatest) with at most k = SWITCHES_PER_BIN thresholds of one band in
+    any bin.  Cell ``c = row * bins + bin - low_bin`` owns slots ``(k + 1) * c + p``, p = 0..k: ``above`` holds the
+    p-th threshold from the bin up (NaN past the band's last), and ``rows``, ``cols`` the grid chosen past p of them.
+    The thresholds ascend, so adding ``x >= above[slot]`` to the slot k times from p = 0 lands on a sample's grid."""
 
     bands: range | tuple[int, ...]
     shift: int
     low_bin: int
     bins: int
-    first: np.ndarray
-    above: tuple[np.ndarray, ...]
-    cols: np.ndarray
+    edges: tuple[float, float]
+    above: np.ndarray
     rows: np.ndarray
-
-    @property
-    def edges(self) -> tuple[float, float]:
-        """The smallest float in the lowest bin and the largest in the highest."""
-        low, high = np.array([self.low_bin, self.low_bin + self.bins]) << self.shift
-        return float(np.int64(low).view(np.float64)), float(np.int64(high - 1).view(np.float64))
+    cols: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -136,73 +129,76 @@ def _selection_table(bands: range | tuple[int, ...]) -> _SelectionTable:
     shift = next(s for s in range(52, -1, -1) if not (same_row & (bits[k:] >> s == bits[:-k] >> s)).any())
     keys = bits >> shift
     low_bin, bins = int(keys.min()), int(keys.max() - keys.min()) + 1
-    # thresholds below each (row, bin) in row-major order, plus one grid more than thresholds per row before it
-    first = np.searchsorted(row * bins + keys - low_bin, np.arange(len(bands) * bins))
-    cell_row = np.repeat(np.arange(len(bands)), bins)
-    padded = np.concatenate([np.concatenate([t, np.full(k, np.nan)]) for t in thresholds])
-    above = tuple(padded[first + k * cell_row + i] for i in range(k))
-    first += cell_row
+    assert low_bin + bins < 2**53, "_grids adds bin keys to band offsets in float64, exact below 2^53"
+    edges = ((np.array([low_bin, low_bin + bins]) << shift) - [0, 1]).view(np.float64)
+    # thresholds below each (row, bin) in row-major order; past them, a cell's slots
+    below = np.searchsorted(row * bins + keys - low_bin, np.arange(len(bands) * bins))[:, None] + np.arange(k + 1)
+    cell_row = np.repeat(np.arange(len(bands)), bins)[:, None]
+    padded = np.concatenate([np.concatenate([t, np.full(k + 1, np.nan)]) for t in thresholds])
     grids = [g for n in bands for g in grid_table(n)[0]]
-    cols, rows = (np.array(v, dtype=np.float64) for v in zip(*((g.cols_m, g.rows_n) for g in grids)))
-    for a in (first, *above, cols, rows):
+    # one grid more than thresholds per row before; a slot past the band's last grid is never read
+    grid = np.minimum(below + cell_row, len(grids) - 1).ravel()
+    rows, cols = (np.array(v, dtype=np.float64)[grid] for v in zip(*((g.rows_n, g.cols_m) for g in grids)))
+    above = padded[below + (k + 1) * cell_row].ravel()
+    for a in (above, rows, cols):
         a.flags.writeable = False
-    return _SelectionTable(bands, shift, low_bin, bins, first, above, cols, rows)
+    return _SelectionTable(bands, shift, low_bin, bins, tuple(edges.tolist()), above, rows, cols)
+
+
+def _range_table(low: float, high: float) -> _SelectionTable | None:
+    """The table of bands max(ceil(n), 1) for area ratios n in [low, high]; None past MAX_TABLE_BANDS bands."""
+    if not high < 2.0**63:  # NaN, inf or past int64, whose int64 band grid_table refused
+        raise ValueError("slice count must be >= 1")
+    first, last = (max(math.ceil(max(n, 0.0)), 1) for n in (low, high))
+    return _selection_table(range(first, last + 1)) if last - first < MAX_TABLE_BANDS else None
 
 
 def _table_for(area_ratio: np.ndarray) -> _SelectionTable:
-    """The selection table for the bands (ideal counts max(ceil(n), 1)) of these samples."""
-    low, high = np.maximum(np.ceil([area_ratio.min(), area_ratio.max()]), 1)
-    if not high < 2.0**63:  # NaN, inf or past int64, whose int64 band grid_table refused
-        raise ValueError("slice count must be >= 1")
-    if high - low < MAX_TABLE_BANDS:
-        return _selection_table(range(int(low), int(high) + 1))
-    # a wide range of bands: tabulate only those present
-    return _selection_table(tuple(int(n) for n in np.unique(np.maximum(np.ceil(area_ratio), 1))))
+    """The selection table for the bands of these samples: a range, or only the bands present if it is wide."""
+    return _range_table(area_ratio.min(), area_ratio.max()) or _selection_table(
+        tuple(int(n) for n in np.unique(np.maximum(np.ceil(area_ratio), 1))))
 
 
 def _chunk_buffers(size: int) -> tuple[np.ndarray, ...]:
-    """Scratch for chunks of min(size, CHUNK_SIZE) samples at most, which stays in L2: five buffers for
-    _grid_chunks, then two for _slice_statistics_in_place.  Made once per call or part: made per leaf, they cost
-    about 15,000 page faults per 10^6 samples of two specs."""
+    """Scratch for one chunk of min(size, CHUNK_SIZE) samples at most, which stays in L2: the five buffers of _grids.
+    Made once per call or part: made per leaf, they cost about 15,000 page faults per 10^6 samples of two specs."""
     size = min(size, CHUNK_SIZE)
-    return (np.empty(size), np.empty(size), np.empty(size, np.int64), np.empty(size, np.intp), np.empty(size, bool),
-            np.empty(size), np.empty(size))
+    return np.empty(size), np.empty(size, np.int64), np.empty(size, bool), np.empty(size), np.empty(size)
 
 
-def _grid_chunks(area_ratio: np.ndarray, aspect: np.ndarray, buffers: tuple[np.ndarray, ...]):
-    """Yield (chunk, table, grid) per CHUNK_SIZE samples: grid[i] numbers in table the grid that
-    grid_index(band, aspect^2, 1) chooses for sample chunk.start + i.  No sort, gather into band order or scatter:
-    a bin look-up and SWITCHES_PER_BIN comparisons per sample, in the first five of _chunk_buffers."""
-    if not area_ratio.size:
-        return
-    table = _table_for(area_ratio)
-    low_edge, high_edge = table.edges
-    for start in range(0, area_ratio.size, CHUNK_SIZE):
-        chunk = slice(start, start + CHUNK_SIZE)
-        area, a = area_ratio[chunk], aspect[chunk]
-        x, band, cell, grid, passed = (b[:area.size] for b in buffers[:5])
-        np.multiply(a, a, out=x, dtype=np.float64)  # as grid_index squares a float64 aspect, overflow included
-        # clipped into the table's bins; NaN, negatives, zeros and subnormals go to the lowest, where none passes
-        clipped = cell.view(np.float64)
-        np.fmax(x, low_edge, out=clipped)
-        np.minimum(clipped, high_edge, out=clipped)
-        np.right_shift(cell, table.shift, out=cell)
-        np.ceil(area, out=band)
-        np.maximum(band, table.bands[0], out=band)
-        if isinstance(table.bands, range):
-            band -= table.bands.start
-        else:
-            band[:] = np.searchsorted(table.bands, band)
-        band *= table.bins
-        band -= table.low_bin
-        np.copyto(grid, band, casting="unsafe")
-        cell += grid
-        np.take(table.first, cell, out=grid, mode="clip")
-        for above in table.above:
-            np.take(above, cell, out=band, mode="clip")
-            np.greater_equal(x, band, out=passed)
-            grid += passed
-        yield chunk, table, grid
+def _grids(area: np.ndarray, aspect: np.ndarray, table: _SelectionTable, buffers: tuple[np.ndarray, ...],
+           clamp: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols), in the last two _chunk_buffers, of the grid grid_index(max(ceil(area), 1), aspect^2, 1) chooses
+    for each of at most CHUNK_SIZE samples whose bands the table holds; clamp raises a band below a range table's
+    first (an area <= 0) to it.  No sort, gather or scatter: a bin look-up and SWITCHES_PER_BIN comparisons each."""
+    x, slot, passed, rows, cols = (b[:area.size] for b in buffers)
+    np.multiply(aspect, aspect, out=x, dtype=np.float64)  # as grid_index squares a float64 aspect, overflow included
+    # clipped into the table's bins; NaN, negatives, zeros and subnormals go to the lowest, where none passes
+    clipped = slot.view(np.float64)
+    np.fmax(x, table.edges[0], out=clipped)
+    np.minimum(clipped, table.edges[1], out=clipped)
+    np.right_shift(slot, table.shift, out=slot)
+    # plus the band's row * bins - low_bin, in one float pass: every value is an integer below 2^53, so exact
+    band = rows  # free until the grids are gathered
+    np.ceil(area, out=band)
+    if isinstance(table.bands, range):
+        first = table.bands.start
+        if clamp:
+            np.maximum(band, first, out=band)
+    else:
+        first = 0
+        band[:] = np.searchsorted(table.bands, band)
+    band *= table.bins
+    band += -first * table.bins - table.low_bin
+    np.add(slot, band, out=slot, casting="unsafe")
+    slot *= SWITCHES_PER_BIN + 1
+    for _ in range(SWITCHES_PER_BIN):
+        np.take(table.above, slot, out=band, mode="clip")
+        np.greater_equal(x, band, out=passed)
+        slot += passed
+    np.take(table.rows, slot, out=rows, mode="clip")
+    np.take(table.cols, slot, out=cols, mode="clip")
+    return rows, cols
 
 
 def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,33 +207,37 @@ def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple
     grid_index(max(ceil(area_ratio), 1), aspect^2, 1) chooses for the float64 aspect, bit for bit, chunk by chunk.
     """
     cols, rows = np.empty(area_ratio.size, dtype=np.int64), np.empty(area_ratio.size, dtype=np.int64)
-    for chunk, table, grid in _grid_chunks(area_ratio, aspect, _chunk_buffers(area_ratio.size)):
-        cols[chunk] = table.cols[grid]
-        rows[chunk] = table.rows[grid]
+    if area_ratio.size:
+        table, buffers = _table_for(area_ratio), _chunk_buffers(area_ratio.size)
+    for start in range(0, area_ratio.size, CHUNK_SIZE):
+        chunk = slice(start, start + CHUNK_SIZE)
+        rows[chunk], cols[chunk] = _grids(area_ratio[chunk], aspect[chunk], table, buffers, clamp=True)
     return cols, rows
 
 
 def slice_statistics(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Folded slice aspect ratio and normalized slice area per sample, in the calling thread."""
-    ratio, area = np.array(aspect, dtype=np.float64), np.array(area_ratio, dtype=np.float64)
-    _slice_statistics_in_place(area, ratio, _chunk_buffers(area.size))
+    ratio, area = np.empty(area_ratio.size), np.empty(area_ratio.size)
+    if area_ratio.size:
+        table, buffers = _table_for(area_ratio), _chunk_buffers(area_ratio.size)
+    for start in range(0, area_ratio.size, CHUNK_SIZE):
+        chunk = slice(start, start + CHUNK_SIZE)
+        ratio[chunk], area[chunk] = aspect[chunk], area_ratio[chunk]
+        _slice_statistics_in_place(area[chunk], ratio[chunk], table, buffers, clamp=True)
     return ratio, area
 
 
-def _slice_statistics_in_place(area: np.ndarray, ratio: np.ndarray, buffers: tuple[np.ndarray, ...]) -> None:
-    """Overwrite area ratios with normalized slice areas and aspects with folded slice ratios, chunk by chunk, in
-    _chunk_buffers."""
-    rows_buf, cols_buf = buffers[5:]
-    for chunk, table, grid in _grid_chunks(area, ratio, buffers):
-        r, a, rows, cols = ratio[chunk], area[chunk], rows_buf[:grid.size], cols_buf[:grid.size]
-        np.take(table.rows, grid, out=rows, mode="clip")
-        np.take(table.cols, grid, out=cols, mode="clip")
-        r *= rows
-        r /= cols
-        rows *= cols  # the cell count, exact
-        a /= rows
-        np.divide(1.0, r, out=rows)
-        np.maximum(r, rows, out=r)
+def _slice_statistics_in_place(area: np.ndarray, ratio: np.ndarray, table: _SelectionTable,
+                               buffers: tuple[np.ndarray, ...], clamp: bool = False) -> None:
+    """Overwrite one chunk's area ratios with normalized slice areas and aspects with folded slice ratios, by _grids
+    in _chunk_buffers."""
+    rows, cols = _grids(area, ratio, table, buffers, clamp)
+    ratio *= rows
+    ratio /= cols
+    rows *= cols  # the cell count, exact
+    area /= rows
+    np.divide(1.0, ratio, out=rows)
+    np.maximum(ratio, rows, out=ratio)
 
 
 def _pairwise(n: int, leaf):
@@ -274,6 +274,9 @@ def _leaf_sums(dists: tuple[DistributionSpec, ...], ss: np.random.SeedSequence, 
     streams = [np.random.Generator(np.random.PCG64(ss).advance(start)) for start in (lo, k + lo)]
     u_buf, v_buf, area_buf, ratio_buf = (np.empty(max(sizes)) for _ in range(4))
     buffers = _chunk_buffers(max(sizes))
+    # each spec's table from its least and greatest area draw (random() < 1); a spec too wide tabulates each leaf
+    tables = [_range_table(*_uniform(np.array([0.0, 1.0 - 2.0**-53]), d.area_ratio_lo, d.area_ratio_hi, np.empty(2)))
+              for d in dists]
     sums = np.empty((len(sizes), 4 * len(dists)))
     for row, n in zip(sums, sizes):
         u, v = streams[0].random(out=u_buf[:n]), streams[1].random(out=v_buf[:n])
@@ -282,7 +285,7 @@ def _leaf_sums(dists: tuple[DistributionSpec, ...], ss: np.random.SeedSequence, 
             _uniform(u, dist.area_ratio_lo, dist.area_ratio_hi, area)
             # uniform over the (W, H) plane <=> log-uniform aspect
             np.exp(_uniform(v, math.log(dist.aspect_lo), math.log(dist.aspect_hi), ratio), out=ratio)
-            _slice_statistics_in_place(area, ratio, buffers)
+            _slice_statistics_in_place(area, ratio, tables[i] or _table_for(area), buffers)
             # each sum before its squares, which overwrite the leaf
             row[4 * i:4 * i + 2] = ratio.sum(), np.square(ratio, out=ratio).sum()
             row[4 * i + 2:4 * i + 4] = area.sum(), np.square(area, out=area).sum()

@@ -285,6 +285,16 @@ class TestGradCheck:
         assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith("error: the resampler needs K >= 1 queries of dim >= 1, got ")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_tokens_below_one_is_a_one_line_error_naming_the_option(self, capsys, monkeypatch, value):
+        from slicekit import resampler
+
+        def no_weights(*a):
+            raise AssertionError("drew the resampler's weights")
+        monkeypatch.setattr(resampler, "init_resampler", no_weights)
+        code, out, err = run(capsys, "grad-check", "--tokens", value)
+        assert (code, out, err) == (1, "", f"error: --tokens must be >= 1, got {value}\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_tolerance_not_finite_and_positive_is_a_one_line_error(self, capsys, value):
         code, out, err = run(capsys, "grad-check", "--tolerance", value)

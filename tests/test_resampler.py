@@ -423,6 +423,29 @@ class TestGradCheck:
             for name in arrays:
                 np.testing.assert_allclose(batched[name], oracle[name], rtol=0, atol=1e-9, err_msg=name)
 
+    def test_rank_one_logits_equal_logits_of_a_perturbed_copy(self, monkeypatch):
+        """Each batch's moved logits, for sampled entries of Q, Wq and Wk, are those the forward computes from a
+        copy with that entry moved."""
+        queries, params, tokens = setup_case(6, dim=8, k=3, seed_=5)
+        moved = []
+        monkeypatch.setattr(resampler, "_softmax_rows", lambda z: moved.append(z.copy()) or _softmax_rows(z))
+        h = 1e-3
+        _numeric_gradients(queries, tokens, params, np.ones((3, 8)), h)
+        x = tokens.values[_canonical_order(tokens.values)]
+        arrays = {"queries": queries.values, "w_q": params.w_q, "w_k": params.w_k}
+        # after the unperturbed weights, one batch per array in this order, entries in row-major (i, j) order
+        # except Wk's, which run over (j, i)
+        for (name, arr), batch in zip(arrays.items(), moved[1:]):
+            assert batch.shape == (4, arr.size, 3, 6)
+            for i, j in np.random.default_rng(len(name)).integers(0, arr.shape, size=(6, 2)):
+                entry = j * arr.shape[0] + i if name == "w_k" else i * arr.shape[1] + j
+                for s, step in enumerate((-2.0, -1.0, 1.0, 2.0)):
+                    copy = dict(arrays, **{name: arr.copy()})
+                    copy[name][i, j] += step * h
+                    logits = ((copy["queries"] @ copy["w_q"]) @ copy["w_k"].T @ x.T) * params.scale
+                    np.testing.assert_allclose(batch[s, entry], logits, rtol=1e-12, atol=1e-12 * abs(logits).max(),
+                                               err_msg=f"{name}[{i}, {j}] {step}h")
+
     def test_inputs_are_read_only_to_the_check(self):
         queries, params, tokens = setup_case(6, dim=8, k=3, seed_=2)
         arrays = (queries.values, params.w_q, params.w_k, params.w_v, tokens.values)

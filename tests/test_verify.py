@@ -265,7 +265,7 @@ class TestThresholdSelection:
 
     def test_table_for_three_hundred_bands_under_a_megabyte(self):
         table = slicekit.verify._selection_table(range(1, 301))
-        assert sum(a.nbytes for a in (table.first, *table.above, table.cols, table.rows)) <= 2**20
+        assert sum(a.nbytes for a in (table.above, table.rows, table.cols)) <= 2**20
 
     def test_specs_and_sweep_build_each_table_once(self):
         def run():
@@ -480,6 +480,33 @@ class TestParts:
             "std_error=0.0002526661269319709, seed=1), StatReport(expectation=0.843169043910614, "
             "variance=0.07441845534057523, samples=1000000, std_error=0.00027279746212268037, seed=1))")
 
+    def test_pinned_values_of_other_specs_and_a_wide_one(self):
+        # recorded before each spec's table was read once per part: area ranges that start below 1 and lie wholly
+        # below 1, and one wider than MAX_TABLE_BANDS bands, which tabulates each leaf's bands
+        specs = (DistributionSpec(0.5, 7.3, 1.2, 9.0), DistributionSpec(1e-3, 0.9, 1.0, 1.5))
+        assert repr(monte_carlo_statistics(specs, 300_007, 5)) == (
+            "[(StatReport(expectation=1.361621720189088, variance=0.2050091110875365, samples=300007, "
+            "std_error=0.0008266485098541471, seed=5), StatReport(expectation=0.8248514157303717, "
+            "variance=0.06211406929739982, samples=300007, std_error=0.0004550187542029928, seed=5)), "
+            "(StatReport(expectation=1.221128054026658, variance=0.016206082058040305, samples=300007, "
+            "std_error=0.0002324199068134277, seed=5), StatReport(expectation=0.4176110887452687, "
+            "variance=0.06627994846363922, samples=300007, std_error=0.0004700297932670272, seed=5))]")
+        wide = DistributionSpec(1.0, 1500.0, 1.0, 6.0)
+        assert 1500 > MAX_TABLE_BANDS
+        assert repr(monte_carlo_statistics((wide,), 20_000, 7)) == (
+            "[(StatReport(expectation=2.124760769645888, variance=25.483889159894787, samples=20000, "
+            "std_error=0.035695860516238284, seed=7), StatReport(expectation=0.9979289398289161, "
+            "variance=0.00032302474400303094, samples=20000, std_error=0.00012708751787705803, seed=7))]")
+
+    def test_a_narrow_spec_reads_its_table_once_per_part_and_a_wide_one_per_leaf(self, monkeypatch, force_parts):
+        calls, table_for = [], slicekit.verify._table_for
+        monkeypatch.setattr(slicekit.verify, "_table_for", lambda area: calls.append(area.size) or table_for(area))
+        force_parts(2)
+        monte_carlo_statistics((DistributionSpec(), ALTERNATE_SPEC), 3 * CHUNK_SIZE, 1)
+        assert calls == []
+        monte_carlo_statistics((DistributionSpec(1.0, 1500.0, 1.0, 6.0), ALTERNATE_SPEC), 3 * CHUNK_SIZE, 1)
+        assert sorted(calls) == sorted(_pairwise(3 * CHUNK_SIZE, lambda n: [n]))
+
     def test_nan_area_raises_the_serial_error_and_leaves_no_thread(self):
         rng = np.random.default_rng(0)
         area, aspect = rng.uniform(1, 20, 2**18), np.exp(rng.uniform(0, math.log(6), 2**18))
@@ -538,7 +565,7 @@ class TestParts:
 
         monkeypatch.setattr(np.random, "Generator", CountingGenerator)
         monkeypatch.setattr(slicekit.verify, "_slice_statistics_in_place",
-                            lambda area, ratio, buffers: seen.append((area.tobytes(), ratio.tobytes())))
+                            lambda area, ratio, table, buffers: seen.append((area.tobytes(), ratio.tobytes())))
         monkeypatch.setattr(slicekit.verify, "_on_threads", lambda fns: counts.append(len(fns)) or _on_threads(fns))
         monkeypatch.setattr(slicekit.verify, "MC_SHARD_SIZE", size)
         force_parts(parts)
