@@ -25,6 +25,7 @@ _STRATEGIES = {
     "fixed2x2-mlp": (5, False),  # four fixed slices + overview
 }
 STRATEGIES = tuple(_STRATEGIES)
+MAX_COUNT = 2**53  # greatest text token count or model dim: it converts to a float exactly, and every product is finite
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class CostReport:
         return {**asdict(self), "total_flops": self.total_flops, "total_tflops": self.total_flops / 1e12}
 
 
-# section -> keys of the model dims file; every value is a JSON integer >= 0, K >= 1 (bool is not an integer)
+# section -> keys of the model dims file; every value is a JSON integer from 0 (K from 1) to MAX_COUNT (bool is not one)
 _DIMS_KEYS = {
     "encoder": ("layers", "hidden_dim", "ffn_dim"),
     "projector": ("resampler_queries", "mlp_hidden_dim"),
@@ -91,6 +92,8 @@ def load_model_dims(path: str | None = None) -> ModelDims:
             value, least = raw[section][key], 1 if key == "resampler_queries" else 0
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name}: {section}.{key} must be an integer >= {least}, got {json.dumps(value)}")
+            if value > MAX_COUNT:
+                raise ValueError(f"{name}: {section}.{key} must be <= {MAX_COUNT}, got {json.dumps(value)}")
     enc, proj, llm = raw["encoder"], raw["projector"], raw["llm"]
     return ModelDims(
         encoder=StackDims(enc["layers"], enc["hidden_dim"], enc["ffn_dim"]),
@@ -141,6 +144,8 @@ def estimate_flops(
     vit = vit or VitSpec()
     if text_tokens < 0:
         raise ValueError(f"text_tokens must be >= 0, got {text_tokens}")
+    if text_tokens > MAX_COUNT:
+        raise ValueError(f"text_tokens must be <= {MAX_COUNT}, got {text_tokens}")
     squares, resampled = _STRATEGIES[strategy]
     passes = ([g.tokens for g in select_partition(image, vit, max_slices).patch_grids] if squares is None
               else [vit.token_budget] * squares)

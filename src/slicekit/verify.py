@@ -12,6 +12,9 @@ plane, restricted to area ratio n in (lo, hi] relative to the encoder's
 pretraining area and aspect ratio in [lo, hi] (long side over short side).
 In (n, aspect) coordinates that measure is uniform in n and log-uniform in
 aspect.  The aspect-ratio statistic is orientation-folded (always >= 1).
+The region is bounded so that both estimators finish and stay finite: n up
+to MAX_TABLE_BANDS - 1, the widest range one selection table holds with a
+band of margin, and aspect up to MAX_ASPECT.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ MAX_GRID_DENSITY = 100_000  # at most: the sweep holds about 1.27 KB per point, 
 MIN_PART_SIZE = 2**17  # samples per threaded part; below it a thread's start costs about what it saves
 MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; about 30 s at 3*10^7 samples/s on 2 cores, at most 1000 shards
 CHUNK_SIZE = 2**15  # samples per chunk of grid selection, so that its temporaries stay in L2
-MAX_TABLE_BANDS = 2**10  # widest band range tabulated in full; a wider one tabulates only the bands present
+MAX_TABLE_BANDS = 2**10  # widest band range of a selection table: of a spec's area ratios, or of one call's samples
+MAX_ASPECT = 1e6  # greatest aspect_hi: aspect^2, sums of squares over MAX_SAMPLES draws and expm1 stay finite
 SWITCHES_PER_BIN = 2  # most thresholds of one band in an aspect^2 bin of a selection table: comparisons per sample
 SWITCH_ULPS = 4  # floats either side of num/den within which each switch's threshold is searched
 
@@ -62,6 +66,10 @@ class DistributionSpec:
             raise ValueError("area ratio range must be positive and non-empty")
         if not (1.0 <= self.aspect_lo < self.aspect_hi):
             raise ValueError("aspect range must be >= 1 and non-empty")
+        if self.area_ratio_hi > MAX_TABLE_BANDS - 1:
+            raise ValueError(f"area_ratio_hi must be <= {MAX_TABLE_BANDS - 1}, got {self.area_ratio_hi}")
+        if self.aspect_hi > MAX_ASPECT:
+            raise ValueError(f"aspect_hi must be <= {MAX_ASPECT}, got {self.aspect_hi}")
 
 
 ALTERNATE_SPEC = DistributionSpec(area_ratio_lo=1.0, area_ratio_hi=3.0, aspect_lo=1.0, aspect_hi=2.0)
@@ -100,7 +108,8 @@ def _switch_thresholds(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _SelectionTable:
-    """grid_index for every band of ``bands`` at once, as a look-up keyed on the bits of aspect^2.
+    """grid_index for every band of ``bands``, a range of at most MAX_TABLE_BANDS, as a look-up keyed on the bits of
+    aspect^2.
 
     A positive double's int64 bits are monotone in its value, so ``bits >> shift`` bins aspect^2 (``edges``: the
     lowest bin's least float, the highest's greatest) with at most k = SWITCHES_PER_BIN thresholds of one band in
@@ -108,7 +117,7 @@ class _SelectionTable:
     p-th threshold from the bin up (NaN past the band's last), and ``rows``, ``cols`` the grid chosen past p of them.
     The thresholds ascend, so adding ``x >= above[slot]`` to the slot k times from p = 0 lands on a sample's grid."""
 
-    bands: range | tuple[int, ...]
+    bands: range
     shift: int
     low_bin: int
     bins: int
@@ -119,7 +128,7 @@ class _SelectionTable:
 
 
 @lru_cache(maxsize=8)
-def _selection_table(bands: range | tuple[int, ...]) -> _SelectionTable:
+def _selection_table(bands: range) -> _SelectionTable:
     thresholds = [_switch_thresholds(n) for n in bands]
     row = np.repeat(np.arange(len(bands)), [t.size for t in thresholds])
     bits = np.concatenate(thresholds).view(np.int64)
@@ -132,7 +141,8 @@ def _selection_table(bands: range | tuple[int, ...]) -> _SelectionTable:
     assert low_bin + bins < 2**53, "_grids adds bin keys to band offsets in float64, exact below 2^53"
     edges = ((np.array([low_bin, low_bin + bins]) << shift) - [0, 1]).view(np.float64)
     # thresholds below each (row, bin) in row-major order; past them, a cell's slots
-    below = np.searchsorted(row * bins + keys - low_bin, np.arange(len(bands) * bins))[:, None] + np.arange(k + 1)
+    per_cell = np.bincount(row * bins + keys - low_bin, minlength=len(bands) * bins)
+    below = (np.cumsum(per_cell) - per_cell)[:, None] + np.arange(k + 1)
     cell_row = np.repeat(np.arange(len(bands)), bins)[:, None]
     padded = np.concatenate([np.concatenate([t, np.full(k + 1, np.nan)]) for t in thresholds])
     grids = [g for n in bands for g in grid_table(n)[0]]
@@ -145,18 +155,14 @@ def _selection_table(bands: range | tuple[int, ...]) -> _SelectionTable:
     return _SelectionTable(bands, shift, low_bin, bins, tuple(edges.tolist()), above, rows, cols)
 
 
-def _range_table(low: float, high: float) -> _SelectionTable | None:
-    """The table of bands max(ceil(n), 1) for area ratios n in [low, high]; None past MAX_TABLE_BANDS bands."""
+def _range_table(low: float, high: float) -> _SelectionTable:
+    """The table of bands max(ceil(n), 1) for area ratios n in [low, high], at most MAX_TABLE_BANDS of them."""
     if not high < 2.0**63:  # NaN, inf or past int64, whose int64 band grid_table refused
         raise ValueError("slice count must be >= 1")
     first, last = (max(math.ceil(max(n, 0.0)), 1) for n in (low, high))
-    return _selection_table(range(first, last + 1)) if last - first < MAX_TABLE_BANDS else None
-
-
-def _table_for(area_ratio: np.ndarray) -> _SelectionTable:
-    """The selection table for the bands of these samples: a range, or only the bands present if it is wide."""
-    return _range_table(area_ratio.min(), area_ratio.max()) or _selection_table(
-        tuple(int(n) for n in np.unique(np.maximum(np.ceil(area_ratio), 1))))
+    if last - first >= MAX_TABLE_BANDS:
+        raise ValueError(f"area_ratio spans bands {first} to {last}, more than MAX_TABLE_BANDS = {MAX_TABLE_BANDS}")
+    return _selection_table(range(first, last + 1))
 
 
 def _chunk_buffers(size: int) -> tuple[np.ndarray, ...]:
@@ -169,8 +175,8 @@ def _chunk_buffers(size: int) -> tuple[np.ndarray, ...]:
 def _grids(area: np.ndarray, aspect: np.ndarray, table: _SelectionTable, buffers: tuple[np.ndarray, ...],
            clamp: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols), in the last two _chunk_buffers, of the grid grid_index(max(ceil(area), 1), aspect^2, 1) chooses
-    for each of at most CHUNK_SIZE samples whose bands the table holds; clamp raises a band below a range table's
-    first (an area <= 0) to it.  No sort, gather or scatter: a bin look-up and SWITCHES_PER_BIN comparisons each."""
+    for each of at most CHUNK_SIZE samples whose bands the table holds; clamp raises a band below the table's first
+    (an area <= 0) to it.  No sort, gather or scatter: a bin look-up and SWITCHES_PER_BIN comparisons each."""
     x, slot, passed, rows, cols = (b[:area.size] for b in buffers)
     np.multiply(aspect, aspect, out=x, dtype=np.float64)  # as grid_index squares a float64 aspect, overflow included
     # clipped into the table's bins; NaN, negatives, zeros and subnormals go to the lowest, where none passes
@@ -181,13 +187,9 @@ def _grids(area: np.ndarray, aspect: np.ndarray, table: _SelectionTable, buffers
     # plus the band's row * bins - low_bin, in one float pass: every value is an integer below 2^53, so exact
     band = rows  # free until the grids are gathered
     np.ceil(area, out=band)
-    if isinstance(table.bands, range):
-        first = table.bands.start
-        if clamp:
-            np.maximum(band, first, out=band)
-    else:
-        first = 0
-        band[:] = np.searchsorted(table.bands, band)
+    first = table.bands.start
+    if clamp:
+        np.maximum(band, first, out=band)
     band *= table.bins
     band += -first * table.bins - table.low_bin
     np.add(slot, band, out=slot, casting="unsafe")
@@ -208,7 +210,7 @@ def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple
     """
     cols, rows = np.empty(area_ratio.size, dtype=np.int64), np.empty(area_ratio.size, dtype=np.int64)
     if area_ratio.size:
-        table, buffers = _table_for(area_ratio), _chunk_buffers(area_ratio.size)
+        table, buffers = _range_table(area_ratio.min(), area_ratio.max()), _chunk_buffers(area_ratio.size)
     for start in range(0, area_ratio.size, CHUNK_SIZE):
         chunk = slice(start, start + CHUNK_SIZE)
         rows[chunk], cols[chunk] = _grids(area_ratio[chunk], aspect[chunk], table, buffers, clamp=True)
@@ -219,7 +221,7 @@ def slice_statistics(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.nda
     """Folded slice aspect ratio and normalized slice area per sample, in the calling thread."""
     ratio, area = np.empty(area_ratio.size), np.empty(area_ratio.size)
     if area_ratio.size:
-        table, buffers = _table_for(area_ratio), _chunk_buffers(area_ratio.size)
+        table, buffers = _range_table(area_ratio.min(), area_ratio.max()), _chunk_buffers(area_ratio.size)
     for start in range(0, area_ratio.size, CHUNK_SIZE):
         chunk = slice(start, start + CHUNK_SIZE)
         ratio[chunk], area[chunk] = aspect[chunk], area_ratio[chunk]
@@ -274,7 +276,7 @@ def _leaf_sums(dists: tuple[DistributionSpec, ...], ss: np.random.SeedSequence, 
     streams = [np.random.Generator(np.random.PCG64(ss).advance(start)) for start in (lo, k + lo)]
     u_buf, v_buf, area_buf, ratio_buf = (np.empty(max(sizes)) for _ in range(4))
     buffers = _chunk_buffers(max(sizes))
-    # each spec's table from its least and greatest area draw (random() < 1); a spec too wide tabulates each leaf
+    # each spec's table from its least and greatest area draw (random() < 1)
     tables = [_range_table(*_uniform(np.array([0.0, 1.0 - 2.0**-53]), d.area_ratio_lo, d.area_ratio_hi, np.empty(2)))
               for d in dists]
     sums = np.empty((len(sizes), 4 * len(dists)))
@@ -285,7 +287,7 @@ def _leaf_sums(dists: tuple[DistributionSpec, ...], ss: np.random.SeedSequence, 
             _uniform(u, dist.area_ratio_lo, dist.area_ratio_hi, area)
             # uniform over the (W, H) plane <=> log-uniform aspect
             np.exp(_uniform(v, math.log(dist.aspect_lo), math.log(dist.aspect_hi), ratio), out=ratio)
-            _slice_statistics_in_place(area, ratio, tables[i] or _table_for(area), buffers)
+            _slice_statistics_in_place(area, ratio, tables[i], buffers)
             # each sum before its squares, which overwrite the leaf
             row[4 * i:4 * i + 2] = ratio.sum(), np.square(ratio, out=ratio).sum()
             row[4 * i + 2:4 * i + 4] = area.sum(), np.square(area, out=area).sum()
@@ -329,6 +331,12 @@ def _part_count(samples: int) -> int:
     return max(1, min(cores, samples // MIN_PART_SIZE))
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse a count that is a bool or not an integer, before numpy sees it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
     """Candidate density check: every candidate grid's log-aspect has another
     candidate within 2*log(2), for every slice count up to n_max.
@@ -356,6 +364,7 @@ def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, f
     Ratios are folded; the full symmetric aspect range [1/hi, hi] gives the
     same folded values by symmetry of the score.
     """
+    _require_int("grid_density", grid_density)
     if grid_density < MIN_GRID_DENSITY:
         raise ValueError(f"grid density must be >= {MIN_GRID_DENSITY} per axis")
     if grid_density > MAX_GRID_DENSITY:
@@ -385,6 +394,7 @@ def monte_carlo_statistics(dists: tuple[DistributionSpec, ...], samples: int = 1
     the leaves' sums up numpy's tree: each sum is bitwise np.sum over the
     whole shard, for any number of parts, and no shard-sized array is made.
     """
+    _require_int("samples", samples)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} samples, got {samples}")
     acc = np.zeros(4 * len(dists))  # per spec: sum_r, sum_r2, sum_s, sum_s2
@@ -455,6 +465,8 @@ VARIANCE_TOL = 0.01
 
 def run_proof_checks(samples: int = 10_000_000, seed: int = 42, grid_density: int = 1500) -> dict:
     """Full verification report for the CLI; JSON-serializable."""
+    _require_int("samples", samples)
+    _require_int("grid_density", grid_density)
     holds, worst_gap = enumerate_ratio_bound(20)
     min_r, max_r, min_s, max_s = sweep_slice_bounds(grid_density=grid_density)
     (ratio_stats, area_stats), (alt_ratio, _) = monte_carlo_statistics(

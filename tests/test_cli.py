@@ -240,6 +240,22 @@ class TestCost:
         assert code == 1
         assert out == "" and err == "error: text_tokens must be >= 0, got -5000\n"
 
+    def test_text_tokens_past_max_count_names_the_argument(self, capsys):
+        # 400 nines overflow a float in the FLOP products
+        nines = "9" * 400
+        code, out, err = run(capsys, "cost", "--image", "672x1008", "--text-tokens", nines)
+        assert (code, out, err) == (1, "", f"error: text_tokens must be <= {cost.MAX_COUNT}, got {nines}\n")
+
+    @pytest.mark.parametrize("section, key",
+                             [("llm", "layers"), ("encoder", "hidden_dim"), ("projector", "mlp_hidden_dim")])
+    def test_dims_value_past_max_count_names_the_file_and_key(self, capsys, tmp_path, section, key):
+        dims = write_dims(tmp_path, section, key, 10**400)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_dims": str(dims)}))
+        code, out, err = run(capsys, "--config", str(cfg), "cost", "--image", "672x1008")
+        assert (code, out, err) == (1, "", f"error: {dims}: {section}.{key} must be <= {cost.MAX_COUNT}, "
+                                           f"got {10**400}\n")
+
     @pytest.mark.parametrize("size", ["2000x2000", "25891x25891", "1000000x1000000", "100000000x100000000"])
     def test_plan_schema_and_slicing_cost_share_the_max_n_cap(self, capsys, size):
         errors = set()

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from importlib import resources
 
@@ -7,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slicekit.cost import (
+    _DIMS_KEYS,
+    MAX_COUNT,
     STRATEGIES,
     CostReport,
     ModelDims,
@@ -98,6 +101,21 @@ class TestDefaults:
             load_model_dims(str(p))
         assert str(exc.value) == f"{p}: {section}.{key} must be an integer >= {least}, got {json.dumps(value)}"
 
+    @pytest.mark.parametrize("section, key", [(s, k) for s, keys in _DIMS_KEYS.items() for k in keys])
+    def test_value_past_max_count_named(self, tmp_path, section, key):
+        # 10**400 overflows a float in the FLOP products
+        raw = json.loads(resources.files("slicekit.data").joinpath("model_dims.json").read_text())
+        p = tmp_path / "dims.json"
+        raw[section][key] = MAX_COUNT
+        p.write_text(json.dumps(raw))
+        assert load_model_dims(str(p))
+        for value in (MAX_COUNT + 1, 10**400):
+            raw[section][key] = value
+            p.write_text(json.dumps(raw))
+            with pytest.raises(ValueError) as exc:
+                load_model_dims(str(p))
+            assert str(exc.value) == f"{p}: {section}.{key} must be <= {MAX_COUNT}, got {value}"
+
     def test_zero_sized_stacks_accepted(self, tmp_path):
         raw = {"encoder": {"layers": 0, "hidden_dim": 0, "ffn_dim": 0},
                "projector": {"resampler_queries": 1, "mlp_hidden_dim": 0},
@@ -132,6 +150,17 @@ class TestEstimates:
     def test_negative_text_tokens_rejected(self, dims):
         with pytest.raises(ValueError, match="text_tokens must be >= 0"):
             estimate_flops(dims, IMAGE, "uhd", text_tokens=-5000)
+
+    @pytest.mark.parametrize("text_tokens", [MAX_COUNT + 1, 10**400])
+    def test_text_tokens_past_max_count_rejected(self, dims, text_tokens):
+        with pytest.raises(ValueError, match=f"^text_tokens must be <= {MAX_COUNT}, got {text_tokens}$"):
+            estimate_flops(dims, IMAGE, "uhd", text_tokens=text_tokens)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_count_at_max_count_stays_finite(self, strategy):
+        top = StackDims(MAX_COUNT, MAX_COUNT, MAX_COUNT)
+        report = estimate_flops(ModelDims(top, MAX_COUNT, MAX_COUNT, top), IMAGE, strategy, MAX_COUNT)
+        assert math.isfinite(report.total_flops), report
 
     def test_unknown_strategy(self, dims):
         with pytest.raises(ValueError):

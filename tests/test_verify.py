@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import threading
@@ -25,6 +26,7 @@ from slicekit.verify import (
     ALTERNATE_SPEC,
     CHUNK_SIZE,
     MAX_GRID_DENSITY,
+    MAX_ASPECT,
     MAX_SAMPLES,
     MAX_TABLE_BANDS,
     MC_SHARD_SIZE,
@@ -66,6 +68,17 @@ class TestDistributionSpec:
     def test_non_finite_bound_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             DistributionSpec(**{field: value})
+
+    @pytest.mark.parametrize("hi", [1e7, math.nextafter(MAX_TABLE_BANDS - 1, math.inf)])
+    def test_area_ratio_past_one_table_is_refused(self, hi):
+        with pytest.raises(ValueError, match=f"^area_ratio_hi must be <= {MAX_TABLE_BANDS - 1}, got {hi}$"):
+            DistributionSpec(1.0, hi, 1.0, 6.0)
+
+    @pytest.mark.parametrize("hi", [1e300, math.nextafter(MAX_ASPECT, math.inf)])
+    def test_aspect_past_the_bound_is_refused(self, hi):
+        # 1e300 overflows exact_expectations' expm1 and the Monte Carlo's sums of squares
+        with pytest.raises(ValueError, match=f"^aspect_hi must be <= {MAX_ASPECT}, got {re.escape(str(hi))}$"):
+            DistributionSpec(1.0, 2.0, 1.0, hi)
 
 
 class TestVectorizedSelection:
@@ -197,7 +210,7 @@ class TestThresholdSelection:
             near = np.concatenate([ulps_around(thresholds, 4), ulps_around(ratios, 4)])
             assert np.array_equal(grid_index(n, near, 1), np.searchsorted(thresholds, near, side="right")), n
 
-    @pytest.mark.parametrize("bands", [SWITCH_BANDS, [1, 2, 3], [7], [1, 2000, 5000]],
+    @pytest.mark.parametrize("bands", [SWITCH_BANDS, [1, 2, 3], [7], [1, MAX_TABLE_BANDS]],
                              ids=["1-64,255,256,300", "1-3", "7", "wide"])
     def test_equals_grid_index_within_four_ulps_of_every_switch(self, bands):
         area, aspect = [], []
@@ -249,13 +262,18 @@ class TestThresholdSelection:
         ref_cols, ref_rows = chosen_by_grid_index(area, aspect)
         assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
 
-    def test_a_wide_band_range_tabulates_only_the_bands_present(self):
-        area = np.array([1.0, 0.5 + MAX_TABLE_BANDS, 9000.5, 70_000.0])
-        aspect = np.array([1.0, 3.0, 0.1, 250.0])
+    @pytest.mark.parametrize("call", [select_grids_vectorized, slice_statistics])
+    def test_a_span_past_max_table_bands_is_refused(self, call):
+        area = np.array([1.0, 0.5 + MAX_TABLE_BANDS])
+        with pytest.raises(ValueError, match=f"^area_ratio spans bands 1 to {MAX_TABLE_BANDS + 1}, more than "
+                                             f"MAX_TABLE_BANDS = {MAX_TABLE_BANDS}$"):
+            call(area, np.ones(2))
+
+    def test_the_widest_span_equals_grid_index(self):
+        area = np.array([-2.0, 0.5, 1.0, 2.5, 700.25, MAX_TABLE_BANDS - 0.5, float(MAX_TABLE_BANDS)])
+        aspect = np.array([1.0, 3.0, 0.1, 250.0, 1.5, 0.02, 40.0])
+        assert slicekit.verify._range_table(area.min(), area.max()).bands == range(1, MAX_TABLE_BANDS + 1)
         cols, rows = select_grids_vectorized(area, aspect)
-        assert slicekit.verify._table_for(area).bands == (1, MAX_TABLE_BANDS + 1, 9001, 70_000)
-        # MAX_TABLE_BANDS bands at most are tabulated in full
-        assert slicekit.verify._table_for(area[:2] - 1).bands == range(1, MAX_TABLE_BANDS + 1)
         assert (cols.tolist(), rows.tolist()) == tuple(x.tolist() for x in chosen_by_grid_index(area, aspect))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e19])
@@ -326,6 +344,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_slice_bounds(grid_density=MIN_GRID_DENSITY - 1)
 
+    @pytest.mark.parametrize("density", [1500.5, 1500.0, True])
+    def test_a_density_that_is_not_an_integer_is_refused(self, density):
+        with pytest.raises(ValueError, match=f"^grid_density must be an integer, got {density!r}$"):
+            sweep_slice_bounds(density)
+        with pytest.raises(ValueError, match="^grid_density must be an integer"):
+            run_proof_checks(10, grid_density=density)
+
     @pytest.mark.parametrize("density", [MAX_GRID_DENSITY + 1, 99_999_999_999])
     def test_density_ceiling_enforced_before_any_allocation(self, density):
         tracemalloc.start()
@@ -382,6 +407,13 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_expectations(DistributionSpec(), samples=0)
+
+    @pytest.mark.parametrize("samples", [10.5, 1e6, True, "100"])
+    def test_a_sample_count_that_is_not_an_integer_is_refused(self, samples):
+        with pytest.raises(ValueError, match=f"^samples must be an integer, got {re.escape(repr(samples))}$"):
+            monte_carlo_statistics((DistributionSpec(),), samples=samples)
+        with pytest.raises(ValueError, match="^samples must be an integer"):
+            run_proof_checks(samples=samples)
 
     @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**18])
     def test_sample_count_past_the_bound_raises_before_any_shard_is_seeded(self, samples):
@@ -482,7 +514,7 @@ class TestParts:
 
     def test_pinned_values_of_other_specs_and_a_wide_one(self):
         # recorded before each spec's table was read once per part: area ranges that start below 1 and lie wholly
-        # below 1, and one wider than MAX_TABLE_BANDS bands, which tabulates each leaf's bands
+        # below 1; a range wider than one selection table is refused
         specs = (DistributionSpec(0.5, 7.3, 1.2, 9.0), DistributionSpec(1e-3, 0.9, 1.0, 1.5))
         assert repr(monte_carlo_statistics(specs, 300_007, 5)) == (
             "[(StatReport(expectation=1.361621720189088, variance=0.2050091110875365, samples=300007, "
@@ -491,21 +523,24 @@ class TestParts:
             "(StatReport(expectation=1.221128054026658, variance=0.016206082058040305, samples=300007, "
             "std_error=0.0002324199068134277, seed=5), StatReport(expectation=0.4176110887452687, "
             "variance=0.06627994846363922, samples=300007, std_error=0.0004700297932670272, seed=5))]")
-        wide = DistributionSpec(1.0, 1500.0, 1.0, 6.0)
-        assert 1500 > MAX_TABLE_BANDS
-        assert repr(monte_carlo_statistics((wide,), 20_000, 7)) == (
-            "[(StatReport(expectation=2.124760769645888, variance=25.483889159894787, samples=20000, "
-            "std_error=0.035695860516238284, seed=7), StatReport(expectation=0.9979289398289161, "
-            "variance=0.00032302474400303094, samples=20000, std_error=0.00012708751787705803, seed=7))]")
+        with pytest.raises(ValueError, match=f"^area_ratio_hi must be <= {MAX_TABLE_BANDS - 1}, got 1500.0$"):
+            DistributionSpec(1.0, 1500.0, 1.0, 6.0)
 
-    def test_a_narrow_spec_reads_its_table_once_per_part_and_a_wide_one_per_leaf(self, monkeypatch, force_parts):
-        calls, table_for = [], slicekit.verify._table_for
-        monkeypatch.setattr(slicekit.verify, "_table_for", lambda area: calls.append(area.size) or table_for(area))
+    def test_each_spec_reads_its_table_once_per_part(self, monkeypatch, force_parts):
+        calls, range_table = [], slicekit.verify._range_table
+        monkeypatch.setattr(slicekit.verify, "_range_table",
+                            lambda low, high: calls.append(range_table(low, high)) or calls[-1])
         force_parts(2)
-        monte_carlo_statistics((DistributionSpec(), ALTERNATE_SPEC), 3 * CHUNK_SIZE, 1)
-        assert calls == []
-        monte_carlo_statistics((DistributionSpec(1.0, 1500.0, 1.0, 6.0), ALTERNATE_SPEC), 3 * CHUNK_SIZE, 1)
-        assert sorted(calls) == sorted(_pairwise(3 * CHUNK_SIZE, lambda n: [n]))
+        monte_carlo_statistics((DistributionSpec(), ALTERNATE_SPEC), 3 * CHUNK_SIZE, 1)  # 4 leaves in 2 parts
+        assert sorted((t.bands.start, t.bands.stop) for t in calls) == [(1, 4), (1, 4), (1, 21), (1, 21)]
+
+    @pytest.mark.parametrize("dist", [DistributionSpec(1.0, MAX_TABLE_BANDS - 1),
+                                      DistributionSpec(0.5, MAX_TABLE_BANDS - 1, 1.0, MAX_ASPECT)])
+    def test_the_widest_spec_equals_the_serial_shard_loop(self, dist):
+        # the greatest draw may round up past area_ratio_hi into band MAX_TABLE_BANDS, still one table
+        samples = 2 * CHUNK_SIZE + 1
+        assert monte_carlo_statistics((dist,), samples, 6) == [serial_shard_loop(dist, samples, 6)]
+        assert all(map(math.isfinite, np.ravel(exact_expectations(dist))))
 
     def test_nan_area_raises_the_serial_error_and_leaves_no_thread(self):
         rng = np.random.default_rng(0)
