@@ -98,15 +98,16 @@ class PatchGrid:
 def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchGrid:
     """Largest patch grid within the token budget matching the slice aspect.
 
-    The continuous optimum (c, r) = (sqrt(M*a), sqrt(M/a)) uses the budget M
-    exactly at aspect a = w/h.  We enumerate its floor/ceil neighbours,
-    decrementing any combination that overshoots the budget, and keep the
-    candidate with the smallest |log(c/r) - log(a)|; ties go to more tokens,
-    then more columns.  Slices are never upscaled, so the grid is further
-    capped by the slice's native patch capacity per axis.
+    The continuous optimum (c, r) = (sqrt(M*a), sqrt(M/a)) uses the budget M exactly at aspect a = w/h.  Slices
+    are never upscaled, so each of its floor/ceil neighbours is clamped to the slice's native patch capacity per
+    axis, giving lo_c <= hi_c and lo_r <= hi_r.  The candidates are the four corners within M, and the cells just
+    under M in the box [1, hi_c] x [1, hi_r]: (M // r, r) for each r in it with hi_c*r > M, and (c, M // c) for
+    each c in it with c*hi_r > M.  Of those, the grid with the smallest |log(c/r) - log(a)| wins; ties go to more
+    tokens, then more columns.
     """
-    if slice_w_px < vit.patch_px or slice_h_px < vit.patch_px:
-        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is smaller than one {vit.patch_px}px patch")
+    if not (vit.patch_px <= slice_w_px < math.inf and vit.patch_px <= slice_h_px < math.inf):
+        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is not finite or is smaller than one "
+                         f"{vit.patch_px}px patch")
     budget = vit.token_budget
     cap_c = int(slice_w_px // vit.patch_px)
     cap_r = int(slice_h_px // vit.patch_px)
@@ -114,23 +115,11 @@ def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchG
     ideal_c = math.sqrt(budget * aspect)
     ideal_r = math.sqrt(budget / aspect)
 
-    seen: set[tuple[int, int]] = set()
-    stack = [
-        (min(max(c, 1), cap_c), min(max(r, 1), cap_r))
-        for c in (math.floor(ideal_c), math.ceil(ideal_c))
-        for r in (math.floor(ideal_r), math.ceil(ideal_r))
-    ]
-    feasible: list[tuple[int, int]] = []
-    while stack:
-        c, r = stack.pop()
-        if c < 1 or r < 1 or (c, r) in seen:
-            continue
-        seen.add((c, r))
-        if c * r <= budget:
-            feasible.append((c, r))
-        else:
-            stack.append((c - 1, r))
-            stack.append((c, r - 1))
+    lo_c, hi_c = min(max(math.floor(ideal_c), 1), cap_c), min(max(math.ceil(ideal_c), 1), cap_c)
+    lo_r, hi_r = min(max(math.floor(ideal_r), 1), cap_r), min(max(math.ceil(ideal_r), 1), cap_r)
+    feasible = [(c, r) for c in {lo_c, hi_c} for r in {lo_r, hi_r} if c * r <= budget]
+    feasible += [(budget // r, r) for r in range(budget // hi_c + 1, min(hi_r, budget) + 1)]
+    feasible += [(c, budget // c) for c in range(budget // hi_r + 1, min(hi_c, budget) + 1)]
 
     log_a = math.log(aspect)
     best = min(feasible, key=lambda cr: (abs(math.log(cr[0] / cr[1]) - log_a), -cr[0] * cr[1], -cr[0]))

@@ -339,12 +339,14 @@ def _require_int(name: str, value) -> None:
 
 def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
     """Candidate density check: every candidate grid's log-aspect has another
-    candidate within 2*log(2), for every slice count up to n_max.
+    candidate within 2*log(2), for every slice count up to n_max, at most MAX_TABLE_BANDS (the bands a selection
+    table reaches).
 
     Returns (holds, worst minimal gap).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _require_int("n_max", n_max)
+    if not 1 <= n_max <= MAX_TABLE_BANDS:
+        raise ValueError(f"n_max must be between 1 and {MAX_TABLE_BANDS}, got {n_max}")
     holds, worst = True, 0.0
     for n in range(1, n_max + 1):
         grids = grid_table(n)[0]

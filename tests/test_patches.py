@@ -1,4 +1,7 @@
+import math
+import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -41,6 +44,53 @@ def bilinear_oracle(values, new_rows, new_cols):
     return out
 
 
+def search_fit_patch_grid(slice_w_px, slice_h_px, vit):
+    """The depth-first search that fit_patch_grid's closed-form candidate set replaced, kept as its oracle."""
+    if slice_w_px < vit.patch_px or slice_h_px < vit.patch_px:
+        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is smaller than one {vit.patch_px}px patch")
+    budget = vit.token_budget
+    cap_c = int(slice_w_px // vit.patch_px)
+    cap_r = int(slice_h_px // vit.patch_px)
+    aspect = slice_w_px / slice_h_px
+    ideal_c = math.sqrt(budget * aspect)
+    ideal_r = math.sqrt(budget / aspect)
+
+    seen: set[tuple[int, int]] = set()
+    stack = [
+        (min(max(c, 1), cap_c), min(max(r, 1), cap_r))
+        for c in (math.floor(ideal_c), math.ceil(ideal_c))
+        for r in (math.floor(ideal_r), math.ceil(ideal_r))
+    ]
+    feasible: list[tuple[int, int]] = []
+    while stack:
+        c, r = stack.pop()
+        if c < 1 or r < 1 or (c, r) in seen:
+            continue
+        seen.add((c, r))
+        if c * r <= budget:
+            feasible.append((c, r))
+        else:
+            stack.append((c - 1, r))
+            stack.append((c, r - 1))
+
+    log_a = math.log(aspect)
+    best = min(feasible, key=lambda cr: (abs(math.log(cr[0] / cr[1]) - log_a), -cr[0] * cr[1], -cr[0]))
+    return PatchGrid(cols=best[0], rows=best[1])
+
+
+# square, larger, 16 px patches, landscape, a 2x1 budget and a one-patch budget
+ORACLE_SPECS = [VitSpec(336, 336, 14), VitSpec(448, 448, 14), VitSpec(224, 224, 16), VitSpec(336, 224, 14),
+                VitSpec(28, 14, 14), VitSpec(14, 14, 14)]
+
+
+def oracle_sides(vit, seed):
+    """Every pair of 1..40 whole patches a side, integer sides log-uniform up to 10^7 and float sides."""
+    p, rng = vit.patch_px, random.Random(seed)
+    yield from ((i * p, j * p) for i in range(1, 41) for j in range(1, 41))
+    yield from ((round(p * 10 ** rng.uniform(0, 5.8)), round(p * 10 ** rng.uniform(0, 5.8))) for _ in range(150))
+    yield from ((rng.uniform(p, 1e4), rng.uniform(p, 1e4)) for _ in range(300))
+
+
 class TestFitPatchGrid:
     def test_square_slice_uses_full_budget(self):
         assert fit_patch_grid(336, 336, VIT) == PatchGrid(cols=24, rows=24)
@@ -59,9 +109,27 @@ class TestFitPatchGrid:
         assert (g.cols, g.rows) == (19, 29)
         assert g.tokens == 551 <= VIT.token_budget
 
-    def test_degenerate_slice_rejected(self):
-        with pytest.raises(ValueError):
-            fit_patch_grid(10, 100, VIT)
+    @pytest.mark.parametrize("w, h", [(10, 100), (math.inf, 400), (400, math.inf), (math.nan, 400), (400, math.nan),
+                                      (-math.inf, 400)])
+    def test_degenerate_slice_rejected(self, w, h):
+        with pytest.raises(ValueError, match=re.escape(f"degenerate slice: {w}x{h} is not finite or is smaller than "
+                                                       "one 14px patch") + "$"):
+            fit_patch_grid(w, h, VIT)
+
+    @pytest.mark.parametrize("vit", ORACLE_SPECS,
+                             ids=lambda v: f"{v.pretrain_width_px}x{v.pretrain_height_px}/{v.patch_px}")
+    def test_matches_the_search_it_replaced(self, vit):
+        sides = list(oracle_sides(vit, seed=vit.token_budget))
+        sides += [(100000, vit.patch_px), (vit.patch_px, 100000), (10**7, 20), (20, 10**7)]
+        for w, h in sides:
+            assert fit_patch_grid(w, h, vit) == search_fit_patch_grid(w, h, vit), (w, h)
+
+    @pytest.mark.parametrize("fit", [lambda: fit_patch_grid(1e300, 400, VIT),
+                                     lambda: overview_grid(ImageSize(10**12, 14), VIT)])
+    def test_extreme_aspect_in_bounded_time(self, fit):
+        start = time.perf_counter()
+        assert fit() == PatchGrid(576, 1)
+        assert time.perf_counter() - start < 0.1
 
     @given(
         st.integers(min_value=14, max_value=5000),

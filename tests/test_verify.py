@@ -312,9 +312,16 @@ class TestEnumerationBound:
         assert worst <= TWO_LOG2
         assert worst == pytest.approx(math.log(3.0), abs=1e-12)
 
-    def test_rejects_bad_limit(self):
-        with pytest.raises(ValueError):
-            enumerate_ratio_bound(0)
+    @pytest.mark.parametrize("n_max, message", [(0, "n_max must be between 1 and 1024, got 0"),
+                                                (20.5, "n_max must be an integer, got 20.5"),
+                                                (True, "n_max must be an integer, got True"),
+                                                (MAX_TABLE_BANDS + 1, "n_max must be between 1 and 1024, got 1025"),
+                                                (10**7, "n_max must be between 1 and 1024, got 10000000")])
+    def test_rejects_bad_limit(self, n_max, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_ratio_bound(n_max)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("n_max", [*range(1, 61), 81, 82, 102, 128])
     def test_matches_exact_oracle(self, n_max):
