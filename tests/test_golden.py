@@ -1,4 +1,4 @@
-"""Digests of the plan and cost outputs over a seeded size set, so that "byte-identical" is one test.
+"""Digests of the plan, cost, schema and proof-check outputs, so that "byte-identical" is one test.
 
 tests/golden.json holds the SHA-256 of canonical JSON over every case below. A change that moves a digest on
 purpose updates golden.json and says in CHANGES.md which digest moved and why.
@@ -11,6 +11,8 @@ from pathlib import Path
 
 from slicekit.cost import STRATEGIES, estimate_flops, load_model_dims
 from slicekit.partition import ImageSize, VitSpec, select_partition
+from slicekit.schema import serialize_layout, summary
+from slicekit.verify import run_proof_checks
 from test_partition import SUB_PATCH_SIZES
 
 VIT = VitSpec()
@@ -38,20 +40,43 @@ def outcome(call):
         return {"error": str(e)}
 
 
+def cases():
+    """(size, max_N) pairs: every seeded and edge size with and without a cap, and the capped-only sizes."""
+    return [(size, cap) for size in seeded_sizes() + EDGE_SIZES for cap in CAPS] + [(s, 6) for s in CAPPED_ONLY_SIZES]
+
+
 def plan_and_cost_records(dims):
-    cases = [(size, cap) for size in seeded_sizes() + EDGE_SIZES for cap in CAPS]
-    cases += [(size, 6) for size in CAPPED_ONLY_SIZES]
-    for (w, h), cap in cases:
+    for (w, h), cap in cases():
         image = ImageSize(w, h)
         yield {"size": [w, h], "max_N": cap,
                "plan": outcome(lambda: select_partition(image, VIT, cap)),
                "cost": {s: outcome(lambda: estimate_flops(dims, image, s, 0, VIT, cap)) for s in STRATEGIES}}
 
 
-def digest(records) -> str:
-    canonical = json.dumps(list(records), sort_keys=True, separators=(",", ":"))
+def schema_records():
+    """The summary of every plan the cases make; plan_and_cost pins the refusals."""
+    for (w, h), cap in cases():
+        try:
+            plan = select_partition(ImageSize(w, h), VIT, cap)
+        except ValueError:
+            continue
+        yield {"size": [w, h], "max_N": cap, "summary": summary(serialize_layout(plan, 64))}
+
+
+def digest(value) -> str:
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_plan_and_cost_digest():
-    assert digest(plan_and_cost_records(load_model_dims())) == GOLDEN["plan_and_cost"]
+    assert digest(list(plan_and_cost_records(load_model_dims()))) == GOLDEN["plan_and_cost"]
+
+
+def test_schema_digest():
+    assert digest(list(schema_records())) == GOLDEN["schema"]
+
+
+def test_run_proof_checks_digests():
+    """The whole verify report at 10^6 samples: bitwise the same Monte Carlo, sweep and closed forms."""
+    for samples, seed in ((10**6, 1), (10**6 + 1, 3)):
+        assert digest(run_proof_checks(samples, seed, 1500)) == GOLDEN[f"run_proof_checks/{samples}/{seed}"]
