@@ -17,6 +17,7 @@ from dataclasses import replace
 
 from . import cost, probes, schema
 from .config import AppConfig, load_config
+from .counts import require_count
 from .jsonfile import load_json_file
 from .partition import ImageSize, PatchGrid, select_partition
 
@@ -92,8 +93,7 @@ def cmd_compress(args, cfg: AppConfig) -> int:
 def cmd_grad_check(args, cfg: AppConfig) -> int:
     if not 0 < args.tolerance < math.inf:
         raise ValueError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
-    if args.tokens < 1:
-        raise ValueError(f"--tokens must be >= 1, got {args.tokens}")
+    require_count("--tokens", args.tokens, 1)
 
     import numpy as np
 
@@ -178,10 +178,7 @@ def cmd_verify(args, cfg: AppConfig) -> int:
 
     if args.samples > verify.MAX_SAMPLES:
         raise ValueError(f"--samples must be <= {verify.MAX_SAMPLES}, got {args.samples}")
-    if args.grid_density < verify.MIN_GRID_DENSITY:
-        raise ValueError(f"--grid-density must be >= {verify.MIN_GRID_DENSITY}, got {args.grid_density}")
-    if args.grid_density > verify.MAX_GRID_DENSITY:
-        raise ValueError(f"--grid-density must be <= {verify.MAX_GRID_DENSITY}, got {args.grid_density}")
+    require_count("--grid-density", args.grid_density, verify.MIN_GRID_DENSITY, verify.MAX_GRID_DENSITY)
     report = verify.run_proof_checks(samples=int(args.samples), seed=cfg.seed, grid_density=args.grid_density)
     _emit(report, cfg, args.out)
     return 0 if report["pass"] else 1
@@ -274,13 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if args.seed is not None:
+            cfg = replace(cfg, seed=require_count("--seed", args.seed, 0))
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.format is not None:
         cfg = replace(cfg, output_format=args.format)
     if args.command == "probe" and args.kind in ("heatmap", "phases") and not args.scene:

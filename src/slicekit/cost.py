@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 from importlib import resources
 
+from .counts import require_count
 from .jsonfile import load_json_file
 from .partition import ImageSize, VitSpec, select_partition
 
@@ -142,10 +143,7 @@ def estimate_flops(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     vit = vit or VitSpec()
-    if text_tokens < 0:
-        raise ValueError(f"text_tokens must be >= 0, got {text_tokens}")
-    if text_tokens > MAX_COUNT:
-        raise ValueError(f"text_tokens must be <= {MAX_COUNT}, got {text_tokens}")
+    text_tokens = require_count("text_tokens", text_tokens, 0, MAX_COUNT)
     squares, resampled = _STRATEGIES[strategy]
     passes = ([g.tokens for g in select_partition(image, vit, max_slices).patch_grids] if squares is None
               else [vit.token_budget] * squares)

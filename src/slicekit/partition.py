@@ -9,27 +9,30 @@ partition: exact pixel rectangles and a patch grid for every encoder block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+
+from .counts import require_count
+
+
+class _Counts:
+    """A frozen dataclass whose every field is a count of at least 1, kept as an int."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, require_count(f.name, getattr(self, f.name), 1))
 
 
 @dataclass(frozen=True)
-class ImageSize:
+class ImageSize(_Counts):
     """Image dimensions in pixels."""
 
     width_px: int
     height_px: int
 
-    def __post_init__(self):
-        for side in (self.width_px, self.height_px):
-            if isinstance(side, bool) or not hasattr(side, "__index__"):  # ints and numpy integers have __index__
-                raise ValueError(f"image dimensions must be integers, got {self.width_px!r}x{self.height_px!r}")
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError(f"image dimensions must be positive, got {self.width_px}x{self.height_px}")
-
 
 @dataclass(frozen=True)
-class VitSpec:
+class VitSpec(_Counts):
     """Pretraining geometry of the visual encoder."""
 
     pretrain_width_px: int = 336
@@ -37,9 +40,7 @@ class VitSpec:
     patch_px: int = 14
 
     def __post_init__(self):
-        for name in ("pretrain_width_px", "pretrain_height_px", "patch_px"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        super().__post_init__()
         if self.pretrain_width_px % self.patch_px or self.pretrain_height_px % self.patch_px:
             raise ValueError("pretraining resolution must be a multiple of the patch size")
 
@@ -58,15 +59,11 @@ class VitSpec:
 
 
 @dataclass(frozen=True, order=True)
-class SliceGrid:
+class SliceGrid(_Counts):
     """A slicing grid of cols_m columns by rows_n rows."""
 
     cols_m: int
     rows_n: int
-
-    def __post_init__(self):
-        if self.cols_m < 1 or self.rows_n < 1:
-            raise ValueError("grid dimensions must be >= 1")
 
     @property
     def slice_count(self) -> int:
@@ -82,13 +79,9 @@ class PixelRect:
 
 
 @dataclass(frozen=True)
-class PatchGrid:
+class PatchGrid(_Counts):
     cols: int
     rows: int
-
-    def __post_init__(self):
-        if self.cols < 1 or self.rows < 1:
-            raise ValueError("patch grid dimensions must be >= 1")
 
     @property
     def tokens(self) -> int:
@@ -172,8 +165,7 @@ def ideal_slice_count(image: ImageSize, vit: VitSpec) -> int:
 
 def candidate_grids(n: int) -> set[SliceGrid]:
     """All column/row factorizations of n-1, n and n+1 (0 slices excluded)."""
-    if n < 1:
-        raise ValueError("slice count must be >= 1")
+    n = require_count("n", n, 1)
     out: set[SliceGrid] = set()
     for target in (n - 1, n, n + 1):
         for m in range(1, math.isqrt(target) + 1):
@@ -258,6 +250,8 @@ def select_partition(image: ImageSize, vit: VitSpec, max_slices: int | None = No
     of every plan can be fitted a patch grid.  A grid of more than max_slices slices (the config's max_N) is refused before any slice is
     cut: at N >= 2 the grid the score chose, so that the 1x1 fallback lets no large image through whole.
     """
+    if max_slices is not None:
+        max_slices = require_count("max_slices", max_slices, 1)
     if min(image.width_px, image.height_px) < vit.patch_px:
         raise ValueError(f"image {image.width_px}x{image.height_px} has a side below one {vit.patch_px}px patch")
     n = ideal_slice_count(image, vit)

@@ -14,6 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .counts import require_count
 from .partition import ImageSize
 
 COLORS = {
@@ -179,8 +180,7 @@ def heatmap_probe(
     """
     if not object_template:
         raise ValueError("object template must contain at least one object")
-    if grid_step_px < 1:
-        raise ValueError(f"heatmap grid step must be >= 1 px, got {grid_step_px}")
+    grid_step_px = require_count("grid_step_px", grid_step_px, 1)
     # origins 0, step, ... below each far edge less the template's reach: ceil(stop / step) of them, if stop > 0
     stop_x = canvas.width_px - math.ceil(max(o.center[0] for o in object_template))
     stop_y = canvas.height_px - math.ceil(max(o.center[1] for o in object_template))

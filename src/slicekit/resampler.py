@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import read_only
+from .counts import require_count
 
 FD_BATCH_ENTRIES = 2**20  # logit-sized entries held by one batch of grad_check's differences; bounds its memory
 FD_MAX_MULTIPLY_ADDS = 10**11  # multiply-adds of grad_check's differences, counted by check_fd_work; bounds its time
@@ -91,9 +92,8 @@ class AttentionParams:
 
 def init_resampler(count_k: int, dim: int, seed: int) -> tuple[QuerySet, AttentionParams]:
     """Seeded pseudo-random queries and projection matrices (unit-variance / sqrt(dim))."""
-    if count_k < 1 or dim < 1:
-        raise ValueError(f"the resampler needs K >= 1 queries of dim >= 1, got K={count_k}, dim={dim}")
-    rng = np.random.default_rng(seed)
+    count_k, dim = require_count("count_k", count_k, 1), require_count("dim", dim, 1)
+    rng = np.random.default_rng(require_count("seed", seed, 0))
     std = 1.0 / np.sqrt(dim)
 
     def draw(rows: int) -> np.ndarray:  # read-only from the start, so the wrappers keep it without a copy

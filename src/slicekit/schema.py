@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 
+from .counts import require_count
 from .partition import PartitionPlan
 
 
@@ -47,8 +48,7 @@ def serialize_layout(plan: PartitionPlan, tokens_per_block: int) -> list:
     The separator before slice i is ROW when i starts a row of m slices and COL otherwise, so
     the ROW before slice 0 joins the overview; content token total is tokens_per_block * (m*n + 1).
     """
-    if tokens_per_block < 1:
-        raise ValueError("tokens_per_block must be >= 1")
+    tokens_per_block = require_count("tokens_per_block", tokens_per_block, 1)
     m = plan.grid.cols_m
     seq: list = [ContentToken("overview")] * tokens_per_block
     for i in range(plan.grid.slice_count):
@@ -94,7 +94,7 @@ def parse_layout(sequence: list) -> TokenLayout:
 
 def token_count(plan: PartitionPlan, tokens_per_block: int) -> int:
     """Content tokens fed to the LLM: K * (slices + 1)."""
-    return tokens_per_block * (plan.grid.slice_count + 1)
+    return require_count("tokens_per_block", tokens_per_block, 1) * (plan.grid.slice_count + 1)
 
 
 def render_layout(sequence: list) -> str:

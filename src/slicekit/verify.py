@@ -28,6 +28,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from .counts import require_count
 from .partition import grid_index, grid_table
 
 TWO_LOG2 = 2.0 * math.log(2.0)
@@ -331,12 +332,6 @@ def _part_count(samples: int) -> int:
     return max(1, min(cores, samples // MIN_PART_SIZE))
 
 
-def _require_int(name: str, value) -> None:
-    """Refuse a count that is a bool or not an integer, before numpy sees it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
     """Candidate density check: every candidate grid's log-aspect has another
     candidate within 2*log(2), for every slice count up to n_max, at most MAX_TABLE_BANDS (the bands a selection
@@ -344,9 +339,7 @@ def enumerate_ratio_bound(n_max: int = 20) -> tuple[bool, float]:
 
     Returns (holds, worst minimal gap).
     """
-    _require_int("n_max", n_max)
-    if not 1 <= n_max <= MAX_TABLE_BANDS:
-        raise ValueError(f"n_max must be between 1 and {MAX_TABLE_BANDS}, got {n_max}")
+    n_max = require_count("n_max", n_max, 1, MAX_TABLE_BANDS)
     holds, worst = True, 0.0
     for n in range(1, n_max + 1):
         grids = grid_table(n)[0]
@@ -366,11 +359,7 @@ def sweep_slice_bounds(grid_density: int = 1500) -> tuple[float, float, float, f
     Ratios are folded; the full symmetric aspect range [1/hi, hi] gives the
     same folded values by symmetry of the score.
     """
-    _require_int("grid_density", grid_density)
-    if grid_density < MIN_GRID_DENSITY:
-        raise ValueError(f"grid density must be >= {MIN_GRID_DENSITY} per axis")
-    if grid_density > MAX_GRID_DENSITY:
-        raise ValueError(f"grid density must be <= {MAX_GRID_DENSITY} per axis")
+    grid_density = require_count("grid_density", grid_density, MIN_GRID_DENSITY, MAX_GRID_DENSITY)
     d = DistributionSpec()
     # open at the low area ratio: start half a step in
     n_vals = d.area_ratio_lo + (np.arange(grid_density) + 0.5) * (d.area_ratio_hi - d.area_ratio_lo) / grid_density
@@ -396,9 +385,7 @@ def monte_carlo_statistics(dists: tuple[DistributionSpec, ...], samples: int = 1
     the leaves' sums up numpy's tree: each sum is bitwise np.sum over the
     whole shard, for any number of parts, and no shard-sized array is made.
     """
-    _require_int("samples", samples)
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"need between 1 and {MAX_SAMPLES} samples, got {samples}")
+    samples, seed = require_count("samples", samples, 1, MAX_SAMPLES), require_count("seed", seed, 0)
     acc = np.zeros(4 * len(dists))  # per spec: sum_r, sum_r2, sum_s, sum_s2
     remaining = samples
     for ss in np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE)):
@@ -467,8 +454,9 @@ VARIANCE_TOL = 0.01
 
 def run_proof_checks(samples: int = 10_000_000, seed: int = 42, grid_density: int = 1500) -> dict:
     """Full verification report for the CLI; JSON-serializable."""
-    _require_int("samples", samples)
-    _require_int("grid_density", grid_density)
+    # every count is checked before any of the work
+    samples, seed = require_count("samples", samples, 1, MAX_SAMPLES), require_count("seed", seed, 0)
+    grid_density = require_count("grid_density", grid_density, MIN_GRID_DENSITY, MAX_GRID_DENSITY)
     holds, worst_gap = enumerate_ratio_bound(20)
     min_r, max_r, min_s, max_s = sweep_slice_bounds(grid_density=grid_density)
     (ratio_stats, area_stats), (alt_ratio, _) = monte_carlo_statistics(

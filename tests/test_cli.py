@@ -295,11 +295,12 @@ class TestGradCheck:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
-    @pytest.mark.parametrize("option, value", [("--dim", "0"), ("--dim", "-3"), ("--dim", "-3000"), ("--queries", "0")])
-    def test_size_below_one_is_a_one_line_error(self, capsys, option, value):
+    @pytest.mark.parametrize("option, value, name", [("--dim", "0", "dim"), ("--dim", "-3", "dim"),
+                                                     ("--dim", "-3000", "dim"), ("--queries", "0", "count_k")])
+    def test_size_below_one_is_a_one_line_error(self, capsys, option, value, name):
         code, out, err = run(capsys, "grad-check", option, value)
         assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
-        assert err.startswith("error: the resampler needs K >= 1 queries of dim >= 1, got ")
+        assert err == f"error: {name} must be >= 1, got {value}\n"
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_tokens_below_one_is_a_one_line_error_naming_the_option(self, capsys, monkeypatch, value):
@@ -492,9 +493,9 @@ class TestProbe:
         assert not (tmp_path / "o.ppm").exists()
 
     @pytest.mark.parametrize("canvas, obj, message", [
-        ('{"w": 600.5, "h": 90}', '"center": [30, 40], "size": 10', "image dimensions must be integers, got 600.5x90"),
-        ('{"w": true, "h": 400}', '"center": [30, 40], "size": 10', "image dimensions must be integers, got Truex400"),
-        ('{"w": 600, "h": "90"}', '"center": [30, 40], "size": 10', "image dimensions must be integers, got 600x'90'"),
+        ('{"w": 600.5, "h": 90}', '"center": [30, 40], "size": 10', "width_px must be an integer, got 600.5"),
+        ('{"w": true, "h": 400}', '"center": [30, 40], "size": 10', "width_px must be an integer, got True"),
+        ('{"w": 600, "h": "90"}', '"center": [30, 40], "size": 10', "height_px must be an integer, got '90'"),
         ('{"w": 600, "h": 400}', '"center": [30, 40], "size": 1e400', "object size must be finite and > 0, got inf"),
         ('{"w": 600, "h": 400}', '"center": [30, 40], "size": NaN', "object size must be finite and > 0, got nan"),
         ('{"w": 600, "h": 400}', '"center": [30, 40, 5], "size": 10', "object center must be two finite numbers, "
@@ -545,7 +546,7 @@ class TestProbe:
     def test_heatmap_rejects_grid_step_below_one(self, capsys, tmp_path, step):
         code, out, err = run(capsys, "probe", "heatmap", "--scene", str(write_scene(tmp_path)), "--grid-step", step)
         assert code == 1 and out == ""
-        assert err == f"error: heatmap grid step must be >= 1 px, got {step}\n"
+        assert err == f"error: grid_step_px must be >= 1, got {step}\n"
 
     @pytest.mark.parametrize("kind", ["phases", "heatmap"])
     def test_canvas_side_beyond_float_range_is_a_one_line_error(self, capsys, tmp_path, kind):

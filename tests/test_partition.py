@@ -96,10 +96,13 @@ def switch_point_images(n_max=20, max_side=4000):
 
 
 class TestImageSize:
-    @pytest.mark.parametrize("w, h", [(600.5, 400), (600.0, 400), (True, 400), (600, False), ("600", 400),
-                                      (None, 400), (600, np.float64(400))])
-    def test_sides_must_be_integers(self, w, h):
-        with pytest.raises(ValueError, match=f"^image dimensions must be integers, got {re.escape(repr(w))}x"):
+    @pytest.mark.parametrize("w, h, bad", [(600.5, 400, "width_px"), (600.0, 400, "width_px"),
+                                           (True, 400, "width_px"), (600, False, "height_px"),
+                                           ("600", 400, "width_px"), (None, 400, "width_px"),
+                                           (600, np.float64(400), "height_px")])
+    def test_sides_must_be_integers(self, w, h, bad):
+        value = w if bad == "width_px" else h
+        with pytest.raises(ValueError, match=f"^{bad} must be an integer, got {re.escape(repr(value))}$"):
             ImageSize(w, h)
 
     def test_numpy_integers_accepted(self):

@@ -207,7 +207,7 @@ class TestCounting:
 
     @pytest.mark.parametrize("step", [0, -5])
     def test_heatmap_rejects_grid_step_below_one(self, step):
-        with pytest.raises(ValueError, match=f"grid step must be >= 1 px, got {step}$"):
+        with pytest.raises(ValueError, match=f"^grid_step_px must be >= 1, got {step}$"):
             heatmap_probe(ImageSize(768, 768), CLUSTER, step)
 
     @pytest.mark.parametrize("canvas, template, shape", [
