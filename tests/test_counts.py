@@ -84,7 +84,8 @@ def test_an_integer_returns_or_is_refused_by_name(function, name, call, value):
 
 @pytest.mark.parametrize("value, message", [
     (True, "k must be an integer, got True"), (np.True_, "k must be an integer, got np.True_"),
-    (2.0, "k must be an integer, got 2.0"), ("3", "k must be an integer, got '3'"), (None, "k must be an integer, got None"),
+    (2.0, "k must be an integer, got 2.0"), ("3", "k must be an integer, got '3'"),
+    (None, "k must be an integer, got None"),
     (0, "k must be >= 1, got 0"), (np.int8(-3), "k must be >= 1, got -3"), (HUGE, f"k must be <= 6, got {HUGE}"),
 ])
 def test_the_three_refusals(value, message):

@@ -282,9 +282,20 @@ class TestSelectPartition:
     @pytest.mark.parametrize("side", [10**6, 10**8])
     def test_cap_refuses_before_cutting_a_slice(self, side):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=rf"^{side}x{side} would be cut into \d+ slices, which exceeds max_N=6$"):
+        with pytest.raises(ValueError,
+                           match=rf"^{side}x{side} would be cut into at least \d+ slices, which exceeds max_N=6$"):
             select_partition(ImageSize(side, side), VIT, 6)
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("side", [10**9, 10**11, 10**62])
+    def test_cap_refuses_from_the_ideal_count_alone(self, side):
+        # every candidate grid for N >= 3 has at least N - 1 slices: none is enumerated when N - 1 exceeds the cap
+        n = ideal_slice_count(ImageSize(side, side), VIT)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{side}x{side} would be cut into at least {n - 1} slices, "
+                                             "which exceeds max_N=6$"):
+            select_partition(ImageSize(side, side), VIT, 6)
+        assert time.perf_counter() - start < 0.1
 
     def test_cap_applies_after_the_whole_image_fallback(self):
         for w, h in SUB_PATCH_SIZES[::7]:
@@ -300,7 +311,8 @@ class TestSelectPartition:
         # the cap reads the chosen grid, so under max_N the image is refused rather than passed as one slice
         plan = select_partition(ImageSize(side, side), VIT)
         assert (plan.ideal_n, plan.grid, plan.slice_rects) == (5938, SliceGrid(1, 1), (PixelRect(0, 0, side, side),))
-        with pytest.raises(ValueError, match=f"^{side}x{side} would be cut into 5937 slices, which exceeds max_N=6$"):
+        with pytest.raises(ValueError,
+                           match=f"^{side}x{side} would be cut into at least 5937 slices, which exceeds max_N=6$"):
             select_partition(ImageSize(side, side), VIT, 6)
 
     @pytest.mark.parametrize("w, h", [(5, 5), (13, 4000), (4000, 13), (13, 14)])
