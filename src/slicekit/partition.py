@@ -9,6 +9,7 @@ partition: exact pixel rectangles and a patch grid for every encoder block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -96,15 +97,18 @@ def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchG
     axis, giving lo_c <= hi_c and lo_r <= hi_r.  The candidates are the four corners within M, and the cells just
     under M in the box [1, hi_c] x [1, hi_r]: (M // r, r) for each r in it with hi_c*r > M, and (c, M // c) for
     each c in it with c*hi_r > M.  Of those, the grid with the smallest |log(c/r) - log(a)| wins; ties go to more
-    tokens, then more columns.
+    tokens, then more columns.  A slice whose M*a or M/a is past float range is refused.
     """
     if not (vit.patch_px <= slice_w_px < math.inf and vit.patch_px <= slice_h_px < math.inf):
         raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is not finite or is smaller than one "
                          f"{vit.patch_px}px patch")
     budget = vit.token_budget
+    # an int side past float range has no float aspect; two sides within it divide without overflow
+    aspect = slice_w_px / slice_h_px if max(slice_w_px, slice_h_px) <= sys.float_info.max else math.inf
+    if not budget / sys.float_info.max < aspect < sys.float_info.max / budget:
+        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} has an aspect ratio beyond float range")
     cap_c = int(slice_w_px // vit.patch_px)
     cap_r = int(slice_h_px // vit.patch_px)
-    aspect = slice_w_px / slice_h_px
     ideal_c = math.sqrt(budget * aspect)
     ideal_r = math.sqrt(budget / aspect)
 

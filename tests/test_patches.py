@@ -124,6 +124,12 @@ class TestFitPatchGrid:
         for w, h in sides:
             assert fit_patch_grid(w, h, vit) == search_fit_patch_grid(w, h, vit), (w, h)
 
+    @pytest.mark.parametrize("w, h", [(1.7e308, 14), (14, 1.7e308), (10**400, 14), (14, 10**400), (1e300, 10**400)])
+    def test_aspect_beyond_float_range_rejected(self, w, h):
+        with pytest.raises(ValueError, match=re.escape(f"degenerate slice: {w}x{h} has an aspect ratio beyond float "
+                                                       "range") + "$"):
+            fit_patch_grid(w, h, VIT)
+
     @pytest.mark.parametrize("fit", [lambda: fit_patch_grid(1e300, 400, VIT),
                                      lambda: overview_grid(ImageSize(10**12, 14), VIT)])
     def test_extreme_aspect_in_bounded_time(self, fit):
