@@ -308,7 +308,7 @@ class TestSelectPartition:
     @pytest.mark.parametrize("side", [25890, 25891])
     def test_large_image_kept_whole_only_when_uncapped(self, side):
         # at N = 5938 the score chooses 1979x3, whose slices are 13 px wide: uncapped, the image is kept whole;
-        # the cap reads the chosen grid, so under max_N the image is refused rather than passed as one slice
+        # under max_N the image is refused (its N - 1 = 5937 already exceeds the cap) rather than passed as one slice
         plan = select_partition(ImageSize(side, side), VIT)
         assert (plan.ideal_n, plan.grid, plan.slice_rects) == (5938, SliceGrid(1, 1), (PixelRect(0, 0, side, side),))
         with pytest.raises(ValueError,
