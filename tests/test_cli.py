@@ -297,7 +297,8 @@ class TestGradCheck:
         assert json.loads(out)["pass"] is True
 
     @pytest.mark.parametrize("option, value, name", [("--dim", "0", "dim"), ("--dim", "-3", "dim"),
-                                                     ("--dim", "-3000", "dim"), ("--queries", "0", "count_k")])
+                                                     ("--dim", "-3000", "dim"), ("--queries", "0", "count_k")],
+                             ids=["--dim-0", "--dim--3", "--dim--3000", "--queries-0"])
     def test_size_below_one_is_a_one_line_error(self, capsys, option, value, name):
         code, out, err = run(capsys, "grad-check", option, value)
         assert code == 1 and out == "" and len(err.strip().splitlines()) == 1

@@ -99,7 +99,9 @@ class TestImageSize:
     @pytest.mark.parametrize("w, h, bad", [(600.5, 400, "width_px"), (600.0, 400, "width_px"),
                                            (True, 400, "width_px"), (600, False, "height_px"),
                                            ("600", 400, "width_px"), (None, 400, "width_px"),
-                                           (600, np.float64(400), "height_px")])
+                                           (600, np.float64(400), "height_px")],
+                             ids=["600.5-400", "600.0-400", "True-400", "600-False", "600-400", "None-400",
+                                  "600-400.0"])
     def test_sides_must_be_integers(self, w, h, bad):
         value = w if bad == "width_px" else h
         with pytest.raises(ValueError, match=f"^{bad} must be an integer, got {re.escape(repr(value))}$"):

@@ -540,7 +540,8 @@ class TestInit:
 
     @pytest.mark.parametrize("count_k, dim, message", [(0, 16, "count_k must be >= 1, got 0"),
                                                        (4, 0, "dim must be >= 1, got 0"),
-                                                       (4, -3, "dim must be >= 1, got -3")])
+                                                       (4, -3, "dim must be >= 1, got -3")],
+                             ids=["0-16", "4-0", "4--3"])
     def test_init_rejects_sizes_below_one_before_drawing(self, count_k, dim, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             init_resampler(count_k, dim, 0)
