@@ -93,7 +93,8 @@ def cmd_compress(args, cfg: AppConfig) -> int:
 def cmd_grad_check(args, cfg: AppConfig) -> int:
     if not 0 < args.tolerance < math.inf:
         raise ValueError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
-    require_count("--tokens", args.tokens, 1)
+    for option, value in (("--queries", args.queries), ("--tokens", args.tokens), ("--dim", args.dim)):
+        require_count(option, value, 1)
 
     import numpy as np
 
@@ -111,6 +112,7 @@ def cmd_grad_check(args, cfg: AppConfig) -> int:
 
 
 def cmd_cost(args, cfg: AppConfig) -> int:
+    require_count("--text-tokens", args.text_tokens, 0, cost.MAX_COUNT)
     if args.compare_with is None:
         report = cost.estimate_flops(cfg.dims, args.image, args.strategy, args.text_tokens, cfg.vit, cfg.max_slices)
         _emit(report.to_json_dict(), cfg, args.out)
@@ -148,6 +150,8 @@ def cmd_probe(args, cfg: AppConfig) -> int:
         payload = {"effective_fraction": probes.padding_waste(args.aspect_w, args.aspect_h)}
         scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h) if args.ppm else None
     else:
+        if args.kind == "heatmap":
+            require_count("--grid-step", args.grid_step, 1)
         scene = _load_scene(args.scene)
         try:
             if args.kind == "heatmap":
@@ -188,7 +192,7 @@ def cmd_interp_pe(args, cfg: AppConfig) -> int:
     from . import binio
     from .patches import interpolate_pos_embed
 
-    target = PatchGrid(cols=args.cols, rows=args.rows)
+    target = PatchGrid(cols=require_count("--cols", args.cols, 1), rows=require_count("--rows", args.rows, 1))
     if target.tokens > cfg.vit.token_budget:
         raise ValueError(f"--rows x --cols = {target.tokens} exceeds the encoder's "
                          f"token budget M={cfg.vit.token_budget}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .cost import ModelDims, load_model_dims
 from .jsonfile import load_json_file
-from .partition import VitSpec
+from .partition import MAX_SLICES, VitSpec
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ def _positive(value: int) -> bool:
 # bool is never taken for an integer
 _KEYS = {
     "vit": ("vit", dict, "an object", None),
-    "max_N": ("max_slices", int, "an integer >= 1", _positive),
+    "max_N": ("max_slices", int, f"an integer from 1 to {MAX_SLICES}", lambda v: 1 <= v <= MAX_SLICES),
     "seed": ("seed", int, "an integer >= 0", lambda v: v >= 0),
     "format": ("output_format", str, '"json" or "text"', lambda v: v in ("json", "text")),
     "model_dims": ("dims", (str, type(None)), "a string or null", None),

@@ -15,6 +15,10 @@ from functools import lru_cache
 
 from .counts import require_count
 
+# most slices a plan may be cut into, capped or not: an N up to 10^4 + 1 factors in microseconds and a plan holds at
+# most 10^4 PixelRects; the tests' largest plan, 25891x25891 at N = 5938, is inside it
+MAX_SLICES = 10**4
+
 
 class _Counts:
     """A frozen dataclass whose every field is a count of at least 1, kept as an int."""
@@ -168,8 +172,9 @@ def ideal_slice_count(image: ImageSize, vit: VitSpec) -> int:
 
 
 def candidate_grids(n: int) -> set[SliceGrid]:
-    """All column/row factorizations of n-1, n and n+1 (0 slices excluded)."""
-    n = require_count("n", n, 1)
+    """All column/row factorizations of n-1, n and n+1 (0 slices excluded), for n up to MAX_SLICES + 1: the greatest
+    ideal count a plan reaches, since it refuses an n - 1 above its cap."""
+    n = require_count("n", n, 1, MAX_SLICES + 1)
     out: set[SliceGrid] = set()
     for target in (n - 1, n, n + 1):
         for m in range(1, math.isqrt(target) + 1):
@@ -254,15 +259,16 @@ def select_partition(image: ImageSize, vit: VitSpec, max_slices: int | None = No
     of every plan can be fitted a patch grid.  A grid of more than max_slices slices (the config's max_N) is refused
     before any slice is cut: at N >= 2 the grid the score chose, so that the 1x1 fallback lets no large image through
     whole.  Every candidate grid for N >= 3 has at least N - 1 slices, so an N - 1 above the cap is refused from N
-    alone, before the candidates are enumerated.
+    alone, before the candidates are enumerated.  Without max_slices the cap is MAX_SLICES, which also bounds it.
     """
-    cap = math.inf if max_slices is None else require_count("max_slices", max_slices, 1)
+    cap, bound = ((MAX_SLICES, "MAX_SLICES") if max_slices is None
+                  else (require_count("max_slices", max_slices, 1, MAX_SLICES), "max_N"))
     if min(image.width_px, image.height_px) < vit.patch_px:
         raise ValueError(f"image {image.width_px}x{image.height_px} has a side below one {vit.patch_px}px patch")
     n = ideal_slice_count(image, vit)
     if n - 1 > cap:
         raise ValueError(f"{image.width_px}x{image.height_px} would be cut into at least {n - 1} slices, "
-                         f"which exceeds max_N={cap}")
+                         f"which exceeds {bound}={cap}")
     p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
     chosen = grid_table(n)[0][grid_index(n, p * p, q * q)]
     thin = image.width_px // chosen.cols_m < vit.patch_px or image.height_px // chosen.rows_n < vit.patch_px
@@ -270,7 +276,7 @@ def select_partition(image: ImageSize, vit: VitSpec, max_slices: int | None = No
     capped = grid if n == 1 else chosen
     if capped.slice_count > cap:
         raise ValueError(f"{image.width_px}x{image.height_px} would be cut into {capped.slice_count} slices, "
-                         f"which exceeds max_N={cap}")
+                         f"which exceeds {bound}={cap}")
     return PartitionPlan(
         image=image,
         vit=vit,

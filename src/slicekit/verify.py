@@ -41,7 +41,9 @@ MAX_SAMPLES = 10**9  # Monte Carlo samples per statistic; about 30 s at 3*10^7 s
 CHUNK_SIZE = 2**15  # samples per chunk of grid selection, so that its temporaries stay in L2
 MAX_TABLE_BANDS = 2**10  # widest band range of a selection table: of a spec's area ratios, or of one call's samples
 MAX_ASPECT = 1e6  # greatest aspect_hi: aspect^2, sums of squares over MAX_SAMPLES draws and expm1 stay finite
-SWITCHES_PER_BIN = 2  # most thresholds of one band in an aspect^2 bin of a selection table: comparisons per sample
+TABLE_BYTES = 2**20  # most bytes of a selection table's above, rows and cols at one comparison per sample; past it, two
+MAGIC = 3 << 51  # 1.5 * 2^52: an integer float within 2^51 of it holds MAGIC's bits plus its offset from MAGIC
+MAGIC_BITS = int(np.float64(MAGIC).view(np.int64))
 SWITCH_ULPS = 4  # floats either side of num/den within which each switch's threshold is searched
 
 
@@ -84,6 +86,11 @@ class StatReport:
     std_error: float
     seed: int
 
+    def __post_init__(self):
+        for name in ("expectation", "variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -113,12 +120,14 @@ class _SelectionTable:
     aspect^2.
 
     A positive double's int64 bits are monotone in its value, so ``bits >> shift`` bins aspect^2 (``edges``: the
-    lowest bin's least float, the highest's greatest) with at most k = SWITCHES_PER_BIN thresholds of one band in
-    any bin.  Cell ``c = row * bins + bin - low_bin`` owns slots ``(k + 1) * c + p``, p = 0..k: ``above`` holds the
-    p-th threshold from the bin up (NaN past the band's last), and ``rows``, ``cols`` the grid chosen past p of them.
-    The thresholds ascend, so adding ``x >= above[slot]`` to the slot k times from p = 0 lands on a sample's grid."""
+    lowest bin's least float, the highest's greatest) with at most k thresholds of one band in any bin: k = 1 where
+    that table fits TABLE_BYTES, else 2.  Cell ``c = row * bins + bin - low_bin`` owns slots ``(k + 1) * c + p``,
+    p = 0..k: ``above`` holds the p-th threshold from the bin up (NaN past the band's last), and ``rows``, ``cols``
+    the grid chosen past p of them.  The thresholds ascend, so adding ``x >= above[slot]`` to the slot k times from
+    p = 0 lands on a sample's grid."""
 
     bands: range
+    k: int
     shift: int
     low_bin: int
     bins: int
@@ -128,18 +137,26 @@ class _SelectionTable:
     cols: np.ndarray
 
 
+def _bins(bits: np.ndarray, row: np.ndarray, k: int) -> tuple[int, int, int]:
+    """(shift, low_bin, bins) of the coarsest bins, shift <= 52, with at most k of the thresholds (bits, ascending
+    within each row) of one row in any bin: each pair k apart in a row must differ in a bit at or above the shift."""
+    apart = (bits[k:] ^ bits[:-k])[row[k:] == row[:-k]]
+    shift = min(52, int(apart.min(initial=1 << 53)).bit_length() - 1)
+    low_bin = int(bits.min() >> shift)
+    return shift, low_bin, int(bits.max() >> shift) - low_bin + 1
+
+
 @lru_cache(maxsize=8)
 def _selection_table(bands: range) -> _SelectionTable:
     thresholds = [_switch_thresholds(n) for n in bands]
     row = np.repeat(np.arange(len(bands)), [t.size for t in thresholds])
     bits = np.concatenate(thresholds).view(np.int64)
-    k = SWITCHES_PER_BIN
-    # the coarsest bins with at most k thresholds of one band in any of them (the thresholds ascend within a band)
-    same_row = row[k:] == row[:-k]
-    shift = next(s for s in range(52, -1, -1) if not (same_row & (bits[k:] >> s == bits[:-k] >> s)).any())
+    # one comparison per sample where the k = 1 table's three float64 arrays of 2 slots per cell fit, sized from its
+    # bins before any of it is made (bands 1-20 take 135 KB; 1-1023 would take 1.0 GB), else two
+    k = 1 if 3 * 8 * 2 * len(bands) * _bins(bits, row, 1)[2] <= TABLE_BYTES else 2
+    shift, low_bin, bins = _bins(bits, row, k)
+    assert bands[-1] * bins + low_bin < 2**51, "_grids adds band offsets to MAGIC, exact within 2^51 of it"
     keys = bits >> shift
-    low_bin, bins = int(keys.min()), int(keys.max() - keys.min()) + 1
-    assert low_bin + bins < 2**53, "_grids adds bin keys to band offsets in float64, exact below 2^53"
     edges = ((np.array([low_bin, low_bin + bins]) << shift) - [0, 1]).view(np.float64)
     # thresholds below each (row, bin) in row-major order; past them, a cell's slots
     per_cell = np.bincount(row * bins + keys - low_bin, minlength=len(bands) * bins)
@@ -153,7 +170,7 @@ def _selection_table(bands: range) -> _SelectionTable:
     above = padded[below + (k + 1) * cell_row].ravel()
     for a in (above, rows, cols):
         a.flags.writeable = False
-    return _SelectionTable(bands, shift, low_bin, bins, tuple(edges.tolist()), above, rows, cols)
+    return _SelectionTable(bands, k, shift, low_bin, bins, tuple(edges.tolist()), above, rows, cols)
 
 
 def _range_table(low: float, high: float) -> _SelectionTable:
@@ -177,7 +194,7 @@ def _grids(area: np.ndarray, aspect: np.ndarray, table: _SelectionTable, buffers
            clamp: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols), in the last two _chunk_buffers, of the grid grid_index(max(ceil(area), 1), aspect^2, 1) chooses
     for each of at most CHUNK_SIZE samples whose bands the table holds; clamp raises a band below the table's first
-    (an area <= 0) to it.  No sort, gather or scatter: a bin look-up and SWITCHES_PER_BIN comparisons each."""
+    (an area <= 0) to it.  No sort, gather or scatter: a bin look-up and table.k comparisons each."""
     x, slot, passed, rows, cols = (b[:area.size] for b in buffers)
     np.multiply(aspect, aspect, out=x, dtype=np.float64)  # as grid_index squares a float64 aspect, overflow included
     # clipped into the table's bins; NaN, negatives, zeros and subnormals go to the lowest, where none passes
@@ -185,17 +202,18 @@ def _grids(area: np.ndarray, aspect: np.ndarray, table: _SelectionTable, buffers
     np.fmax(x, table.edges[0], out=clipped)
     np.minimum(clipped, table.edges[1], out=clipped)
     np.right_shift(slot, table.shift, out=slot)
-    # plus the band's row * bins - low_bin, in one float pass: every value is an integer below 2^53, so exact
+    # plus the band's row * bins - low_bin, as the bits of MAGIC plus it: every float is an integer, so exact
     band = rows  # free until the grids are gathered
     np.ceil(area, out=band)
     first = table.bands.start
     if clamp:
         np.maximum(band, first, out=band)
     band *= table.bins
-    band += -first * table.bins - table.low_bin
-    np.add(slot, band, out=slot, casting="unsafe")
-    slot *= SWITCHES_PER_BIN + 1
-    for _ in range(SWITCHES_PER_BIN):
+    band += MAGIC - first * table.bins - table.low_bin
+    slot += band.view(np.int64)
+    slot -= MAGIC_BITS
+    slot *= table.k + 1
+    for _ in range(table.k):
         np.take(table.above, slot, out=band, mode="clip")
         np.greater_equal(x, band, out=passed)
         slot += passed
@@ -258,9 +276,11 @@ def _pairwise(n: int, leaf):
 
 
 def _uniform(u: np.ndarray, low: float, high: float, out: np.ndarray) -> np.ndarray:
-    """low + (high - low) * u into out, rounded in the same two steps as Generator.uniform."""
+    """low + (high - low) * u into out, rounded in the same two steps as Generator.uniform: adding a zero low to
+    the non-negative product changes no bit, so that step is skipped."""
     np.multiply(u, high - low, out=out)
-    out += low
+    if low:
+        out += low
     return out
 
 
@@ -400,7 +420,8 @@ def monte_carlo_statistics(dists: tuple[DistributionSpec, ...], samples: int = 1
 
     def report(total: float, total_sq: float) -> StatReport:
         mean = total / samples
-        var = max(0.0, total_sq / samples - mean * mean)
+        var = total_sq / samples - mean * mean
+        var = 0.0 if var < 0.0 else var  # a negative rounding; a NaN stays, for StatReport to refuse
         return StatReport(
             expectation=float(mean),
             variance=float(var),

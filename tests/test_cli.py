@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import slicekit
 from slicekit import binio, cost, probes
 from slicekit.cli import main
+from slicekit.partition import MAX_SLICES
 from slicekit.patches import PosEmbedGrid
 
 # two objects on a canvas below one 512px tile; scaled up by 8 it spans 2x2 overlapping tiles
@@ -137,7 +138,8 @@ class TestConfig:
          ({"vit": {"w": 336.0}}, "vit.w"), ({"vit": {"h": False}}, "vit.h"),
          # out of range: the error names the config key, not the AppConfig field
          ({"max_N": 0}, "max_N"), ({"vit": {"patch": -14}}, "vit.patch"), ({"vit": {"w": 0}}, "vit.w"),
-         ({"vit": {"w": 300}}, "vit"), ({"seed": -5}, "seed"), ({"seed": -1}, "seed")],
+         ({"vit": {"w": 300}}, "vit"), ({"seed": -5}, "seed"), ({"seed": -1}, "seed"),
+         ({"max_N": MAX_SLICES + 1}, "max_N"), ({"max_N": 10**12}, "max_N")],
     )
     def test_wrong_value_type_rejected(self, capsys, tmp_path, raw, key):
         cfg = tmp_path / "cfg.json"
@@ -146,6 +148,16 @@ class TestConfig:
         assert code == 1
         assert out == ""
         assert f"config key {key} " in err and len(err.strip().splitlines()) == 1
+
+    def test_max_n_past_max_slices_is_refused_before_planning(self, capsys, tmp_path):
+        # a cap of 10^12 used to let plan 300000x300000 run for 25 s, cut into 797,194 slices
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_N": 10**12}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--config", str(cfg), "plan", "300000x300000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"error: config key max_N must be an integer from 1 to {MAX_SLICES}, "
+                                           f"got {10**12}\n")
 
     @pytest.mark.parametrize("argv", [("grad-check",), ("verify", "proofs"), ("plan", "672x1008")])
     def test_negative_seed_names_the_option(self, capsys, argv):
@@ -238,13 +250,13 @@ class TestCost:
     def test_negative_text_tokens_rejected(self, capsys):
         code, out, err = run(capsys, "cost", "--image", "672x1008", "--text-tokens", "-5000")
         assert code == 1
-        assert out == "" and err == "error: text_tokens must be >= 0, got -5000\n"
+        assert out == "" and err == "error: --text-tokens must be >= 0, got -5000\n"
 
     def test_text_tokens_past_max_count_names_the_argument(self, capsys):
         # 400 nines overflow a float in the FLOP products
         nines = "9" * 400
         code, out, err = run(capsys, "cost", "--image", "672x1008", "--text-tokens", nines)
-        assert (code, out, err) == (1, "", f"error: text_tokens must be <= {cost.MAX_COUNT}, got {nines}\n")
+        assert (code, out, err) == (1, "", f"error: --text-tokens must be <= {cost.MAX_COUNT}, got {nines}\n")
 
     @pytest.mark.parametrize("section, key",
                              [("llm", "layers"), ("encoder", "hidden_dim"), ("projector", "mlp_hidden_dim")])
@@ -296,13 +308,13 @@ class TestGradCheck:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
-    @pytest.mark.parametrize("option, value, name", [("--dim", "0", "dim"), ("--dim", "-3", "dim"),
-                                                     ("--dim", "-3000", "dim"), ("--queries", "0", "count_k")],
-                             ids=["--dim-0", "--dim--3", "--dim--3000", "--queries-0"])
-    def test_size_below_one_is_a_one_line_error(self, capsys, option, value, name):
+    @pytest.mark.parametrize("option, value", [("--dim", "0"), ("--dim", "-3"), ("--dim", "-3000"), ("--queries", "0"),
+                                               ("--queries", "-2")],
+                             ids=["--dim-0", "--dim--3", "--dim--3000", "--queries-0", "--queries--2"])
+    def test_size_below_one_is_a_one_line_error(self, capsys, option, value):
         code, out, err = run(capsys, "grad-check", option, value)
         assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
-        assert err == f"error: {name} must be >= 1, got {value}\n"
+        assert err == f"error: {option} must be >= 1, got {value}\n"
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_tokens_below_one_is_a_one_line_error_naming_the_option(self, capsys, monkeypatch, value):
@@ -548,7 +560,7 @@ class TestProbe:
     def test_heatmap_rejects_grid_step_below_one(self, capsys, tmp_path, step):
         code, out, err = run(capsys, "probe", "heatmap", "--scene", str(write_scene(tmp_path)), "--grid-step", step)
         assert code == 1 and out == ""
-        assert err == f"error: grid_step_px must be >= 1, got {step}\n"
+        assert err == f"error: --grid-step must be >= 1, got {step}\n"
 
     @pytest.mark.parametrize("kind", ["phases", "heatmap"])
     def test_canvas_side_beyond_float_range_is_a_one_line_error(self, capsys, tmp_path, kind):
@@ -648,6 +660,13 @@ class TestInterpPe:
         grid = binio.grid_from_bytes(dst.read_bytes())
         assert (grid.rows, grid.cols, grid.dim) == (17, 33, 8)
         assert "24x24x8 -> 17x33x8" in out
+
+    @pytest.mark.parametrize("rows, cols, option, value", [("0", "3", "--rows", "0"), ("3", "0", "--cols", "0"),
+                                                           ("-1", "0", "--cols", "0"), ("-4", "3", "--rows", "-4")])
+    def test_rows_or_cols_below_one_names_the_option(self, capsys, tmp_path, rows, cols, option, value):
+        code, out, err = run(capsys, "interp-pe", str(tmp_path / "missing.bin"), str(tmp_path / "o.bin"),
+                             "--rows", rows, "--cols", cols)
+        assert (code, out, err) == (1, "", f"error: {option} must be >= 1, got {value}\n")
 
     @pytest.mark.parametrize("rows, cols", [(100000, 100000), (577, 1), (1, 577), (25, 24)])
     def test_target_over_token_budget_rejected_before_reading(self, capsys, tmp_path, rows, cols):

@@ -49,9 +49,8 @@ ROUTED = [
 ]
 IDS = [f"{function}:{name}" for function, name, _ in ROUTED]
 HUGE = 10**400
-# an in-range value of count_k, dim or tokens_per_block sizes an allocation; candidate_grids trial-divides n - 1, n
-# and n + 1 up to their square roots, which does not end at 400 digits (a plan refuses such an n only under max_N)
-NO_HUGE = {"count_k", "dim", "tokens_per_block", "n"}
+# an in-range value of count_k, dim or tokens_per_block sizes an allocation
+NO_HUGE = {"count_k", "dim", "tokens_per_block"}
 
 
 def outcome(call, value):

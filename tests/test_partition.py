@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from slicekit.config import AppConfig
 from slicekit.partition import (
+    MAX_SLICES,
     ImageSize,
     PixelRect,
     SliceGrid,
@@ -130,11 +131,19 @@ class TestCandidateGrids:
         got = {(g.cols_m, g.rows_n) for g in candidate_grids(n)}
         assert got == brute_force_candidates(n)
 
-    @pytest.mark.parametrize("n", [4095, 65536, 99_991, 1_000_000])
+    @pytest.mark.parametrize("n", [4095, 9973, 10_000, MAX_SLICES + 1])
     def test_large_counts_match_trial_division(self, n):
-        """Divisor pairs up to isqrt give every factorization; the counts include squares and their neighbours."""
+        """Divisor pairs up to isqrt give every factorization; the counts include squares and their neighbours, a
+        prime and the greatest count a plan reaches."""
         got = {(g.cols_m, g.rows_n) for g in candidate_grids(n)}
         assert got == {(m, t // m) for t in (n - 1, n, n + 1) for m in range(1, t + 1) if t % m == 0}
+
+    @pytest.mark.parametrize("n", [MAX_SLICES + 2, 10**400])
+    def test_a_count_no_plan_reaches_is_refused(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^n must be <= {MAX_SLICES + 1}, got {n}$"):
+            candidate_grids(n)
+        assert time.perf_counter() - start < 0.1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -298,6 +307,25 @@ class TestSelectPartition:
                                              "which exceeds max_N=6$"):
             select_partition(ImageSize(side, side), VIT, 6)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("side", [300_000, 10**7, 10**62])
+    def test_uncapped_plan_past_max_slices_is_refused_from_the_ideal_count_alone(self, side):
+        # 10^7 x 10^7 used to trial-divide N ~ 8.9 * 10^8 and cut a PixelRect per slice, past 60 s
+        n = ideal_slice_count(ImageSize(side, side), VIT)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{side}x{side} would be cut into at least {n - 1} slices, "
+                                             f"which exceeds MAX_SLICES={MAX_SLICES}$"):
+            select_partition(ImageSize(side, side), VIT)
+        assert time.perf_counter() - start < 0.1
+
+    def test_an_uncapped_plan_is_capped_at_max_slices(self):
+        # N = MAX_SLICES + 1 is still planned: into 100x100 here, and refused where the score chooses N slices
+        assert select_partition(ImageSize(33600, 33601), VIT).grid == SliceGrid(100, 100)
+        with pytest.raises(ValueError, match=f"^3360336x336 would be cut into {MAX_SLICES + 1} slices, "
+                                             f"which exceeds MAX_SLICES={MAX_SLICES}$"):
+            select_partition(ImageSize(336 * (MAX_SLICES + 1), 336), VIT)
+        with pytest.raises(ValueError, match=f"^max_slices must be <= {MAX_SLICES}, got {MAX_SLICES + 1}$"):
+            select_partition(ImageSize(336, 336), VIT, MAX_SLICES + 1)
 
     def test_cap_applies_after_the_whole_image_fallback(self):
         for w, h in SUB_PATCH_SIZES[::7]:

@@ -32,6 +32,7 @@ from slicekit.verify import (
     MC_SHARD_SIZE,
     MIN_GRID_DENSITY,
     MIN_PART_SIZE,
+    TABLE_BYTES,
     TWO_LOG2,
     DistributionSpec,
     StatReport,
@@ -285,6 +286,49 @@ class TestThresholdSelection:
         table = slicekit.verify._selection_table(range(1, 301))
         assert sum(a.nbytes for a in (table.above, table.rows, table.cols)) <= 2**20
 
+    @pytest.mark.parametrize("bands, k", [(range(1, 4), 1), (range(1, 21), 1), (range(2, 21), 1), (range(1, 301), 2),
+                                          (range(1, MAX_TABLE_BANDS + 1), 2)],
+                             ids=["1-3", "1-20", "2-20", "1-300", "1-1024"])
+    def test_one_comparison_where_that_table_fits_the_byte_budget(self, bands, k):
+        # the Monte Carlo's two specs and the sweep read the k = 1 tables
+        table = slicekit.verify._selection_table(bands)
+        thresholds = [slicekit.verify._switch_thresholds(n) for n in bands]
+        row = np.repeat(np.arange(len(bands)), [t.size for t in thresholds])
+        bins = slicekit.verify._bins(np.concatenate(thresholds).view(np.int64), row, 1)[2]
+        one_comparison_bytes = 3 * 8 * 2 * len(bands) * bins
+        assert table.k == k and (one_comparison_bytes <= TABLE_BYTES) == (k == 1)
+        assert table.above.size == table.rows.size == table.cols.size == (k + 1) * len(bands) * table.bins
+        if k == 1:
+            assert one_comparison_bytes == sum(a.nbytes for a in (table.above, table.rows, table.cols))
+
+    def test_building_the_widest_table_peaks_no_higher_than_before_the_byte_budget(self):
+        bands = range(1, MAX_TABLE_BANDS + 1)
+        for n in bands:  # cached, as every build after the first finds them
+            slicekit.verify._switch_thresholds(n)
+        tracemalloc.start()
+        try:
+            table = slicekit.verify._selection_table.__wrapped__(bands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2.39 times the kept arrays with two comparisons for every table; its k = 1 table would take 1.0 GB
+        assert table.k == 2 and peak <= 2.4 * sum(a.nbytes for a in (table.above, table.rows, table.cols)), peak
+
+    @pytest.mark.parametrize("last, k", [(20, 1), (300, 2)], ids=["1-20", "1-300"])
+    def test_equals_grid_index_on_special_values_and_the_edge_cells(self, last, k):
+        # areas at or below 0 are raised to band 1; aspects past the lowest or highest bin land in the first or last
+        # cell of their band, and each table's first cell is band 1's lowest bin, its last band last's highest
+        low, high = slicekit.verify._selection_table(range(1, last + 1)).edges
+        areas = [-3.0, -0.0, 0.0, 5e-324, 0.25, 1.0, math.nextafter(1, 2), last / 2, last - 0.5, float(last)]
+        aspects = [math.nan, -math.nan, 0.0, -0.0, 5e-324, 1e-310, 2.0**-537, -2.5, 1e200, -1e200, 1.7e308, math.inf,
+                   -math.inf, *np.sqrt([low, math.nextafter(low, 0), math.nextafter(low, math.inf), high,
+                                        math.nextafter(high, 0), math.nextafter(high, math.inf)]).tolist()]
+        area, aspect = (a.ravel() for a in np.meshgrid(areas, aspects, indexing="ij"))
+        assert slicekit.verify._range_table(area.min(), area.max()).k == k
+        with np.errstate(over="ignore"):
+            cols, rows = select_grids_vectorized(area, aspect)
+            assert (cols.tolist(), rows.tolist()) == tuple(x.tolist() for x in chosen_by_grid_index(area, aspect))
+
     def test_specs_and_sweep_build_each_table_once(self):
         def run():
             monte_carlo_expectations(DistributionSpec(), 10**6, 5)
@@ -414,6 +458,14 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_expectations(DistributionSpec(), samples=0)
+
+    @pytest.mark.parametrize("field", ["expectation", "variance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_report_refuses_a_statistic_that_is_not_finite(self, field, value):
+        # the variance used to pass through max(0.0, ...), which reads a NaN as 0.0
+        stats = {"expectation": 1.25, "variance": 0.04, "samples": 10, "std_error": 0.06, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            StatReport(**stats)
 
     @pytest.mark.parametrize("samples", [10.5, 1e6, True, "100"])
     def test_a_sample_count_that_is_not_an_integer_is_refused(self, samples):
