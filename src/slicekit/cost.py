@@ -104,13 +104,6 @@ def load_model_dims(path: str | None = None) -> ModelDims:
     )
 
 
-def vit_token_count(width_px: int, height_px: int, patch_px: int) -> int:
-    """Patch tokens for an image encoded whole: (w/patch) * (h/patch)."""
-    if width_px % patch_px or height_px % patch_px:
-        raise ValueError("dimensions must be multiples of the patch size")
-    return (width_px // patch_px) * (height_px // patch_px)
-
-
 def transformer_stack_flops(dims: StackDims, tokens: int) -> float:
     d, f = dims.hidden_dim, dims.ffn_dim
     per_layer = 8.0 * tokens * d * d + 4.0 * tokens * tokens * d + 4.0 * tokens * d * f

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .counts import require_count
@@ -24,8 +24,8 @@ class _Counts:
     """A frozen dataclass whose every field is a count of at least 1, kept as an int."""
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, require_count(f.name, getattr(self, f.name), 1))
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, require_count(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True)

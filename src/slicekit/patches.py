@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import read_only
+from .counts import require_count
 from .partition import PatchGrid, fit_patch_grid, overview_grid  # noqa: F401  (re-exported)
 
 
@@ -41,11 +42,12 @@ class PosEmbedGrid:
 
 def reshape_pos_embed_1d_to_2d(seq: np.ndarray, q: int) -> PosEmbedGrid:
     """Row-major reshape of an (M, dim) embedding sequence to (q, q, dim)."""
+    q = require_count("q", q, 1)
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 2:
         raise ValueError("embedding sequence must be a 2D (tokens, dim) array")
     if seq.shape[0] != q * q:
-        raise ValueError(f"sequence length {seq.shape[0]} is not q^2 = {q * q}")
+        raise ValueError(f"q must be the square root of the sequence length {seq.shape[0]}, got {q}")
     return PosEmbedGrid(values=seq.reshape(q, q, seq.shape[1]))
 
 

@@ -162,11 +162,6 @@ def object_multiplicity(obj: SceneObject, cover: SliceCover) -> int:
     return _tiles_holding(cover.xs, x) * _tiles_holding(cover.ys, y)
 
 
-def simulate_count(scene: SyntheticScene, cover: SliceCover) -> int:
-    """Predicted answer: each object counted once per tile covering its center."""
-    return sum(object_multiplicity(obj, cover) for obj in scene.objects)
-
-
 def heatmap_probe(
     canvas: ImageSize,
     object_template: tuple[SceneObject, ...],

@@ -256,17 +256,15 @@ def check_fd_work(k: int, t: int, d: int) -> None:
                          f"differences, more than the limit of {FD_MAX_MULTIPLY_ADDS:.0e}")
 
 
-def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, eps: float = 1e-3,
-               probe_direction: np.ndarray | None = None) -> dict[str, float]:
-    """Compare analytic gradients against four-point finite differences with step ``eps``.
+def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, eps: float = 1e-3) -> dict[str, float]:
+    """Compare analytic gradients of the sum of the output against four-point finite differences with step ``eps``.
 
     Returns per-parameter relative errors plus the overall maximum under the key ``max_rel_err``.
     """
     if not (0.0 < eps <= 1e-3):
         raise ValueError("eps must be in (0, 1e-3]")
     check_fd_work(queries.count_k, tokens.count, params.dim)
-    probe = (np.ones((queries.count_k, params.dim)) if probe_direction is None
-             else np.asarray(probe_direction, dtype=np.float64))
+    probe = np.ones((queries.count_k, params.dim))
     analytic = _gradients(queries, tokens, params, probe)
     for g in analytic.values():
         if not np.isfinite(g).all():

@@ -39,7 +39,6 @@ class TokenLayout:
 class SchemaParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at sequence position {position})")
-        self.position = position
 
 
 def serialize_layout(plan: PartitionPlan, tokens_per_block: int) -> list:

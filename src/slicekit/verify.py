@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -62,9 +63,12 @@ class DistributionSpec:
     aspect_hi: float = 6.0
 
     def __post_init__(self):
-        for name in ("area_ratio_lo", "area_ratio_hi", "aspect_lo", "aspect_hi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0 < self.area_ratio_lo < self.area_ratio_hi):
             raise ValueError("area ratio range must be positive and non-empty")
         if not (1.0 <= self.aspect_lo < self.aspect_hi):
@@ -166,7 +170,9 @@ def _selection_table(bands: range) -> _SelectionTable:
     grids = [g for n in bands for g in grid_table(n)[0]]
     # one grid more than thresholds per row before; a slot past the band's last grid is never read
     grid = np.minimum(below + cell_row, len(grids) - 1).ravel()
-    rows, cols = (np.array(v, dtype=np.float64)[grid] for v in zip(*((g.rows_n, g.cols_m) for g in grids)))
+    # one list of ints per attribute: a tuple per grid (84,000 at 1,024 bands) would set off the cyclic collector
+    rows = np.array([g.rows_n for g in grids], dtype=np.float64)[grid]
+    cols = np.array([g.cols_m for g in grids], dtype=np.float64)[grid]
     above = padded[below + (k + 1) * cell_row].ravel()
     for a in (above, rows, cols):
         a.flags.writeable = False
@@ -222,7 +228,7 @@ def _grids(area: np.ndarray, aspect: np.ndarray, table: _SelectionTable, buffers
     return rows, cols
 
 
-def select_grids_vectorized(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _select_grids(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best (cols, rows) per sample for a square-pretrained encoder, from the same
     switch table and tie-breaks as select_partition (partition.grid_table): the grid
     grid_index(max(ceil(area_ratio), 1), aspect^2, 1) chooses for the float64 aspect, bit for bit, chunk by chunk.

@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES
 
-from slicekit.cost import compare_strategies, load_model_dims, vit_token_count
+from slicekit.cost import compare_strategies, load_model_dims
 from slicekit.partition import (
     ImageSize,
     VitSpec,
@@ -24,8 +24,8 @@ from slicekit.probes import (
     SyntheticScene,
     heatmap_probe,
     overlap_tile_cover,
+    object_multiplicity,
     padding_waste,
-    simulate_count,
 )
 from slicekit.resampler import (
     attention_weights,
@@ -159,7 +159,7 @@ def test_criterion_04_statistics_reproduction():
 
 def test_criterion_05_token_arithmetic():
     plan = select_partition(IMAGE, VIT)
-    ok = vit_token_count(672, 1008, 14) == 3456 and token_count(plan, 64) == 448
+    ok = PatchGrid(672 // VIT.patch_px, 1008 // VIT.patch_px).tokens == 3456 and token_count(plan, 64) == 448
     assert report(5, "token arithmetic 3456 / 448", ok)
 
 
@@ -264,7 +264,8 @@ def test_criterion_09_flaw_simulator():
         canvas=canvas,
         objects=tuple(SceneObject("square", "blue", (80.0 + 170 * i, 250.0), 20.0) for i in range(5)),
     )
-    truth_ok = simulate_count(scene, overlap_tile_cover(canvas)) == 5
+    cover = overlap_tile_cover(canvas)
+    truth_ok = sum(object_multiplicity(o, cover) for o in scene.objects) == 5
     padding_ok = padding_waste(1.0, 4.0) == 0.25
 
     ok = values_ok and bands_ok and truth_ok and padding_ok

@@ -20,7 +20,6 @@ from slicekit.cost import (
     mlp_projector_flops,
     resampler_flops,
     transformer_stack_flops,
-    vit_token_count,
 )
 from slicekit.partition import ImageSize, VitSpec, select_partition
 
@@ -30,15 +29,6 @@ IMAGE = ImageSize(672, 1008)
 @pytest.fixture(scope="module")
 def dims():
     return load_model_dims()
-
-
-class TestTokenCounts:
-    def test_full_resolution_patch_count(self):
-        assert vit_token_count(672, 1008, 14) == 3456
-
-    def test_requires_patch_multiple(self):
-        with pytest.raises(ValueError):
-            vit_token_count(673, 1008, 14)
 
 
 class TestStackFlops:

@@ -9,6 +9,7 @@ import json
 import random
 from pathlib import Path
 
+from slicekit.cli import main
 from slicekit.cost import STRATEGIES, estimate_flops, load_model_dims
 from slicekit.partition import ImageSize, VitSpec, select_partition
 from slicekit.schema import serialize_layout, summary
@@ -80,3 +81,9 @@ def test_run_proof_checks_digests():
     """The whole verify report at 10^6 samples: bitwise the same Monte Carlo, sweep and closed forms."""
     for samples, seed in ((10**6, 1), (10**6 + 1, 3)):
         assert digest(run_proof_checks(samples, seed, 1500)) == GOLDEN[f"run_proof_checks/{samples}/{seed}"]
+
+
+def test_verify_proofs_stdout_digest(capsys):
+    """`slicekit verify proofs` at its defaults, run in process: the report as the CLI prints it."""
+    assert main(["verify", "proofs"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN["cli/verify proofs"]

@@ -31,13 +31,17 @@ from slicekit.probes import (
     padding_waste,
     phase_classify,
     render_scene,
-    simulate_count,
 )
 
 CLUSTER = tuple(
     SceneObject("circle", "red", (dx, dy), 24.0)
     for dx, dy in ((0.0, 0.0), (32.0, 0.0), (0.0, 32.0), (32.0, 32.0))
 )
+
+
+def predicted_count(scene, cover):
+    """The overlap-multiplicity answer: each object counted once per tile covering its center."""
+    return sum(object_multiplicity(obj, cover) for obj in scene.objects)
 
 
 class TestTileCover:
@@ -165,7 +169,7 @@ class TestCounting:
         canvas = ImageSize(1024, 512)
         objs = tuple(SceneObject("circle", "blue", (100.0 + 150 * i, 200.0), 30.0) for i in range(5))
         scene = SyntheticScene(canvas=canvas, objects=objs)
-        assert simulate_count(scene, overlap_tile_cover(canvas)) == 5
+        assert predicted_count(scene, overlap_tile_cover(canvas)) == 5
 
     def test_heatmap_value_set(self):
         matrix = heatmap_probe(ImageSize(768, 768), CLUSTER, 64)
@@ -183,7 +187,7 @@ class TestCounting:
         template = tuple(SceneObject("square", "red", c, 10.0) for c in centers)
         cover = overlap_tile_cover(canvas)
         expected = [
-            [simulate_count(SyntheticScene(canvas, tuple(
+            [predicted_count(SyntheticScene(canvas, tuple(
                 SceneObject(o.shape, o.color, (o.center[0] + ox, o.center[1] + oy), o.size) for o in template)), cover)
              for ox in range(0, w - math.ceil(max(c[0] for c in centers)), step)]
             for oy in range(0, h - math.ceil(max(c[1] for c in centers)), step)
@@ -196,7 +200,7 @@ class TestCounting:
         cover = overlap_tile_cover(ImageSize(1000, 1000))
         for oy, ox in ((0, 0), (455, 500), (487, 488), (967, 967), (300, 700)):
             placed = tuple(SceneObject("circle", "red", (o.center[0] + ox, o.center[1] + oy), 24.0) for o in CLUSTER)
-            assert matrix[oy][ox] == simulate_count(SyntheticScene(ImageSize(1000, 1000), placed), cover)
+            assert matrix[oy][ox] == predicted_count(SyntheticScene(ImageSize(1000, 1000), placed), cover)
 
     def test_heatmap_centre_outside_canvas_raises_only_with_a_placement(self):
         template = (SceneObject("circle", "red", (-5.0, 10.0), 24.0),)

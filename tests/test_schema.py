@@ -151,12 +151,8 @@ class TestParseErrors:
             parse_layout(seq)
 
     def test_unknown_item(self):
-        err = None
-        try:
+        with pytest.raises(SchemaParseError, match=r"^unknown sequence item 'junk' \(at sequence position 1\)$"):
             parse_layout([ContentToken("overview"), "junk"])
-        except SchemaParseError as e:
-            err = e
-        assert err is not None and err.position == 1
 
 
 class TestRender:

@@ -1,9 +1,7 @@
-import importlib
-import inspect
+import hashlib
 import json
 import math
 import os
-import pkgutil
 import re
 import subprocess
 import sys
@@ -39,12 +37,12 @@ from slicekit.verify import (
     _on_threads,
     _pairwise,
     _part_count,
+    _select_grids,
     enumerate_ratio_bound,
     exact_expectations,
     monte_carlo_expectations,
     monte_carlo_statistics,
     run_proof_checks,
-    select_grids_vectorized,
     slice_statistics,
     sweep_slice_bounds,
 )
@@ -59,10 +57,17 @@ class TestDistributionSpec:
         assert (d.aspect_lo, d.aspect_hi) == (1.0, 6.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DistributionSpec(area_ratio_lo=5.0, area_ratio_hi=2.0)
-        with pytest.raises(ValueError):
-            DistributionSpec(aspect_lo=0.5)
+        for args, kwargs, message in [
+            ((), {"area_ratio_lo": 5.0, "area_ratio_hi": 2.0}, "area ratio range must be positive and non-empty"),
+            ((), {"aspect_lo": 0.5}, "aspect range must be >= 1 and non-empty"),
+            ((True, 2), {}, "area_ratio_lo must be a real number, got True"),
+            (("1", 2), {}, "area_ratio_lo must be a real number, got '1'"),
+            ((), {"aspect_hi": np.True_}, "aspect_hi must be a real number, got np.True_"),
+            ((), {"aspect_hi": None}, "aspect_hi must be a real number, got None"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                DistributionSpec(*args, **kwargs)
+        assert DistributionSpec(1, np.float32(2.5), np.int64(1), 2).area_ratio_hi == 2.5
 
     @pytest.mark.parametrize("field", ["area_ratio_lo", "area_ratio_hi", "aspect_lo", "aspect_hi"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -95,7 +100,7 @@ class TestVectorizedSelection:
         image = ImageSize(w, h)
         plan = select_partition(image, VIT)
         exact_n = (w * h) / VIT.pretrain_area_px
-        cols, rows = select_grids_vectorized(
+        cols, rows = _select_grids(
             np.array([exact_n]), np.array([w / h])
         )
         assert (int(cols[0]), int(rows[0])) == (plan.grid.cols_m, plan.grid.rows_n)
@@ -103,7 +108,7 @@ class TestVectorizedSelection:
     def test_agrees_with_scalar_selection_on_square_ties(self):
         # a square image lies on the switch point between each grid and its transpose; the wider wins
         sides = np.arange(14, 1601)
-        cols, rows = select_grids_vectorized(sides * sides / VIT.pretrain_area_px, np.ones(sides.shape))
+        cols, rows = _select_grids(sides * sides / VIT.pretrain_area_px, np.ones(sides.shape))
         for side, c, r in zip(sides.tolist(), cols.tolist(), rows.tolist()):
             grid = select_partition(ImageSize(side, side), VIT).grid
             assert (c, r) == (grid.cols_m, grid.rows_n)
@@ -116,7 +121,7 @@ class TestVectorizedSelection:
             area.append(data.draw(st.sampled_from([float(n), math.nextafter(n - 1, n), n - 0.5]) if n > 1
                                   else st.sampled_from([1.0, 0.25])))
             aspect.append(data.draw(st.sampled_from(switch_aspects(n)) | st.floats(1 / 8, 8)))
-        cols, rows = select_grids_vectorized(np.array(area), np.array(aspect))
+        cols, rows = _select_grids(np.array(area), np.array(aspect))
         assert cols.dtype == rows.dtype == np.int64 and cols.shape == rows.shape == (len(area),)
         for a, s, c, r in zip(area, aspect, cols.tolist(), rows.tolist()):
             n = max(math.ceil(a), 1)
@@ -124,7 +129,7 @@ class TestVectorizedSelection:
             assert (c, r) == (grid.cols_m, grid.rows_n), (a, s)
 
     def test_empty_input(self):
-        cols, rows = select_grids_vectorized(np.empty(0), np.empty(0))
+        cols, rows = _select_grids(np.empty(0), np.empty(0))
         assert cols.shape == rows.shape == (0,) and cols.dtype == rows.dtype == np.int64
 
     def test_peak_memory_below_four_and_a_half_sample_arrays(self):
@@ -132,7 +137,7 @@ class TestVectorizedSelection:
         area, aspect = rng.uniform(1, 20, 10**6), np.exp(rng.uniform(0, math.log(6), 10**6))
         tracemalloc.start()
         try:
-            select_grids_vectorized(area, aspect)
+            _select_grids(area, aspect)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,7 +228,7 @@ class TestThresholdSelection:
                 area += [a] * near.size
                 aspect += near.tolist()
         area, aspect = np.array(area), np.array(aspect)
-        cols, rows = select_grids_vectorized(area, aspect)
+        cols, rows = _select_grids(area, aspect)
         ref_cols, ref_rows = chosen_by_grid_index(area, aspect)
         assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
 
@@ -235,13 +240,13 @@ class TestThresholdSelection:
         for a in band_areas(n):
             area, aspect = np.full(len(specials), a), np.array(specials)
             with np.errstate(over="ignore"):
-                cols, rows = select_grids_vectorized(area, aspect)
+                cols, rows = _select_grids(area, aspect)
                 assert (cols.tolist(), rows.tolist()) == tuple(x.tolist() for x in chosen_by_grid_index(area, aspect))
 
     def test_float32_aspects_select_as_their_float64_values(self):
         rng = np.random.default_rng(32)
         area, aspect = rng.uniform(1, 20, 10**5), np.exp(rng.uniform(-2, 2, 10**5)).astype(np.float32)
-        cols, rows = select_grids_vectorized(area, aspect)
+        cols, rows = _select_grids(area, aspect)
         ref_cols, ref_rows = chosen_by_grid_index(area, aspect.astype(np.float64))
         assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
 
@@ -251,7 +256,7 @@ class TestThresholdSelection:
         for _ in range(10):
             area = rng.uniform(dist.area_ratio_lo, dist.area_ratio_hi, 10**6)
             aspect = np.exp(rng.uniform(-math.log(dist.aspect_hi), math.log(dist.aspect_hi), 10**6))
-            cols, rows = select_grids_vectorized(area, aspect)
+            cols, rows = _select_grids(area, aspect)
             ref_cols, ref_rows = chosen_by_grid_index(area, aspect)
             assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
 
@@ -259,11 +264,11 @@ class TestThresholdSelection:
     def test_chunk_edges(self, size):
         rng = np.random.default_rng(size)
         area, aspect = rng.uniform(-1, 30, size), np.exp(rng.uniform(-2, 2, size))
-        cols, rows = select_grids_vectorized(area, aspect)
+        cols, rows = _select_grids(area, aspect)
         ref_cols, ref_rows = chosen_by_grid_index(area, aspect)
         assert np.array_equal(cols, ref_cols) and np.array_equal(rows, ref_rows)
 
-    @pytest.mark.parametrize("call", [select_grids_vectorized, slice_statistics])
+    @pytest.mark.parametrize("call", [_select_grids, slice_statistics])
     def test_a_span_past_max_table_bands_is_refused(self, call):
         area = np.array([1.0, 0.5 + MAX_TABLE_BANDS])
         with pytest.raises(ValueError, match=f"^area_ratio spans bands 1 to {MAX_TABLE_BANDS + 1}, more than "
@@ -274,13 +279,13 @@ class TestThresholdSelection:
         area = np.array([-2.0, 0.5, 1.0, 2.5, 700.25, MAX_TABLE_BANDS - 0.5, float(MAX_TABLE_BANDS)])
         aspect = np.array([1.0, 3.0, 0.1, 250.0, 1.5, 0.02, 40.0])
         assert slicekit.verify._range_table(area.min(), area.max()).bands == range(1, MAX_TABLE_BANDS + 1)
-        cols, rows = select_grids_vectorized(area, aspect)
+        cols, rows = _select_grids(area, aspect)
         assert (cols.tolist(), rows.tolist()) == tuple(x.tolist() for x in chosen_by_grid_index(area, aspect))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e19])
     def test_band_past_int64_raises_the_grid_table_error(self, bad):
         with pytest.raises(ValueError, match="^slice count must be >= 1$"):
-            select_grids_vectorized(np.array([2.0, bad]), np.ones(2))
+            _select_grids(np.array([2.0, bad]), np.ones(2))
 
     def test_table_for_three_hundred_bands_under_a_megabyte(self):
         table = slicekit.verify._selection_table(range(1, 301))
@@ -314,6 +319,11 @@ class TestThresholdSelection:
         # 2.39 times the kept arrays with two comparisons for every table; its k = 1 table would take 1.0 GB
         assert table.k == 2 and peak <= 2.4 * sum(a.nbytes for a in (table.above, table.rows, table.cols)), peak
 
+    def test_widest_table_is_pinned_bit_for_bit(self):
+        table = slicekit.verify._selection_table(range(1, MAX_TABLE_BANDS + 1))
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (table.above, table.rows, table.cols))).hexdigest()
+        assert digest == "1f25a65b20d3d255c593c7e2b52508c1f85190d2412fe228e8e962c91fb7f173"
+
     @pytest.mark.parametrize("last, k", [(20, 1), (300, 2)], ids=["1-20", "1-300"])
     def test_equals_grid_index_on_special_values_and_the_edge_cells(self, last, k):
         # areas at or below 0 are raised to band 1; aspects past the lowest or highest bin land in the first or last
@@ -326,7 +336,7 @@ class TestThresholdSelection:
         area, aspect = (a.ravel() for a in np.meshgrid(areas, aspects, indexing="ij"))
         assert slicekit.verify._range_table(area.min(), area.max()).k == k
         with np.errstate(over="ignore"):
-            cols, rows = select_grids_vectorized(area, aspect)
+            cols, rows = _select_grids(area, aspect)
             assert (cols.tolist(), rows.tolist()) == tuple(x.tolist() for x in chosen_by_grid_index(area, aspect))
 
     def test_specs_and_sweep_build_each_table_once(self):
@@ -748,30 +758,6 @@ class TestParts:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
-
-
-def public_callables():
-    """(qualified name, callable) of every public function of each slicekit module, and of each public method and
-    __init__ of its public classes."""
-    for info in pkgutil.iter_modules(slicekit.__path__, "slicekit."):
-        module = importlib.import_module(info.name)
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-                continue
-            if isinstance(obj, type):
-                yield from ((f"{info.name}.{name}.{m}", f) for m, f in vars(obj).items()
-                            if inspect.isfunction(f) and (m == "__init__" or not m.startswith("_")))
-            elif callable(obj):
-                yield f"{info.name}.{name}", obj
-
-
-def test_no_public_callable_takes_a_private_parameter():
-    # a test forces a private choice by patching the function that makes it, not through a public signature
-    found = dict(public_callables())
-    assert {"slicekit.verify.monte_carlo_statistics", "slicekit.cli.main", "slicekit.partition.ImageSize.__init__",
-            "slicekit.verify.StatReport.to_json_dict"} <= found.keys()
-    private = [(name, p) for name, obj in found.items() for p in inspect.signature(obj).parameters if p.startswith("_")]
-    assert private == []
 
 
 class TestExact:
