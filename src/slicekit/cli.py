@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
 from . import cost, probes, schema
 from .config import AppConfig, load_config
-from .counts import require_count
+from .counts import require_count, require_real
 from .jsonfile import load_json_file
 from .partition import ImageSize, PatchGrid, select_partition
 
@@ -91,8 +90,8 @@ def cmd_compress(args, cfg: AppConfig) -> int:
 
 
 def cmd_grad_check(args, cfg: AppConfig) -> int:
-    if not 0 < args.tolerance < math.inf:
-        raise ValueError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
+    require_real("--tolerance", args.tolerance, above=0)
+    require_real("--eps", args.eps, above=0, most=1e-3)  # grad_check's own bound on its step
     for option, value in (("--queries", args.queries), ("--tokens", args.tokens), ("--dim", args.dim)):
         require_count(option, value, 1)
 
@@ -146,6 +145,8 @@ def _load_scene(path: str) -> probes.SyntheticScene:
 
 
 def cmd_probe(args, cfg: AppConfig) -> int:
+    for option, value in (("--scale", args.scale), ("--aspect-w", args.aspect_w), ("--aspect-h", args.aspect_h)):
+        require_real(option, value, above=0)
     if args.kind == "padding":
         payload = {"effective_fraction": probes.padding_waste(args.aspect_w, args.aspect_h)}
         scene = probes.padding_probe_scene(args.aspect_w, args.aspect_h) if args.ppm else None
@@ -173,17 +174,15 @@ def cmd_probe(args, cfg: AppConfig) -> int:
 
 
 def cmd_verify(args, cfg: AppConfig) -> int:
-    if not 1 <= args.samples < math.inf:
-        raise ValueError(f"--samples must be a finite number >= 1, got {args.samples}")
+    require_real("--samples", args.samples, least=1)
     if args.samples != int(args.samples):
         raise ValueError(f"--samples must be a whole number, got {args.samples}")
 
     from . import verify
 
-    if args.samples > verify.MAX_SAMPLES:
-        raise ValueError(f"--samples must be <= {verify.MAX_SAMPLES}, got {args.samples}")
+    samples = require_count("--samples", int(args.samples), 1, verify.MAX_SAMPLES)
     require_count("--grid-density", args.grid_density, verify.MIN_GRID_DENSITY, verify.MAX_GRID_DENSITY)
-    report = verify.run_proof_checks(samples=int(args.samples), seed=cfg.seed, grid_density=args.grid_density)
+    report = verify.run_proof_checks(samples=samples, seed=cfg.seed, grid_density=args.grid_density)
     _emit(report, cfg, args.out)
     return 0 if report["pass"] else 1
 

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .counts import require_count
+from .counts import require_count, require_real
 
 # most slices a plan may be cut into, capped or not: an N up to 10^4 + 1 factors in microseconds and a plan holds at
 # most 10^4 PixelRects; the tests' largest plan, 25891x25891 at N = 5938, is inside it
@@ -103,9 +103,10 @@ def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchG
     each c in it with c*hi_r > M.  Of those, the grid with the smallest |log(c/r) - log(a)| wins; ties go to more
     tokens, then more columns.  A slice whose M*a or M/a is past float range is refused.
     """
-    if not (vit.patch_px <= slice_w_px < math.inf and vit.patch_px <= slice_h_px < math.inf):
-        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is not finite or is smaller than one "
-                         f"{vit.patch_px}px patch")
+    require_real("slice_w_px", slice_w_px)
+    require_real("slice_h_px", slice_h_px)
+    if not (vit.patch_px <= slice_w_px and vit.patch_px <= slice_h_px):
+        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is smaller than one {vit.patch_px}px patch")
     budget = vit.token_budget
     # an int side past float range has no float aspect; two sides within it divide without overflow
     aspect = slice_w_px / slice_h_px if max(slice_w_px, slice_h_px) <= sys.float_info.max else math.inf

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .counts import require_count
+from .counts import require_count, require_real
 from .partition import ImageSize
 
 COLORS = {
@@ -47,13 +48,11 @@ class SceneObject:
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.color not in COLORS:
             raise ValueError(f"unknown color {self.color!r}")
-        if isinstance(self.size, bool):  # JSON true/false, refused as the canvas refuses them
-            raise ValueError(f"object size must be a number, got {self.size}")
-        if not (math.isfinite(self.size) and self.size > 0):
-            raise ValueError(f"object size must be finite and > 0, got {self.size}")
-        if (len(self.center) != 2 or any(isinstance(v, bool) for v in self.center)
-                or not all(map(math.isfinite, self.center))):
+        require_real("object size", self.size, above=0, most=sys.float_info.max)  # the probes work in floats
+        if len(self.center) != 2:
             raise ValueError(f"object center must be two finite numbers, got {self.center}")
+        for v in self.center:
+            require_real("object center", v, most=sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ class SyntheticScene:
                 raise ValueError(f"object center {obj.center} outside canvas")
 
     def scaled(self, factor: float) -> "SyntheticScene":
-        if not 0 < factor < math.inf:
-            raise ValueError(f"scene scale must be finite and > 0, got {factor}")
+        require_real("scene scale", factor, above=0)
         from fractions import Fraction  # only scaling needs it; the CLI's other commands skip its import
 
         # exact: a side beyond 2**53 px keeps its own digits, not the nearest float's
@@ -231,8 +229,8 @@ def _fragment_count(scene: SyntheticScene, cover: SliceCover) -> int:
 
 def padding_waste(aspect_w: float, aspect_h: float) -> float:
     """Fraction of square-padded computation spent on real content."""
-    if not (0 < aspect_w < math.inf and 0 < aspect_h < math.inf):
-        raise ValueError(f"aspect components must be positive and finite, got {aspect_w}:{aspect_h}")
+    require_real("aspect_w", aspect_w, above=0)
+    require_real("aspect_h", aspect_h, above=0)
     return min(aspect_w, aspect_h) / max(aspect_w, aspect_h)
 
 
@@ -321,6 +319,8 @@ def _covers(obj: SceneObject, x: float, y: float) -> bool:
 def padding_probe_scene(aspect_w: float, aspect_h: float) -> SyntheticScene:
     """Centered colored rectangle on a grey square PROBE_SIDE_PX canvas (padding-blindness probe)."""
     canvas = ImageSize(PROBE_SIDE_PX, PROBE_SIDE_PX)
+    require_real("aspect_w", aspect_w, above=0)
+    require_real("aspect_h", aspect_h, above=0)
     scale = PROBE_SIDE_PX / max(aspect_w, aspect_h)
     rect_w = max(1.0, aspect_w * scale)
     rect_h = max(1.0, aspect_h * scale)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import read_only
-from .counts import require_count
+from .counts import require_count, require_real
 
 FD_BATCH_ENTRIES = 2**20  # logit-sized entries held by one batch of grad_check's differences; bounds its memory
 FD_MAX_MULTIPLY_ADDS = 10**11  # multiply-adds of grad_check's differences, counted by check_fd_work; bounds its time
@@ -261,8 +261,7 @@ def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, 
 
     Returns per-parameter relative errors plus the overall maximum under the key ``max_rel_err``.
     """
-    if not (0.0 < eps <= 1e-3):
-        raise ValueError("eps must be in (0, 1e-3]")
+    require_real("eps", eps, above=0, most=1e-3)
     check_fd_work(queries.count_k, tokens.count, params.dim)
     probe = np.ones((queries.count_k, params.dim))
     analytic = _gradients(queries, tokens, params, probe)

@@ -106,7 +106,8 @@ def render_layout(sequence: list) -> str:
 
 
 def summary(sequence: list) -> dict:
-    """Counts from the parsed layout: n rows of m blocks hold n*(m-1) COL and n ROW, one joining the overview."""
+    """Counts from the parsed layout: col_seps is the n*(m-1) COL, and row_seps the n - 1 ROW between slice rows, not
+    the one joining the overview, so content_tokens + col_seps + row_seps + 1 == total_items."""
     layout = parse_layout(sequence)
     m, n = layout.cols_m, layout.rows_n
     return {

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import numbers
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -29,7 +28,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .counts import require_count
+from .counts import require_count, require_real
 from .partition import grid_index, grid_table
 
 TWO_LOG2 = 2.0 * math.log(2.0)
@@ -63,20 +62,13 @@ class DistributionSpec:
     aspect_hi: float = 6.0
 
     def __post_init__(self):
+        most = {"area_ratio_hi": MAX_TABLE_BANDS - 1, "aspect_hi": MAX_ASPECT}
         for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            require_real(name, getattr(self, name), most=most.get(name))
         if not (0 < self.area_ratio_lo < self.area_ratio_hi):
             raise ValueError("area ratio range must be positive and non-empty")
         if not (1.0 <= self.aspect_lo < self.aspect_hi):
             raise ValueError("aspect range must be >= 1 and non-empty")
-        if self.area_ratio_hi > MAX_TABLE_BANDS - 1:
-            raise ValueError(f"area_ratio_hi must be <= {MAX_TABLE_BANDS - 1}, got {self.area_ratio_hi}")
-        if self.aspect_hi > MAX_ASPECT:
-            raise ValueError(f"aspect_hi must be <= {MAX_ASPECT}, got {self.aspect_hi}")
 
 
 ALTERNATE_SPEC = DistributionSpec(area_ratio_lo=1.0, area_ratio_hi=3.0, aspect_lo=1.0, aspect_hi=2.0)
@@ -92,8 +84,7 @@ class StatReport:
 
     def __post_init__(self):
         for name in ("expectation", "variance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            require_real(name, getattr(self, name))
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -453,7 +444,7 @@ def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tup
     with antiderivative sign(y)*expm1(s*|y|)/s, and n, n^2 over the band.
     """
     x_lo, x_hi = math.log(dist.aspect_lo), math.log(dist.aspect_hi)
-    moments = np.zeros(4)  # integrals of ratio, ratio^2, area, area^2 over the (n, x) region
+    moments = [0.0] * 4  # integrals of ratio, ratio^2, area, area^2 over the (n, x) region
 
     def integral(y0: float, y1: float, s: int) -> float:  # of exp(s*|y|) over [y0, y1]
         return (math.copysign(math.expm1(s * abs(y1)), y1) - math.copysign(math.expm1(s * abs(y0)), y0)) / s
@@ -464,9 +455,10 @@ def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tup
         edges = [x_lo, *(min(max(0.5 * math.log(num / den), x_lo), x_hi) for num, den, _ in switches), x_hi]
         for g, a, b in zip(grids, edges, edges[1:]):
             c, cells = math.log(g.cols_m / g.rows_n), g.slice_count
-            moments += [(n1 - n0) * integral(a - c, b - c, 1), (n1 - n0) * integral(a - c, b - c, 2),
-                        (b - a) * (n1**2 - n0**2) / (2 * cells), (b - a) * (n1**3 - n0**3) / (3 * cells**2)]
-    r, r2, s, s2 = (moments / ((dist.area_ratio_hi - dist.area_ratio_lo) * (x_hi - x_lo))).tolist()
+            terms = ((n1 - n0) * integral(a - c, b - c, 1), (n1 - n0) * integral(a - c, b - c, 2),
+                     (b - a) * (n1**2 - n0**2) / (2 * cells), (b - a) * (n1**3 - n0**3) / (3 * cells**2))
+            moments = [m + float(t) for m, t in zip(moments, terms)]  # float: a numpy bound's terms add as float64
+    r, r2, s, s2 = (m / float((dist.area_ratio_hi - dist.area_ratio_lo) * (x_hi - x_lo)) for m in moments)
     return (r, r2 - r * r), (s, s2 - s * s)
 
 

@@ -326,11 +326,20 @@ class TestGradCheck:
         code, out, err = run(capsys, "grad-check", "--tokens", value)
         assert (code, out, err) == (1, "", f"error: --tokens must be >= 1, got {value}\n")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    def test_tolerance_not_finite_and_positive_is_a_one_line_error(self, capsys, value):
-        code, out, err = run(capsys, "grad-check", "--tolerance", value)
-        assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
-        assert err.startswith("error: --tolerance must be a finite number > 0, got ")
+    @pytest.mark.parametrize("option, value, message", [
+        ("--tolerance", "nan", "must be finite, got nan"), ("--tolerance", "inf", "must be finite, got inf"),
+        ("--tolerance", "0", "must be > 0, got 0.0"), ("--tolerance", "-1", "must be > 0, got -1.0"),
+        ("--eps", "nan", "must be finite, got nan"), ("--eps", "-inf", "must be finite, got -inf"),
+        ("--eps", "0", "must be > 0, got 0.0"), ("--eps", "1e-2", "must be <= 0.001, got 0.01"),
+    ], ids=["nan", "inf", "0", "-1", "--eps-nan", "--eps--inf", "--eps-0", "--eps-1e-2"])
+    def test_tolerance_not_finite_and_positive_is_a_one_line_error(self, capsys, monkeypatch, option, value, message):
+        from slicekit import resampler
+
+        def no_work(*a):
+            raise AssertionError("drew the resampler's weights")
+        monkeypatch.setattr(resampler, "init_resampler", no_work)
+        code, out, err = run(capsys, "grad-check", f"{option}={value}")
+        assert (code, out, err) == (1, "", f"error: {option} {message}\n")
 
     def test_width_96_passes_at_default_tolerance(self, capsys):
         code, out, _ = run(capsys, "grad-check", "--dim", "96")
@@ -510,15 +519,14 @@ class TestProbe:
         ('{"w": 600.5, "h": 90}', '"center": [30, 40], "size": 10', "width_px must be an integer, got 600.5"),
         ('{"w": true, "h": 400}', '"center": [30, 40], "size": 10', "width_px must be an integer, got True"),
         ('{"w": 600, "h": "90"}', '"center": [30, 40], "size": 10', "height_px must be an integer, got '90'"),
-        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": 1e400', "object size must be finite and > 0, got inf"),
-        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": NaN', "object size must be finite and > 0, got nan"),
+        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": 1e400', "object size must be finite, got inf"),
+        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": NaN', "object size must be finite, got nan"),
         ('{"w": 600, "h": 400}', '"center": [30, 40, 5], "size": 10', "object center must be two finite numbers, "
                                                                        "got (30, 40, 5)"),
-        ('{"w": 600, "h": 400}', '"center": [1e400, 40], "size": 10', "object center must be two finite numbers, "
-                                                                        "got (inf, 40)"),
-        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": true', "object size must be a number, got True"),
-        ('{"w": 600, "h": 400}', '"center": [true, false], "size": 10', "object center must be two finite numbers, "
-                                                                          "got (True, False)"),
+        ('{"w": 600, "h": 400}', '"center": [1e400, 40], "size": 10', "object center must be finite, got inf"),
+        ('{"w": 600, "h": 400}', '"center": [30, 40], "size": true', "object size must be a real number, got True"),
+        ('{"w": 600, "h": 400}', '"center": [true, false], "size": 10',
+         "object center must be a real number, got True"),
     ])
     @pytest.mark.parametrize("kind, ppm_option", [("heatmap", False), ("phases", True)])
     def test_scene_values_checked_on_load(self, capsys, tmp_path, canvas, obj, message, kind, ppm_option):
@@ -545,11 +553,29 @@ class TestProbe:
         assert (code, err) == (0, "")
         assert json.loads(out) == {"phase": phase, "predicted_answers": [0], "scale": float(scale)}
 
-    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
-    def test_phases_rejects_scale_not_finite_and_positive(self, capsys, tmp_path, scale):
+    @pytest.mark.parametrize("scale, message", [("inf", "must be finite"), ("nan", "must be finite"),
+                                                ("0", "must be > 0"), ("-1", "must be > 0")],
+                             ids=["inf", "nan", "0", "-1"])
+    def test_phases_rejects_scale_not_finite_and_positive(self, capsys, tmp_path, monkeypatch, scale, message):
+        def no_work(*a):
+            raise AssertionError("read the scene")
+        monkeypatch.setattr(slicekit.cli, "_load_scene", no_work)
         code, out, err = run(capsys, "probe", "phases", "--scene", str(write_scene(tmp_path)), "--scale", scale)
         assert code == 1 and out == ""
-        assert err == f"error: scene scale must be finite and > 0, got {float(scale)}\n"
+        assert err == f"error: --scale {message}, got {float(scale)}\n"
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--aspect-w", "0", "must be > 0, got 0.0"), ("--aspect-w", "nan", "must be finite, got nan"),
+        ("--aspect-h", "-1", "must be > 0, got -1.0"), ("--aspect-h", "inf", "must be finite, got inf")])
+    def test_padding_rejects_aspect_not_finite_and_positive(self, capsys, tmp_path, monkeypatch, option, value,
+                                                            message):
+        def no_work(*a):
+            raise AssertionError("ran the padding probe")
+        monkeypatch.setattr(probes, "padding_waste", no_work)
+        ppm = tmp_path / "o.ppm"
+        code, out, err = run(capsys, "probe", "padding", option, value, "--ppm", str(ppm))
+        assert (code, out, err) == (1, "", f"error: {option} {message}\n")
+        assert not ppm.exists()
 
     def test_phases_at_scale_1e5(self, capsys, tmp_path):
         code, out, err = run(capsys, "probe", "phases", "--scene", str(write_scene(tmp_path)), "--scale", "1e5")
@@ -626,16 +652,17 @@ class TestVerify:
         assert payload["candidate_density"]["holds"] is True
 
     @pytest.mark.parametrize("argv, message", [
-        (["--samples", "inf"], "--samples must be a finite number >= 1, got inf"),
-        (["--samples", "1e400"], "--samples must be a finite number >= 1, got inf"),
-        (["--samples", "nan"], "--samples must be a finite number >= 1, got nan"),
-        (["--samples", "0"], "--samples must be a finite number >= 1, got 0.0"),
-        (["--samples", "-1"], "--samples must be a finite number >= 1, got -1.0"),
+        (["--samples", "inf"], "--samples must be finite, got inf"),
+        (["--samples", "1e400"], "--samples must be finite, got inf"),
+        (["--samples", "nan"], "--samples must be finite, got nan"),
+        (["--samples", "0"], "--samples must be >= 1, got 0.0"),
+        (["--samples", "-1"], "--samples must be >= 1, got -1.0"),
         (["--samples", "20000.7"], "--samples must be a whole number, got 20000.7"),
         (["--samples", "2e4", "--grid-density", "10"], "--grid-density must be >= 1000, got 10"),
         (["--samples", "2e4", "--grid-density", "99999999999"], "--grid-density must be <= 100000, got 99999999999"),
-        (["--samples", "1e18"], "--samples must be <= 1000000000, got 1e+18"),
-        (["--samples", "1000000001"], "--samples must be <= 1000000000, got 1000000001.0"),
+        (["--samples", "1e18"], "--samples must be <= 1000000000, got 1000000000000000000"),
+        (["--samples", "1000000001"], "--samples must be <= 1000000000, got 1000000001"),
+        (["--samples=-inf"], "--samples must be finite, got -inf"),
     ])
     def test_bad_values_rejected_before_any_work(self, capsys, monkeypatch, argv, message):
         from slicekit import verify

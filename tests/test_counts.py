@@ -1,8 +1,11 @@
-"""Every integer count the library accepts goes through counts.require_count: one rule, one refusal shape."""
+"""Every integer count the library accepts goes through counts.require_count, and every real number through
+counts.require_real: one rule each, one refusal shape."""
 
 import math
 import re
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +13,15 @@ import pytest
 
 import slicekit
 from slicekit.cost import estimate_flops, load_model_dims
-from slicekit.counts import require_count
-from slicekit.partition import ImageSize, PatchGrid, SliceGrid, VitSpec, candidate_grids, select_partition
+from slicekit.counts import require_count, require_real
+from slicekit.partition import (ImageSize, PatchGrid, SliceGrid, VitSpec, candidate_grids, fit_patch_grid,
+                                select_partition)
 from slicekit.patches import reshape_pos_embed_1d_to_2d
-from slicekit.probes import SceneObject, heatmap_probe
-from slicekit.resampler import init_resampler
+from slicekit.probes import SceneObject, SyntheticScene, heatmap_probe, padding_probe_scene, padding_waste
+from slicekit.resampler import TokenMatrix, grad_check, init_resampler
 from slicekit.schema import serialize_layout, token_count
-from slicekit.verify import (DistributionSpec, enumerate_ratio_bound, monte_carlo_statistics, run_proof_checks,
-                             sweep_slice_bounds)
+from slicekit.verify import (DistributionSpec, StatReport, enumerate_ratio_bound, monte_carlo_statistics,
+                             run_proof_checks, sweep_slice_bounds)
 
 VIT = VitSpec()
 PLAN = select_partition(ImageSize(672, 1008), VIT)
@@ -102,11 +106,86 @@ def test_numpy_integers_come_back_as_python_ints():
     assert type(ImageSize(np.int64(10**9), np.int32(10**9)).width_px) is int
 
 
+SCENE = SyntheticScene(ImageSize(100, 200), (SceneObject("circle", "red", (50.0, 100.0), 20.0),))
+QUERIES, PARAMS = init_resampler(2, 4, 0)
+TOKENS = TokenMatrix(np.ones((3, 4)))
+STATS = {"expectation": 1.25, "variance": 0.04, "samples": 10, "std_error": 0.06, "seed": 1}
+
+# (function, name in the refusal, a call with that argument set to the value and every other one valid,
+#  values out of the argument's own bounds with their refusals)
+REAL_ROUTED = [
+    ("fit_patch_grid", "slice_w_px", lambda v: fit_patch_grid(v, 14, VIT), ()),
+    ("fit_patch_grid", "slice_h_px", lambda v: fit_patch_grid(14, v, VIT), ()),
+    ("SceneObject", "object size", lambda v: SceneObject("circle", "red", (5.0, 5.0), v),
+     ((0.0, "object size must be > 0, got 0.0"), (-1.0, "object size must be > 0, got -1.0"),
+      (HUGE, f"object size must be <= {sys.float_info.max}, got {HUGE}"))),
+    ("SceneObject.center[0]", "object center", lambda v: SceneObject("circle", "red", (v, 5.0), 2.0),
+     ((HUGE, f"object center must be <= {sys.float_info.max}, got {HUGE}"),)),
+    ("SceneObject.center[1]", "object center", lambda v: SceneObject("circle", "red", (5.0, v), 2.0), ()),
+    ("SyntheticScene.scaled", "scene scale", SCENE.scaled,
+     ((0.0, "scene scale must be > 0, got 0.0"), (-1.0, "scene scale must be > 0, got -1.0"))),
+    ("padding_waste", "aspect_w", lambda v: padding_waste(v, 2), ((0.0, "aspect_w must be > 0, got 0.0"),)),
+    ("padding_waste", "aspect_h", lambda v: padding_waste(2, v), ((0, "aspect_h must be > 0, got 0"),)),
+    ("padding_probe_scene", "aspect_w", lambda v: padding_probe_scene(v, 1), ((0, "aspect_w must be > 0, got 0"),)),
+    ("padding_probe_scene", "aspect_h", lambda v: padding_probe_scene(1, v),
+     ((-2.5, "aspect_h must be > 0, got -2.5"),)),
+    *(("DistributionSpec", name, lambda v, name=name: DistributionSpec(**{name: v}), ())
+      for name in ("area_ratio_lo", "area_ratio_hi", "aspect_lo", "aspect_hi")),
+    *(("StatReport", name, lambda v, name=name: StatReport(**{**STATS, name: v}), ())
+      for name in ("expectation", "variance")),
+    ("grad_check", "eps", lambda v: grad_check(QUERIES, TOKENS, PARAMS, eps=v),
+     ((0.0, "eps must be > 0, got 0.0"), (1e-2, "eps must be <= 0.001, got 0.01"))),
+]
+REAL_IDS = [f"{function}:{name}" for function, name, _, _ in REAL_ROUTED]
+NOT_FINITE_REALS = [True, np.True_, math.nan, math.inf, -math.inf, "3", None, [1.0], 1j]
+
+
+@pytest.mark.parametrize("function, name, call, bounds", REAL_ROUTED, ids=REAL_IDS)
+@pytest.mark.parametrize("value", NOT_FINITE_REALS, ids=repr)
+def test_a_value_that_is_not_a_finite_real_is_refused_by_name(function, name, call, bounds, value):
+    message = outcome(call, value)
+    assert message is not None and message.startswith(f"{name} must be "), message
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, message, id=f"{function}:{'400 digits' if value is HUGE else repr(value)}")
+    for function, _, call, bounds in REAL_ROUTED for value, message in bounds])
+def test_a_real_outside_its_bounds_is_refused_by_name(call, value, message):
+    assert outcome(call, value) == message
+
+
+@pytest.mark.parametrize("value, bounds, message", [
+    (True, {}, "x must be a real number, got True"), (np.True_, {}, "x must be a real number, got np.True_"),
+    ("3", {}, "x must be a real number, got '3'"), (None, {}, "x must be a real number, got None"),
+    (1j, {}, "x must be a real number, got 1j"),
+    (np.complex128(1), {}, "x must be a real number, got np.complex128(1+0j)"),
+    (math.nan, {}, "x must be finite, got nan"), (-math.inf, {}, "x must be finite, got -inf"),
+    (np.float32(math.inf), {}, "x must be finite, got inf"),
+    (0, {"above": 0}, "x must be > 0, got 0"), (-0.5, {"above": 0}, "x must be > 0, got -0.5"),
+    (0.5, {"least": 1}, "x must be >= 1, got 0.5"), (2.5, {"most": 1e-3}, "x must be <= 0.001, got 2.5"),
+    pytest.param(HUGE, {"most": 1e300}, f"x must be <= 1e+300, got {HUGE}", id="400 digits-most"),
+])
+def test_the_real_number_refusals(value, bounds, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require_real("x", value, **bounds)
+
+
+def test_a_real_comes_back_unconverted_and_a_huge_int_is_finite():
+    for value in (1.5, np.float64(1.5), np.float32(1.5), np.int64(3), Fraction(3, 2), HUGE, Fraction(HUGE, 3)):
+        assert require_real("x", value, above=0, least=1) is value
+    assert require_real("x", 1e-3, above=0, most=1e-3) == 1e-3 and require_real("x", -HUGE) == -HUGE
+
+
+def test_two_zero_aspects_are_refused_by_name():
+    """padding_probe_scene(0, 0) divided by zero before its aspects were checked."""
+    assert outcome(lambda v: padding_probe_scene(v, v), 0) == "aspect_w must be > 0, got 0"
+
+
 def test_the_count_rule_is_not_restated():
-    """An integer test on a bool or __index__ lives in counts.py; the JSON loaders of config and cost and the float
-    fields of probes.SceneObject and verify.DistributionSpec spell their own."""
-    rule = re.compile(r"isinstance\([^)]*bool|__index__|_require_int")
-    allowed = {"counts.py", "config.py", "cost.py", "probes.py", "verify.py"}
+    """An integer test on a bool or __index__, and a finiteness test on a real, live in counts.py; the JSON loaders of
+    config and cost spell their own."""
+    rule = re.compile(r"isinstance\([^)]*bool|__index__|_require_int|math\.isfinite\(|< math\.inf")
+    allowed = {"counts.py", "config.py", "cost.py"}
     found = [f"{path.name}:{i}" for path in sorted(Path(slicekit.__file__).parent.glob("*.py"))
              if path.name not in allowed
              for i, line in enumerate(path.read_text().splitlines(), 1) if rule.search(line)]

@@ -109,11 +109,14 @@ class TestFitPatchGrid:
         assert (g.cols, g.rows) == (19, 29)
         assert g.tokens == 551 <= VIT.token_budget
 
-    @pytest.mark.parametrize("w, h", [(10, 100), (math.inf, 400), (400, math.inf), (math.nan, 400), (400, math.nan),
-                                      (-math.inf, 400)])
-    def test_degenerate_slice_rejected(self, w, h):
-        with pytest.raises(ValueError, match=re.escape(f"degenerate slice: {w}x{h} is not finite or is smaller than "
-                                                       "one 14px patch") + "$"):
+    @pytest.mark.parametrize("w, h, message", [
+        (10, 100, "degenerate slice: 10x100 is smaller than one 14px patch"),
+        (math.inf, 400, "slice_w_px must be finite, got inf"), (400, math.inf, "slice_h_px must be finite, got inf"),
+        (math.nan, 400, "slice_w_px must be finite, got nan"), (400, math.nan, "slice_h_px must be finite, got nan"),
+        (-math.inf, 400, "slice_w_px must be finite, got -inf"),
+    ], ids=["10-100", "inf-400", "400-inf", "nan-400", "400-nan", "-inf-400"])
+    def test_degenerate_slice_rejected(self, w, h, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             fit_patch_grid(w, h, VIT)
 
     @pytest.mark.parametrize("vit", ORACLE_SPECS,

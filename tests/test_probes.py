@@ -273,15 +273,6 @@ class TestPadding:
         assert padding_waste(4.0, 1.0) == 0.25
         assert padding_waste(3.0, 3.0) == 1.0
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            padding_waste(0.0, 1.0)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                padding_waste(bad, 4.0)
-            with pytest.raises(ValueError):
-                padding_waste(1.0, bad)
-
     def test_probe_scene_covers_expected_fraction(self):
         scene = padding_probe_scene(1.0, 4.0)
         img = render_scene(scene)
@@ -432,22 +423,16 @@ class TestRendering:
         if factor == 1.0:
             assert expected == side
 
-    @pytest.mark.parametrize("factor", [math.inf, math.nan, 0.0, -1.0])
-    def test_scaled_rejects_scale_not_finite_and_positive(self, factor):
-        scene = SyntheticScene(canvas=ImageSize(100, 200), objects=(SceneObject("circle", "red", (50.0, 100.0), 20.0),))
-        with pytest.raises(ValueError, match=f"scale must be finite and > 0, got {factor}$"):
-            scene.scaled(factor)
-
     @pytest.mark.parametrize("center, size, message", [
-        ((5.0, 5.0), 0.0, "object size must be finite and > 0, got 0.0"),
-        ((5.0, 5.0), -1.0, "object size must be finite and > 0, got -1.0"),
-        ((5.0, 5.0), math.inf, "object size must be finite and > 0, got inf"),
-        ((5.0, 5.0), math.nan, "object size must be finite and > 0, got nan"),
+        ((5.0, 5.0), 0.0, "object size must be > 0, got 0.0"),
+        ((5.0, 5.0), -1.0, "object size must be > 0, got -1.0"),
+        ((5.0, 5.0), math.inf, "object size must be finite, got inf"),
+        ((5.0, 5.0), math.nan, "object size must be finite, got nan"),
         ((), 2.0, "object center must be two finite numbers, got ()"),
         ((5.0,), 2.0, "object center must be two finite numbers, got (5.0,)"),
         ((5.0, 5.0, 5.0), 2.0, "object center must be two finite numbers, got (5.0, 5.0, 5.0)"),
-        ((math.inf, 5.0), 2.0, "object center must be two finite numbers, got (inf, 5.0)"),
-        ((5.0, math.nan), 2.0, "object center must be two finite numbers, got (5.0, nan)"),
+        ((math.inf, 5.0), 2.0, "object center must be finite, got inf"),
+        ((5.0, math.nan), 2.0, "object center must be finite, got nan"),
     ])
     def test_object_needs_a_finite_positive_size_and_a_finite_centre(self, center, size, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

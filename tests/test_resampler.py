@@ -527,13 +527,6 @@ class TestGradCheck:
         with pytest.raises(AssertionError, match="ran the finite differences"):
             grad_check(queries, tokens, params)
 
-    def test_eps_validated(self):
-        queries, params, tokens = setup_case(4, dim=6, k=2)
-        with pytest.raises(ValueError):
-            grad_check(queries, tokens, params, eps=0.0)
-        with pytest.raises(ValueError):
-            grad_check(queries, tokens, params, eps=1e-2)
-
 
 class TestInit:
     def test_seeded_reproducible(self):

@@ -69,12 +69,6 @@ class TestDistributionSpec:
                 DistributionSpec(*args, **kwargs)
         assert DistributionSpec(1, np.float32(2.5), np.int64(1), 2).area_ratio_hi == 2.5
 
-    @pytest.mark.parametrize("field", ["area_ratio_lo", "area_ratio_hi", "aspect_lo", "aspect_hi"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_bound_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-            DistributionSpec(**{field: value})
-
     @pytest.mark.parametrize("hi", [1e7, math.nextafter(MAX_TABLE_BANDS - 1, math.inf)])
     def test_area_ratio_past_one_table_is_refused(self, hi):
         with pytest.raises(ValueError, match=f"^area_ratio_hi must be <= {MAX_TABLE_BANDS - 1}, got {hi}$"):
@@ -468,14 +462,6 @@ class TestMonteCarlo:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_expectations(DistributionSpec(), samples=0)
-
-    @pytest.mark.parametrize("field", ["expectation", "variance"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_a_report_refuses_a_statistic_that_is_not_finite(self, field, value):
-        # the variance used to pass through max(0.0, ...), which reads a NaN as 0.0
-        stats = {"expectation": 1.25, "variance": 0.04, "samples": 10, "std_error": 0.06, "seed": 1, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-            StatReport(**stats)
 
     @pytest.mark.parametrize("samples", [10.5, 1e6, True, "100"])
     def test_a_sample_count_that_is_not_an_integer_is_refused(self, samples):
