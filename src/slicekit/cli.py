@@ -91,7 +91,6 @@ def cmd_compress(args, cfg: AppConfig) -> int:
 
 def cmd_grad_check(args, cfg: AppConfig) -> int:
     require_real("--tolerance", args.tolerance, above=0)
-    require_real("--eps", args.eps, above=0, most=1e-3)  # grad_check's own bound on its step
     for option, value in (("--queries", args.queries), ("--tokens", args.tokens), ("--dim", args.dim)):
         require_count(option, value, 1)
 
@@ -99,6 +98,7 @@ def cmd_grad_check(args, cfg: AppConfig) -> int:
 
     from . import resampler
 
+    require_real("--eps", args.eps, above=0, most=resampler.MAX_EPS)
     resampler.check_fd_work(args.queries, args.tokens, args.dim)
     rng = np.random.default_rng(cfg.seed)
     queries, params = resampler.init_resampler(args.queries, args.dim, cfg.seed)

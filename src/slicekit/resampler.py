@@ -18,6 +18,7 @@ from .counts import require_count, require_real
 
 FD_BATCH_ENTRIES = 2**20  # logit-sized entries held by one batch of grad_check's differences; bounds its memory
 FD_MAX_MULTIPLY_ADDS = 10**11  # multiply-adds of grad_check's differences, counted by check_fd_work; bounds its time
+MAX_EPS = 1e-3  # largest finite-difference step grad_check takes
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, 
 
     Returns per-parameter relative errors plus the overall maximum under the key ``max_rel_err``.
     """
-    require_real("eps", eps, above=0, most=1e-3)
+    require_real("eps", eps, above=0, most=MAX_EPS)
     check_fd_work(queries.count_k, tokens.count, params.dim)
     probe = np.ones((queries.count_k, params.dim))
     analytic = _gradients(queries, tokens, params, probe)

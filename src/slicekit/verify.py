@@ -444,7 +444,7 @@ def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tup
     with antiderivative sign(y)*expm1(s*|y|)/s, and n, n^2 over the band.
     """
     x_lo, x_hi = math.log(dist.aspect_lo), math.log(dist.aspect_hi)
-    moments = [0.0] * 4  # integrals of ratio, ratio^2, area, area^2 over the (n, x) region
+    moments = np.zeros(4)  # integrals of ratio, ratio^2, area, area^2 over the (n, x) region
 
     def integral(y0: float, y1: float, s: int) -> float:  # of exp(s*|y|) over [y0, y1]
         return (math.copysign(math.expm1(s * abs(y1)), y1) - math.copysign(math.expm1(s * abs(y0)), y0)) / s
@@ -455,10 +455,9 @@ def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tup
         edges = [x_lo, *(min(max(0.5 * math.log(num / den), x_lo), x_hi) for num, den, _ in switches), x_hi]
         for g, a, b in zip(grids, edges, edges[1:]):
             c, cells = math.log(g.cols_m / g.rows_n), g.slice_count
-            terms = ((n1 - n0) * integral(a - c, b - c, 1), (n1 - n0) * integral(a - c, b - c, 2),
-                     (b - a) * (n1**2 - n0**2) / (2 * cells), (b - a) * (n1**3 - n0**3) / (3 * cells**2))
-            moments = [m + float(t) for m, t in zip(moments, terms)]  # float: a numpy bound's terms add as float64
-    r, r2, s, s2 = (m / float((dist.area_ratio_hi - dist.area_ratio_lo) * (x_hi - x_lo)) for m in moments)
+            moments += [(n1 - n0) * integral(a - c, b - c, 1), (n1 - n0) * integral(a - c, b - c, 2),
+                        (b - a) * (n1**2 - n0**2) / (2 * cells), (b - a) * (n1**3 - n0**3) / (3 * cells**2)]
+    r, r2, s, s2 = (moments / ((dist.area_ratio_hi - dist.area_ratio_lo) * (x_hi - x_lo))).tolist()
     return (r, r2 - r * r), (s, s2 - s * s)
 
 
