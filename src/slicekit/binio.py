@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 
+from .arrays import require_array
 from .patches import PosEmbedGrid
 
 MAGIC = b"PEG1"
@@ -44,10 +45,7 @@ def grid_from_bytes(data: bytes) -> PosEmbedGrid:
 
 
 def tokens_to_bytes(tokens: np.ndarray) -> bytes:
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2:
-        raise ValueError("token matrix must be 2D (count, dim)")
-    return _to_bytes(tokens[None, :, :])
+    return _to_bytes(require_array("tokens", tokens, ("count", "dim"))[None, :, :])
 
 
 def tokens_from_bytes(data: bytes) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import read_only
+from .arrays import read_only, require_array
 from .counts import require_count
 from .partition import PatchGrid, fit_patch_grid, overview_grid  # noqa: F401  (re-exported)
 
@@ -19,13 +19,8 @@ class PosEmbedGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", read_only(self.values))
-        if self.values.ndim != 3:
-            raise ValueError("position embedding grid must be rank 3 (rows, cols, dim)")
-        if 0 in self.values.shape:
-            raise ValueError(f"position embedding grid has an empty axis: (rows, cols, dim) = {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise ValueError("position embeddings must be finite")
+        values = require_array("position embeddings", self.values, ("rows", "cols", "dim"))
+        object.__setattr__(self, "values", read_only(values))
 
     @property
     def rows(self) -> int:
@@ -42,10 +37,8 @@ class PosEmbedGrid:
 
 def reshape_pos_embed_1d_to_2d(seq: np.ndarray, q: int) -> PosEmbedGrid:
     """Row-major reshape of an (M, dim) embedding sequence to (q, q, dim)."""
-    q = require_count("q", q, 1)
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ValueError("embedding sequence must be a 2D (tokens, dim) array")
+    require_array("seq", seq, ("tokens", "dim"))
+    q = require_count("q", q, 1, seq.shape[0])
     if seq.shape[0] != q * q:
         raise ValueError(f"q must be the square root of the sequence length {seq.shape[0]}, got {q}")
     return PosEmbedGrid(values=seq.reshape(q, q, seq.shape[1]))

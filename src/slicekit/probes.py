@@ -319,8 +319,10 @@ def _covers(obj: SceneObject, x: float, y: float) -> bool:
 def padding_probe_scene(aspect_w: float, aspect_h: float) -> SyntheticScene:
     """Centered colored rectangle on a grey square PROBE_SIDE_PX canvas (padding-blindness probe)."""
     canvas = ImageSize(PROBE_SIDE_PX, PROBE_SIDE_PX)
-    require_real("aspect_w", aspect_w, above=0)
-    require_real("aspect_h", aspect_h, above=0)
+    require_real("aspect_w", aspect_w, above=0, most=sys.float_info.max)
+    require_real("aspect_h", aspect_h, above=0, most=sys.float_info.max)
+    shift = -math.frexp(max(aspect_w, aspect_h))[1]  # exact: the longer aspect to [0.5, 1), so no overflow
+    aspect_w, aspect_h = math.ldexp(aspect_w, shift), math.ldexp(aspect_h, shift)
     scale = PROBE_SIDE_PX / max(aspect_w, aspect_h)
     rect_w = max(1.0, aspect_w * scale)
     rect_h = max(1.0, aspect_h * scale)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import read_only
+from .arrays import read_only, require_array
 from .counts import require_count, require_real
 
 FD_BATCH_ENTRIES = 2**20  # logit-sized entries held by one batch of grad_check's differences; bounds its memory
@@ -28,10 +28,7 @@ class TokenMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[1] < 1:
-            raise ValueError("token matrix must be 2D (count, dim) with dim >= 1")
-        if not np.isfinite(self.values).all():
-            raise ValueError("token values must be finite")
+        require_array("tokens", self.values, ("count", "dim"))
 
     @property
     def count(self) -> int:
@@ -49,11 +46,7 @@ class QuerySet:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", read_only(self.values))
-        if self.values.ndim != 2 or self.values.shape[0] < 1:
-            raise ValueError("queries must be a non-empty 2D (K, dim) array")
-        if not np.isfinite(self.values).all():
-            raise ValueError("query values must be finite")
+        object.__setattr__(self, "values", read_only(require_array("queries", self.values, ("K", "dim"))))
 
     @property
     def count_k(self) -> int:
@@ -73,14 +66,11 @@ class AttentionParams:
     w_v: np.ndarray
 
     def __post_init__(self):
-        d = self.w_q.shape[0]
         for name in ("w_q", "w_k", "w_v"):
-            w = read_only(getattr(self, name))
+            w = read_only(require_array(name, getattr(self, name), ("dim", "dim")))
             object.__setattr__(self, name, w)
-            if w.shape != (d, d):
+            if w.shape != (self.w_q.shape[0],) * 2:
                 raise ValueError(f"{name} must be square with matching dim")
-            if not np.isfinite(w).all():
-                raise ValueError(f"{name} must be finite")
 
     @property
     def dim(self) -> int:
@@ -129,8 +119,6 @@ def _query_keys(queries: QuerySet, params: AttentionParams) -> np.ndarray:
 
 def _block_weights(qk: np.ndarray, x: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Row-stochastic (K, T) weights softmax((qk X^T) / sqrt(d)) of one block's raw tokens X."""
-    if x.shape[0] < 1:
-        raise ValueError("empty slice: cross-attention needs at least one token")
     if x.shape[1] != params.dim:
         raise ValueError("query/token/parameter dims do not match")
     return _softmax_rows((qk @ x.T) * params.scale)
@@ -245,14 +233,11 @@ def _numeric_gradients(queries: QuerySet, tokens: TokenMatrix, params: Attention
 
 
 def check_fd_work(k: int, t: int, d: int) -> None:
-    """Refuse a grad_check of K queries, T tokens and width d whose finite differences exceed FD_MAX_MULTIPLY_ADDS.
-
-    Sizes below 1 are left to the checks of the resampler's own types.
-    """
+    """Refuse a grad_check of K queries, T tokens and width d (each >= 1) whose work exceeds FD_MAX_MULTIPLY_ADDS."""
     # four whole forwards per perturbed entry of Q, Wq, Wk and Wv, each (Q Wq) Wk^T, qk X^T, A X and (A X) Wv: the
     # differences' former work, kept so that no refusal moves; it over-counts the rank-1 differences run now
     work = 4 * (k * d + 3 * d * d) * k * d * (3 * d + 2 * t)
-    if min(k, d) >= 1 and work > FD_MAX_MULTIPLY_ADDS:
+    if work > FD_MAX_MULTIPLY_ADDS:
         raise ValueError(f"grad_check at K={k}, T={t}, d={d} needs about {work:.1e} multiply-adds of finite "
                          f"differences, more than the limit of {FD_MAX_MULTIPLY_ADDS:.0e}")
 

@@ -710,7 +710,7 @@ class TestInterpPe:
         src.write_bytes(token_file(rows, cols, dim))
         code, out, err = run(capsys, "interp-pe", str(src), str(tmp_path / "o.bin"), "--rows", "3", "--cols", "3")
         assert (code, out) == (1, "")
-        empty = f"position embedding grid has an empty axis: (rows, cols, dim) = {(rows, cols, dim)}"
+        empty = f"position embeddings must have shape (rows, cols, dim) with no empty axis, got {(rows, cols, dim)}"
         assert err == f"error: {src}: {empty}\n"
         assert not (tmp_path / "o.bin").exists()
 
