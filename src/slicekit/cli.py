@@ -76,12 +76,15 @@ def cmd_compress(args, cfg: AppConfig) -> int:
                 matrices.append(resampler.TokenMatrix(values=binio.tokens_from_bytes(f.read())))
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-    dim = matrices[0].dim
-    for path, tokens in zip(args.inputs, matrices):
-        if tokens.dim != dim:
-            raise ValueError(f"{path} has token width {tokens.dim}, but {args.inputs[0]} has {dim}")
-    queries, params = resampler.init_resampler(cfg.dims.resampler_queries, dim, cfg.seed)
-    outputs = resampler.compress_slices(matrices, queries, params)
+        if matrices[-1].dim != matrices[0].dim:
+            raise ValueError(f"{path} has token width {matrices[-1].dim}, but {args.inputs[0]} has {matrices[0].dim}")
+    queries, params = resampler.init_resampler(cfg.dims.resampler_queries, matrices[0].dim, cfg.seed)
+    outputs = []
+    for path, tokens in zip(args.inputs, matrices):  # one block at a time, so that a refusal names its file
+        try:
+            outputs += resampler.compress_slices([tokens], queries, params)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     for path, tokens, out_tokens, out_path in zip(args.inputs, matrices, outputs, out_paths):
         with open(out_path, "wb") as f:
             f.write(binio.tokens_to_bytes(out_tokens.values))

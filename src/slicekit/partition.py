@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .counts import require_count, require_real
+from .counts import _shown, require_count, require_real
 
 # most slices a plan may be cut into, capped or not: an N up to 10^4 + 1 factors in microseconds and a plan holds at
 # most 10^4 PixelRects; the tests' largest plan, 25891x25891 at N = 5938, is inside it
@@ -106,12 +106,14 @@ def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchG
     require_real("slice_w_px", slice_w_px)
     require_real("slice_h_px", slice_h_px)
     if not (vit.patch_px <= slice_w_px and vit.patch_px <= slice_h_px):
-        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} is smaller than one {vit.patch_px}px patch")
+        raise ValueError(f"degenerate slice: {_shown(slice_w_px)}x{_shown(slice_h_px)} is smaller than one "
+                         f"{vit.patch_px}px patch")
     budget = vit.token_budget
     # an int side past float range has no float aspect; two sides within it divide without overflow
     aspect = slice_w_px / slice_h_px if max(slice_w_px, slice_h_px) <= sys.float_info.max else math.inf
     if not budget / sys.float_info.max < aspect < sys.float_info.max / budget:
-        raise ValueError(f"degenerate slice: {slice_w_px}x{slice_h_px} has an aspect ratio beyond float range")
+        raise ValueError(f"degenerate slice: {_shown(slice_w_px)}x{_shown(slice_h_px)} has an aspect ratio beyond "
+                         "float range")
     cap_c = int(slice_w_px // vit.patch_px)
     cap_r = int(slice_h_px // vit.patch_px)
     ideal_c = math.sqrt(budget * aspect)
@@ -265,11 +267,12 @@ def select_partition(image: ImageSize, vit: VitSpec, max_slices: int | None = No
     cap, bound = ((MAX_SLICES, "MAX_SLICES") if max_slices is None
                   else (require_count("max_slices", max_slices, 1, MAX_SLICES), "max_N"))
     if min(image.width_px, image.height_px) < vit.patch_px:
-        raise ValueError(f"image {image.width_px}x{image.height_px} has a side below one {vit.patch_px}px patch")
+        raise ValueError(f"image {_shown(image.width_px)}x{_shown(image.height_px)} has a side below one "
+                         f"{vit.patch_px}px patch")
     n = ideal_slice_count(image, vit)
     if n - 1 > cap:
-        raise ValueError(f"{image.width_px}x{image.height_px} would be cut into at least {n - 1} slices, "
-                         f"which exceeds {bound}={cap}")
+        raise ValueError(f"{_shown(image.width_px)}x{_shown(image.height_px)} would be cut into at least "
+                         f"{_shown(n - 1)} slices, which exceeds {bound}={cap}")
     p, q = image.width_px * vit.pretrain_height_px, image.height_px * vit.pretrain_width_px
     chosen = grid_table(n)[0][grid_index(n, p * p, q * q)]
     thin = image.width_px // chosen.cols_m < vit.patch_px or image.height_px // chosen.rows_n < vit.patch_px

@@ -171,8 +171,12 @@ def compress_slices(
         x = gathered[:values.nbytes].view(values.dtype).reshape(values.shape)
         # mode="raise" would gather into a temporary and copy it into x
         np.take(values, _canonical_order(values), axis=0, out=x, mode="clip")
-        attn = _block_weights(qk, x, params)
-        out.append(TokenMatrix(values=(attn @ x) @ params.w_v))
+        with np.errstate(over="ignore", invalid="ignore"):  # tokens that overflow a product are refused below
+            block = (_block_weights(qk, x, params) @ x) @ params.w_v
+        try:
+            out.append(TokenMatrix(values=block))
+        except ValueError:  # finite tokens give a non-finite output only where a product overflowed
+            raise ValueError("tokens are too large: the resampler's products overflow float64") from None
     return out
 
 

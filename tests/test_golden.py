@@ -1,4 +1,5 @@
-"""Digests of the plan, cost, schema and proof-check outputs, so that "byte-identical" is one test.
+"""Digests of the plan, cost, schema and proof-check outputs and of the CLI's refusals, so that "byte-identical" is
+one test.
 
 tests/golden.json holds the SHA-256 of canonical JSON over every case below. A change that moves a digest on
 purpose updates golden.json and says in CHANGES.md which digest moved and why.
@@ -14,6 +15,7 @@ from slicekit.cost import STRATEGIES, estimate_flops, load_model_dims
 from slicekit.partition import ImageSize, VitSpec, select_partition
 from slicekit.schema import serialize_layout, summary
 from slicekit.verify import run_proof_checks
+from test_cli import REFUSALS, STDERR, run_refusal
 from test_partition import SUB_PATCH_SIZES
 
 VIT = VitSpec()
@@ -87,3 +89,12 @@ def test_verify_proofs_stdout_digest(capsys):
     """`slicekit verify proofs` at its defaults, run in process: the report as the CLI prints it."""
     assert main(["verify", "proofs"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN["cli/verify proofs"]
+
+
+def test_cli_refusals_digest(tmp_path_factory, monkeypatch):
+    """The stderr of every row of test_cli.REFUSALS, its directory as {tmp}: a message change moves this digest.
+
+    A row that test_refusal already ran in this pytest run is not run again."""
+    stderr = [[row.id, STDERR.get(row) or run_refusal(row, tmp_path_factory.mktemp("row"), monkeypatch)[2]]
+              for row in REFUSALS]
+    assert digest(stderr) == GOLDEN["cli/refusals"]

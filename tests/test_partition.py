@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slicekit.config import AppConfig
+from slicekit.counts import _shown
 from slicekit.partition import (
     MAX_SLICES,
     ImageSize,
@@ -298,13 +299,13 @@ class TestSelectPartition:
             select_partition(ImageSize(side, side), VIT, 6)
         assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize("side", [10**9, 10**11, 10**62])
+    @pytest.mark.parametrize("side", [10**9, 10**11, 10**62, pytest.param(10**5000, id="5000 digits")])
     def test_cap_refuses_from_the_ideal_count_alone(self, side):
         # every candidate grid for N >= 3 has at least N - 1 slices: none is enumerated when N - 1 exceeds the cap
         n = ideal_slice_count(ImageSize(side, side), VIT)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"^{side}x{side} would be cut into at least {n - 1} slices, "
-                                             "which exceeds max_N=6$"):
+        with pytest.raises(ValueError, match=f"^{_shown(side)}x{_shown(side)} would be cut into at least "
+                                             f"{_shown(n - 1)} slices, which exceeds max_N=6$"):
             select_partition(ImageSize(side, side), VIT, 6)
         assert time.perf_counter() - start < 0.1
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slicekit.counts import _shown
 from slicekit.partition import ImageSize, VitSpec
 from slicekit.patches import (
     PatchGrid,
@@ -127,10 +128,11 @@ class TestFitPatchGrid:
         for w, h in sides:
             assert fit_patch_grid(w, h, vit) == search_fit_patch_grid(w, h, vit), (w, h)
 
-    @pytest.mark.parametrize("w, h", [(1.7e308, 14), (14, 1.7e308), (10**400, 14), (14, 10**400), (1e300, 10**400)])
+    @pytest.mark.parametrize("w, h", [(1.7e308, 14), (14, 1.7e308), (10**400, 14), (14, 10**400), (1e300, 10**400),
+                                      pytest.param(10**5000, 14, id="5000 digits-14")])
     def test_aspect_beyond_float_range_rejected(self, w, h):
-        with pytest.raises(ValueError, match=re.escape(f"degenerate slice: {w}x{h} has an aspect ratio beyond float "
-                                                       "range") + "$"):
+        with pytest.raises(ValueError, match=re.escape(f"degenerate slice: {_shown(w)}x{_shown(h)} has an aspect ratio "
+                                                       "beyond float range") + "$"):
             fit_patch_grid(w, h, VIT)
 
     @pytest.mark.parametrize("fit", [lambda: fit_patch_grid(1e300, 400, VIT),
