@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from .arrays import require_array
+from .counts import require_holder
 from .patches import PosEmbedGrid
 
 MAGIC = b"PEG1"
@@ -26,7 +27,7 @@ def _to_bytes(values: np.ndarray) -> bytes:
 
 
 def grid_to_bytes(grid: PosEmbedGrid) -> bytes:
-    return _to_bytes(grid.values)
+    return _to_bytes(require_holder("grid", grid, PosEmbedGrid).values)
 
 
 def grid_from_bytes(data: bytes) -> PosEmbedGrid:

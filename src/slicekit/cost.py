@@ -10,10 +10,11 @@ comparisons between strategies are expressed as ratios.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 
-from .counts import require_count
+from .counts import require_count, require_holder
 from .jsonfile import load_json_file
 from .partition import ImageSize, VitSpec, select_partition
 
@@ -27,6 +28,7 @@ _STRATEGIES = {
 }
 STRATEGIES = tuple(_STRATEGIES)
 MAX_COUNT = 2**53  # greatest text token count or model dim: it converts to a float exactly, and every product is finite
+MAX_TOKENS = sys.float_info.max  # greatest token count a FLOP estimate takes: it computes in floats
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,9 @@ class StackDims:
     ffn_dim: int
 
     def __post_init__(self):
-        if min(self.layers, self.hidden_dim, self.ffn_dim) < 0:
-            raise ValueError("stack dims must be non-negative")
+        for f in self.__dataclass_fields__:  # a field that is no integer is refused by its name, a negative one as here
+            if require_count(f, getattr(self, f), float("-inf"), MAX_COUNT) < 0:
+                raise ValueError("stack dims must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -105,23 +108,24 @@ def load_model_dims(path: str | None = None) -> ModelDims:
 
 
 def transformer_stack_flops(dims: StackDims, tokens: int) -> float:
-    d, f = dims.hidden_dim, dims.ffn_dim
+    d, f = require_holder("dims", dims, StackDims).hidden_dim, dims.ffn_dim
+    tokens = require_count("tokens", tokens, 0, MAX_TOKENS)
     per_layer = 8.0 * tokens * d * d + 4.0 * tokens * tokens * d + 4.0 * tokens * d * f
     return dims.layers * per_layer
 
 
 def resampler_flops(dims: ModelDims, input_tokens: int) -> float:
     """The paper's accounting of one block, not what compress_slices runs; `bench/run.py --trace 1` prints the gap."""
-    d, k = dims.encoder.hidden_dim, dims.resampler_queries
-    t = input_tokens
+    d, k = require_holder("dims", dims, ModelDims).encoder.hidden_dim, dims.resampler_queries
+    t = require_count("input_tokens", input_tokens, 0, MAX_TOKENS)
     # key/value projections on t tokens, query projection on K queries,
     # then the two K x t attention matmuls
     return 4.0 * t * d * d + 2.0 * k * d * d + 4.0 * k * t * d
 
 
 def mlp_projector_flops(dims: ModelDims, input_tokens: int) -> float:
-    d_in, h, d_out = dims.encoder.hidden_dim, dims.mlp_hidden_dim, dims.llm.hidden_dim
-    return input_tokens * (2.0 * d_in * h + 2.0 * h * d_out)
+    d_in, h = require_holder("dims", dims, ModelDims).encoder.hidden_dim, dims.mlp_hidden_dim
+    return require_count("input_tokens", input_tokens, 0, MAX_TOKENS) * (2.0 * d_in * h + 2.0 * h * dims.llm.hidden_dim)
 
 
 def estimate_flops(
@@ -135,8 +139,8 @@ def estimate_flops(
     """Cost report for one encoding strategy on one image; only a sliced plan is capped at max_slices."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    vit = vit or VitSpec()
-    text_tokens = require_count("text_tokens", text_tokens, 0, MAX_COUNT)
+    vit = VitSpec() if vit is None else require_holder("vit", vit, VitSpec)
+    dims, text_tokens = require_holder("dims", dims, ModelDims), require_count("text_tokens", text_tokens, 0, MAX_COUNT)
     squares, resampled = _STRATEGIES[strategy]
     passes = ([g.tokens for g in select_partition(image, vit, max_slices).patch_grids] if squares is None
               else [vit.token_budget] * squares)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .counts import _shown, require_count, require_real
+from .counts import _shown, require_count, require_holder, require_real
 
 # most slices a plan may be cut into, capped or not: an N up to 10^4 + 1 factors in microseconds and a plan holds at
 # most 10^4 PixelRects; the tests' largest plan, 25891x25891 at N = 5938, is inside it
@@ -105,7 +105,7 @@ def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchG
     """
     require_real("slice_w_px", slice_w_px)
     require_real("slice_h_px", slice_h_px)
-    if not (vit.patch_px <= slice_w_px and vit.patch_px <= slice_h_px):
+    if not (require_holder("vit", vit, VitSpec).patch_px <= slice_w_px and vit.patch_px <= slice_h_px):
         raise ValueError(f"degenerate slice: {_shown(slice_w_px)}x{_shown(slice_h_px)} is smaller than one "
                          f"{vit.patch_px}px patch")
     budget = vit.token_budget
@@ -132,7 +132,7 @@ def fit_patch_grid(slice_w_px: float, slice_h_px: float, vit: VitSpec) -> PatchG
 
 def overview_grid(image: ImageSize, vit: VitSpec) -> PatchGrid:
     """Patch grid for the native-aspect overview downscale of the full image."""
-    return fit_patch_grid(image.width_px, image.height_px, vit)
+    return fit_patch_grid(require_holder("image", image, ImageSize).width_px, image.height_px, vit)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ class PartitionPlan:
 
 def ideal_slice_count(image: ImageSize, vit: VitSpec) -> int:
     """Ceiling of image area over encoder pretraining area, at least 1."""
-    n = -(-(image.width_px * image.height_px) // vit.pretrain_area_px)
-    return max(1, n)
+    area = require_holder("image", image, ImageSize).width_px * image.height_px
+    return max(1, -(-area // require_holder("vit", vit, VitSpec).pretrain_area_px))
 
 
 def candidate_grids(n: int) -> set[SliceGrid]:
@@ -192,8 +192,9 @@ def partition_score(image: ImageSize, vit: VitSpec, grid: SliceGrid) -> float:
     The slice aspect for grid (m, n) is (W/m)/(H/n) = W*n/(H*m).  Natural
     logarithm; the argmax is invariant to the log base.
     """
+    image, grid = require_holder("image", image, ImageSize), require_holder("grid", grid, SliceGrid)
     slice_aspect = (image.width_px * grid.rows_n) / (image.height_px * grid.cols_m)
-    return -abs(math.log(slice_aspect) - math.log(vit.aspect))
+    return -abs(math.log(slice_aspect) - math.log(require_holder("vit", vit, VitSpec).aspect))
 
 
 def ordered_candidates(n: int) -> list[SliceGrid]:
@@ -233,7 +234,7 @@ def grid_index(n: int, p2, q2):
 
 def slice_rectangles(image: ImageSize, grid: SliceGrid) -> tuple[PixelRect, ...]:
     """Tile the image exactly; remainder pixels go to the leading rows/columns."""
-    xs = _split_axis(image.width_px, grid.cols_m)
+    xs = _split_axis(require_holder("image", image, ImageSize).width_px, require_holder("grid", grid, SliceGrid).cols_m)
     ys = _split_axis(image.height_px, grid.rows_n)
     rects = []
     for y, h in ys:
@@ -266,10 +267,10 @@ def select_partition(image: ImageSize, vit: VitSpec, max_slices: int | None = No
     """
     cap, bound = ((MAX_SLICES, "MAX_SLICES") if max_slices is None
                   else (require_count("max_slices", max_slices, 1, MAX_SLICES), "max_N"))
+    n = ideal_slice_count(image, vit)
     if min(image.width_px, image.height_px) < vit.patch_px:
         raise ValueError(f"image {_shown(image.width_px)}x{_shown(image.height_px)} has a side below one "
                          f"{vit.patch_px}px patch")
-    n = ideal_slice_count(image, vit)
     if n - 1 > cap:
         raise ValueError(f"{_shown(image.width_px)}x{_shown(image.height_px)} would be cut into at least "
                          f"{_shown(n - 1)} slices, which exceeds {bound}={cap}")

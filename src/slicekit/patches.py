@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import read_only, require_array
-from .counts import require_count
+from .counts import require_count, require_holder
 from .partition import PatchGrid, fit_patch_grid, overview_grid  # noqa: F401  (re-exported)
 
 
@@ -56,6 +56,7 @@ def interpolate_pos_embed(src: PosEmbedGrid, target: PatchGrid) -> PosEmbedGrid:
     of 1 bit for bit, repeated calls as bit-equal, and every grid within 1e-12
     of a per-cell oracle; a slice of the channels may differ in the last bit.
     """
+    src, target = require_holder("src", src, PosEmbedGrid), require_holder("target", target, PatchGrid)
     if (target.rows, target.cols) == (src.rows, src.cols):
         return src
     return _interpolated(src, target.rows, target.cols)

@@ -15,7 +15,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .counts import require_count, require_real
+from .counts import require_count, require_holder, require_real
 from .partition import ImageSize
 
 COLORS = {
@@ -62,15 +62,16 @@ class SyntheticScene:
     background: str = "grey"
 
     def __post_init__(self):
+        require_holder("canvas", self.canvas, ImageSize)
         if self.background not in COLORS:
             raise ValueError(f"unknown background {self.background!r}")
-        for obj in self.objects:
+        for obj in require_holder("objects", self.objects, SceneObject, many=True):
             x, y = obj.center
             if not (0 <= x < self.canvas.width_px and 0 <= y < self.canvas.height_px):
                 raise ValueError(f"object center {obj.center} outside canvas")
 
     def scaled(self, factor: float) -> "SyntheticScene":
-        require_real("scene scale", factor, above=0)
+        require_real("scene scale", factor, above=0, most=sys.float_info.max)
         from fractions import Fraction  # only scaling needs it; the CLI's other commands skip its import
 
         # exact: a side beyond 2**53 px keeps its own digits, not the nearest float's
@@ -127,7 +128,7 @@ def overlap_tile_cover(canvas: ImageSize) -> SliceCover:
     (dim - tile)/(k - 1), rounded to integer pixels.  The tile counts are
     refused over MAX_CELLS axis starts before any start is built.
     """
-    w, h = canvas.width_px, canvas.height_px
+    w, h = require_holder("canvas", canvas, ImageSize).width_px, canvas.height_px
     nx, ny = -(-w // TILE_PX), -(-h // TILE_PX)
     if nx + ny > MAX_CELLS:
         raise CanvasLimitError(f"canvas {w} x {h} needs {nx} x {ny} tiles of {TILE_PX} px, more than the limit of "
@@ -156,8 +157,8 @@ def object_multiplicity(obj: SceneObject, cover: SliceCover) -> int:
 
     A tile contains a point exactly when both of its axis spans do, so the count is the product of the per-axis counts.
     """
-    x, y = obj.center
-    return _tiles_holding(cover.xs, x) * _tiles_holding(cover.ys, y)
+    x, y = require_holder("obj", obj, SceneObject).center
+    return _tiles_holding(require_holder("cover", cover, SliceCover).xs, x) * _tiles_holding(cover.ys, y)
 
 
 def heatmap_probe(
@@ -171,11 +172,11 @@ def heatmap_probe(
     returned matrix is indexed [row][col] over origins spaced grid_step_px
     apart, keeping only placements where the whole template fits.
     """
-    if not object_template:
+    if not require_holder("object_template", object_template, SceneObject, many=True):
         raise ValueError("object template must contain at least one object")
     grid_step_px = require_count("grid_step_px", grid_step_px, 1)
     # origins 0, step, ... below each far edge less the template's reach: ceil(stop / step) of them, if stop > 0
-    stop_x = canvas.width_px - math.ceil(max(o.center[0] for o in object_template))
+    stop_x = require_holder("canvas", canvas, ImageSize).width_px - math.ceil(max(o.center[0] for o in object_template))
     stop_y = canvas.height_px - math.ceil(max(o.center[1] for o in object_template))
     cols, rows = max(0, -(-stop_x // grid_step_px)), max(0, -(-stop_y // grid_step_px))
     if rows * max(cols, 1) > MAX_CELLS:  # a row without placements is still one list
@@ -207,7 +208,7 @@ def phase_classify(scene: SyntheticScene, resolution_scale: float) -> tuple[int,
     come from objects cut by tile borders.  Phase 3: overlap multiplicities
     kick in, mixing ground truth, fragment counts and multiplied counts.
     """
-    resized = scene.scaled(resolution_scale)
+    resized = require_holder("scene", scene, SyntheticScene).scaled(resolution_scale)
     truth = len(resized.objects)
     cover = overlap_tile_cover(resized.canvas)
     if cover.grid == (1, 1):
@@ -229,8 +230,8 @@ def _fragment_count(scene: SyntheticScene, cover: SliceCover) -> int:
 
 def padding_waste(aspect_w: float, aspect_h: float) -> float:
     """Fraction of square-padded computation spent on real content."""
-    require_real("aspect_w", aspect_w, above=0)
-    require_real("aspect_h", aspect_h, above=0)
+    require_real("aspect_w", aspect_w, above=0, most=sys.float_info.max)
+    require_real("aspect_h", aspect_h, above=0, most=sys.float_info.max)
     return min(aspect_w, aspect_h) / max(aspect_w, aspect_h)
 
 
@@ -242,7 +243,7 @@ def render_scene(scene: SyntheticScene) -> bytes:
     the shape's half-width in the row and move pixel by pixel until the cover test flips, so every pixel gets the
     same answer as a test of each centre would give.
     """
-    w, h = scene.canvas.width_px, scene.canvas.height_px
+    w, h = require_holder("scene", scene, SyntheticScene).canvas.width_px, scene.canvas.height_px
     if w * h > MAX_CELLS:
         raise ValueError(f"scene of {w} x {h} pixels is more than the limit of {MAX_CELLS} pixels")
     # blocks of whole rows, about RENDER_BLOCK_BYTES each, made when first written; the untouched share a background

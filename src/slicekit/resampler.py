@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import read_only, require_array
-from .counts import require_count, require_real
+from .counts import _shown, require_count, require_holder, require_real
 
 FD_BATCH_ENTRIES = 2**20  # logit-sized entries held by one batch of grad_check's differences; bounds its memory
 FD_MAX_MULTIPLY_ADDS = 10**11  # multiply-adds of grad_check's differences, counted by check_fd_work; bounds its time
@@ -138,7 +138,8 @@ def _canonical_order(x: np.ndarray) -> np.ndarray:
 
 def attention_weights(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> np.ndarray:
     """Row-stochastic (K, T) attention matrix, columns in the tokens' order."""
-    return _block_weights(_query_keys(queries, params), tokens.values, params)
+    qk = _query_keys(require_holder("queries", queries, QuerySet), require_holder("params", params, AttentionParams))
+    return _block_weights(qk, require_holder("tokens", tokens, TokenMatrix).values, params)
 
 
 def cross_attention_forward(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams) -> TokenMatrix:
@@ -146,7 +147,7 @@ def cross_attention_forward(queries: QuerySet, tokens: TokenMatrix, params: Atte
 
     The same computation as one block of ``compress_slices``.
     """
-    return compress_slices([tokens], queries, params)[0]
+    return compress_slices([require_holder("tokens", tokens, TokenMatrix)], queries, params)[0]
 
 
 def compress_slices(
@@ -163,7 +164,8 @@ def compress_slices(
     tokens.  Blocks are multiplied one at a time: a product of several
     stacked blocks rounds a block's rows differently from the block alone.
     """
-    qk = _query_keys(queries, params)
+    qk = _query_keys(require_holder("queries", queries, QuerySet), require_holder("params", params, AttentionParams))
+    require_holder("slice_tokens", slice_tokens, TokenMatrix, many=True)
     gathered = np.empty(max((t.values.nbytes for t in slice_tokens), default=0), np.uint8)
     out = []
     for tokens in slice_tokens:
@@ -240,9 +242,11 @@ def check_fd_work(k: int, t: int, d: int) -> None:
     """Refuse a grad_check of K queries, T tokens and width d (each >= 1) whose work exceeds FD_MAX_MULTIPLY_ADDS."""
     # four whole forwards per perturbed entry of Q, Wq, Wk and Wv, each (Q Wq) Wk^T, qk X^T, A X and (A X) Wv: the
     # differences' former work, kept so that no refusal moves; it over-counts the rank-1 differences run now
+    k, t, d = (require_count(name, value, 1) for name, value in (("k", k), ("t", t), ("d", d)))
     work = 4 * (k * d + 3 * d * d) * k * d * (3 * d + 2 * t)
     if work > FD_MAX_MULTIPLY_ADDS:
-        raise ValueError(f"grad_check at K={k}, T={t}, d={d} needs about {work:.1e} multiply-adds of finite "
+        raise ValueError(f"grad_check at K={_shown(k)}, T={_shown(t)}, d={_shown(d)} needs about "
+                         f"{_shown(work, '{:.1e}'.format)} multiply-adds of finite "
                          f"differences, more than the limit of {FD_MAX_MULTIPLY_ADDS:.0e}")
 
 
@@ -252,7 +256,8 @@ def grad_check(queries: QuerySet, tokens: TokenMatrix, params: AttentionParams, 
     Returns per-parameter relative errors plus the overall maximum under the key ``max_rel_err``.
     """
     require_real("eps", eps, above=0, most=MAX_EPS)
-    check_fd_work(queries.count_k, tokens.count, params.dim)
+    k, t = require_holder("queries", queries, QuerySet).count_k, require_holder("tokens", tokens, TokenMatrix).count
+    check_fd_work(k, t, require_holder("params", params, AttentionParams).dim)
     probe = np.ones((queries.count_k, params.dim))
     analytic = _gradients(queries, tokens, params, probe)
     for g in analytic.values():

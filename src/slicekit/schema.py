@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 
-from .counts import require_count
+from .counts import require_count, require_holder
 from .partition import PartitionPlan
 
 
@@ -48,7 +48,7 @@ def serialize_layout(plan: PartitionPlan, tokens_per_block: int) -> list:
     the ROW before slice 0 joins the overview; content token total is tokens_per_block * (m*n + 1).
     """
     tokens_per_block = require_count("tokens_per_block", tokens_per_block, 1)
-    m = plan.grid.cols_m
+    m = require_holder("plan", plan, PartitionPlan).grid.cols_m
     seq: list = [ContentToken("overview")] * tokens_per_block
     for i in range(plan.grid.slice_count):
         seq.append(Sep.ROW if i % m == 0 else Sep.COL)
@@ -93,7 +93,8 @@ def parse_layout(sequence: list) -> TokenLayout:
 
 def token_count(plan: PartitionPlan, tokens_per_block: int) -> int:
     """Content tokens fed to the LLM: K * (slices + 1)."""
-    return require_count("tokens_per_block", tokens_per_block, 1) * (plan.grid.slice_count + 1)
+    slices = require_holder("plan", plan, PartitionPlan).grid.slice_count
+    return require_count("tokens_per_block", tokens_per_block, 1) * (slices + 1)
 
 
 def render_layout(sequence: list) -> str:

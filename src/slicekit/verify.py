@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .counts import require_count, require_real
+from .counts import require_count, require_holder, require_real
 from .partition import grid_index, grid_table
 
 TWO_LOG2 = 2.0 * math.log(2.0)
@@ -83,8 +83,10 @@ class StatReport:
     seed: int
 
     def __post_init__(self):
-        for name in ("expectation", "variance"):
+        for name in ("expectation", "variance", "std_error"):
             require_real(name, getattr(self, name))
+        require_count("samples", self.samples, 1)
+        require_count("seed", self.seed, 0)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -234,7 +236,13 @@ def _select_grids(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarra
 
 
 def slice_statistics(area_ratio: np.ndarray, aspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Folded slice aspect ratio and normalized slice area per sample, in the calling thread."""
+    """Folded slice aspect ratio and normalized slice area per sample, in the calling thread.  Any number of samples,
+    0 included, of any values: a NaN or +inf area ratio is refused as a slice count, any other gets its table's grid."""
+    from .arrays import require_array  # at the call, so that importing verify loads no further module
+
+    area_ratio = require_array("area_ratio", area_ratio, ("samples",), samples=True)
+    if require_array("aspect", aspect, ("samples",), samples=True).shape != area_ratio.shape:
+        raise ValueError(f"aspect must be of area_ratio's shape {area_ratio.shape}, got {aspect.shape}")
     ratio, area = np.empty(area_ratio.size), np.empty(area_ratio.size)
     if area_ratio.size:
         table, buffers = _range_table(area_ratio.min(), area_ratio.max()), _chunk_buffers(area_ratio.size)
@@ -403,6 +411,7 @@ def monte_carlo_statistics(dists: tuple[DistributionSpec, ...], samples: int = 1
     whole shard, for any number of parts, and no shard-sized array is made.
     """
     samples, seed = require_count("samples", samples, 1, MAX_SAMPLES), require_count("seed", seed, 0)
+    require_holder("dists", dists, DistributionSpec, many=True)
     acc = np.zeros(4 * len(dists))  # per spec: sum_r, sum_r2, sum_s, sum_s2
     remaining = samples
     for ss in np.random.SeedSequence(seed).spawn(-(-samples // MC_SHARD_SIZE)):
@@ -433,7 +442,7 @@ def monte_carlo_statistics(dists: tuple[DistributionSpec, ...], samples: int = 1
 def monte_carlo_expectations(dist: DistributionSpec, samples: int = 10_000_000,
                              seed: int = 42) -> tuple[StatReport, StatReport]:
     """monte_carlo_statistics for one spec: (ratio, area)."""
-    return monte_carlo_statistics((dist,), samples, seed)[0]
+    return monte_carlo_statistics((require_holder("dist", dist, DistributionSpec),), samples, seed)[0]
 
 
 def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -443,7 +452,7 @@ def exact_expectations(dist: DistributionSpec) -> tuple[tuple[float, float], tup
     log-aspect x = log(num/den)/2, so each (band, grid) piece integrates exp(s*|x - log(c/r)|) over x,
     with antiderivative sign(y)*expm1(s*|y|)/s, and n, n^2 over the band.
     """
-    x_lo, x_hi = math.log(dist.aspect_lo), math.log(dist.aspect_hi)
+    x_lo, x_hi = math.log(require_holder("dist", dist, DistributionSpec).aspect_lo), math.log(dist.aspect_hi)
     moments = np.zeros(4)  # integrals of ratio, ratio^2, area, area^2 over the (n, x) region
 
     def integral(y0: float, y1: float, s: int) -> float:  # of exp(s*|y|) over [y0, y1]

@@ -65,10 +65,6 @@ class TestTokens:
         with pytest.raises(ValueError, match="single row"):
             tokens_from_bytes(data)
 
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            tokens_to_bytes(np.zeros((2, 2, 2)))
-
 
 class TestFilesAndCopies:
     """The layout's bytes are pinned by digest, and each direction copies the payload once."""

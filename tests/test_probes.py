@@ -209,11 +209,6 @@ class TestCounting:
         assert heatmap_probe(ImageSize(768, 10), template, 64) == []  # no row fits, so nothing is placed
         assert heatmap_probe(ImageSize(10, 30), (SceneObject("circle", "red", (20.0, -5.0), 24.0),), 8) == [[]] * 5
 
-    @pytest.mark.parametrize("step", [0, -5])
-    def test_heatmap_rejects_grid_step_below_one(self, step):
-        with pytest.raises(ValueError, match=f"^grid_step_px must be >= 1, got {step}$"):
-            heatmap_probe(ImageSize(768, 768), CLUSTER, step)
-
     @pytest.mark.parametrize("canvas, template, shape", [
         (ImageSize(100_000, 100_000), CLUSTER, "99968 x 99968"),
         (ImageSize(10, 10**8), (SceneObject("circle", "red", (20.0, -5.0), 24.0),), "0 x 100000005"),  # empty rows
@@ -423,20 +418,11 @@ class TestRendering:
         if factor == 1.0:
             assert expected == side
 
-    @pytest.mark.parametrize("center, size, message", [
-        ((5.0, 5.0), 0.0, "object size must be > 0, got 0.0"),
-        ((5.0, 5.0), -1.0, "object size must be > 0, got -1.0"),
-        ((5.0, 5.0), math.inf, "object size must be finite, got inf"),
-        ((5.0, 5.0), math.nan, "object size must be finite, got nan"),
-        ((), 2.0, "object center must be two finite numbers, got ()"),
-        ((5.0,), 2.0, "object center must be two finite numbers, got (5.0,)"),
-        ((5.0, 5.0, 5.0), 2.0, "object center must be two finite numbers, got (5.0, 5.0, 5.0)"),
-        ((math.inf, 5.0), 2.0, "object center must be finite, got inf"),
-        ((5.0, math.nan), 2.0, "object center must be finite, got nan"),
-    ])
-    def test_object_needs_a_finite_positive_size_and_a_finite_centre(self, center, size, message):
+    @pytest.mark.parametrize("center", [(), (5.0,), (5.0, 5.0, 5.0)], ids=repr)
+    def test_an_object_centre_is_two_numbers(self, center):
+        message = f"object center must be two finite numbers, got {center}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SceneObject("circle", "red", center, size)
+            SceneObject("circle", "red", center, 2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

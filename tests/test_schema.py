@@ -119,10 +119,6 @@ class TestTokenCount:
         content = sum(1 for x in seq if isinstance(x, ContentToken))
         assert token_count(make_plan(m, n), k) == content
 
-    def test_rejects_zero_tokens(self):
-        with pytest.raises(ValueError):
-            serialize_layout(make_plan(1, 1), 0)
-
 
 class TestParseErrors:
     def test_empty_sequence(self):

@@ -151,14 +151,14 @@ def test_the_scan_sees_the_surface():
 
 def public_callables():
     """(qualified name, callable) of every public function of each slicekit module, and of each public method and
-    __init__ of its public classes."""
+    __init__ of its public classes: for __init__ the class itself, which a call constructs."""
     for info in pkgutil.iter_modules(slicekit.__path__, "slicekit."):
         module = importlib.import_module(info.name)
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             if isinstance(obj, type):
-                yield from ((f"{info.name}.{name}.{m}", f) for m, f in vars(obj).items()
+                yield from ((f"{info.name}.{name}.{m}", obj if m == "__init__" else f) for m, f in vars(obj).items()
                             if inspect.isfunction(f) and (m == "__init__" or not m.startswith("_")))
             elif callable(obj):
                 yield f"{info.name}.{name}", obj

@@ -28,7 +28,6 @@ from slicekit.verify import (
     MAX_SAMPLES,
     MAX_TABLE_BANDS,
     MC_SHARD_SIZE,
-    MIN_GRID_DENSITY,
     MIN_PART_SIZE,
     TABLE_BYTES,
     TWO_LOG2,
@@ -60,10 +59,6 @@ class TestDistributionSpec:
         for args, kwargs, message in [
             ((), {"area_ratio_lo": 5.0, "area_ratio_hi": 2.0}, "area ratio range must be positive and non-empty"),
             ((), {"aspect_lo": 0.5}, "aspect range must be >= 1 and non-empty"),
-            ((True, 2), {}, "area_ratio_lo must be a real number, got True"),
-            (("1", 2), {}, "area_ratio_lo must be a real number, got '1'"),
-            ((), {"aspect_hi": np.True_}, "aspect_hi must be a real number, got np.True_"),
-            ((), {"aspect_hi": None}, "aspect_hi must be a real number, got None"),
         ]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 DistributionSpec(*args, **kwargs)
@@ -360,10 +355,7 @@ class TestEnumerationBound:
         assert worst <= TWO_LOG2
         assert worst == pytest.approx(math.log(3.0), abs=1e-12)
 
-    @pytest.mark.parametrize("n_max, message", [(0, "n_max must be >= 1, got 0"),
-                                                (20.5, "n_max must be an integer, got 20.5"),
-                                                (True, "n_max must be an integer, got True"),
-                                                (MAX_TABLE_BANDS + 1, "n_max must be <= 1024, got 1025"),
+    @pytest.mark.parametrize("n_max, message", [(MAX_TABLE_BANDS + 1, "n_max must be <= 1024, got 1025"),
                                                 (10**7, "n_max must be <= 1024, got 10000000")])
     def test_rejects_bad_limit(self, n_max, message):
         start = time.perf_counter()
@@ -392,19 +384,6 @@ class TestSweep:
         assert 0.5 <= min_r and max_r <= 2.0
         assert abs(min_s - 1.0 / 3.0) <= 0.01
         assert abs(max_s - 1.5) <= 0.01
-
-    def test_density_floor_enforced(self):
-        with pytest.raises(ValueError):
-            sweep_slice_bounds(grid_density=10)
-        with pytest.raises(ValueError):
-            sweep_slice_bounds(grid_density=MIN_GRID_DENSITY - 1)
-
-    @pytest.mark.parametrize("density", [1500.5, 1500.0, True])
-    def test_a_density_that_is_not_an_integer_is_refused(self, density):
-        with pytest.raises(ValueError, match=f"^grid_density must be an integer, got {density!r}$"):
-            sweep_slice_bounds(density)
-        with pytest.raises(ValueError, match="^grid_density must be an integer"):
-            run_proof_checks(10, grid_density=density)
 
     @pytest.mark.parametrize("density", [MAX_GRID_DENSITY + 1, 99_999_999_999])
     def test_density_ceiling_enforced_before_any_allocation(self, density):
@@ -458,17 +437,6 @@ class TestMonteCarlo:
         r, s = monte_carlo_expectations(ALTERNATE_SPEC, samples=100_000, seed=2)
         assert 1.0 <= r.expectation <= 2.0
         assert 0.0 < s.expectation
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            monte_carlo_expectations(DistributionSpec(), samples=0)
-
-    @pytest.mark.parametrize("samples", [10.5, 1e6, True, "100"])
-    def test_a_sample_count_that_is_not_an_integer_is_refused(self, samples):
-        with pytest.raises(ValueError, match=f"^samples must be an integer, got {re.escape(repr(samples))}$"):
-            monte_carlo_statistics((DistributionSpec(),), samples=samples)
-        with pytest.raises(ValueError, match="^samples must be an integer"):
-            run_proof_checks(samples=samples)
 
     @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**18])
     def test_sample_count_past_the_bound_raises_before_any_shard_is_seeded(self, samples):
